@@ -49,6 +49,7 @@ from .semisimple import (
     shift_nilpotence_check,
 )
 from . import catalog
+from .catalog import builtin
 
 __all__ = [
     "ConsistencyError",
@@ -64,6 +65,7 @@ __all__ = [
     "Witness",
     "acts_nilpotently",
     "adjoint_rep",
+    "builtin",
     "catalog",
     "cross_validate",
     "direct_sum",

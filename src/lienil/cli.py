@@ -70,7 +70,11 @@ def _parse_terms(rhs: str, line_no: int, offset: int,
             raise ParseError("expected a signed term like `2 h` or `- e`",
                              line_no, offset + pos + 1)
         sign = -1 if match.group(1) == "-" else 1
-        coeff = Fraction(match.group(2)) if match.group(2) else Fraction(1)
+        try:
+            coeff = Fraction(match.group(2)) if match.group(2) else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {match.group(2)!r}",
+                             line_no, offset + match.start(2) + 1) from None
         name = match.group(3)
         if name not in index_of:
             raise ParseError(f"unknown basis name {name!r}", line_no, offset + match.start(3) + 1)

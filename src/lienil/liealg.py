@@ -318,6 +318,3 @@ class QuotientMap:
 
     def project(self, v: Sequence) -> Vector:
         return self.projection.apply(self.source.element(v))
-
-    def lift(self, w: Sequence) -> Vector:
-        return self.section.apply(self.target.element(w))

@@ -478,36 +478,6 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def power_sums_from_char_poly(coeffs: Sequence[Fraction], count: int) -> list[Fraction]:
-    """Traces of powers 0..count of a matrix, from its characteristic polynomial.
-
-    Newton's identities give trace(X^k) for k up to the degree; beyond it
-    the Cayley-Hamilton recurrence extends the sequence.  Entry 0 is the
-    dimension.  Together with characteristic zero this characterizes
-    nilpotency: X is nilpotent iff trace(X^k) = 0 for k = 1..degree.
-    """
-    coeffs = [frac(c) for c in coeffs]
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("characteristic polynomial must be monic")
-    degree = len(coeffs) - 1
-    if count < 0:
-        raise ValueError("negative count")
-    sums = [Fraction(degree)]
-    for k in range(1, count + 1):
-        if k <= degree:
-            acc = -k * coeffs[k]
-            for i in range(1, k):
-                if coeffs[i]:
-                    acc -= coeffs[i] * sums[k - i]
-        else:
-            acc = _ZERO
-            for i in range(1, degree + 1):
-                if coeffs[i]:
-                    acc -= coeffs[i] * sums[k - i]
-        sums.append(acc)
-    return sums
-
-
 def _positive_divisors(n: int) -> list[int]:
     n = abs(n)
     out = set()

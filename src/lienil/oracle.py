@@ -10,16 +10,15 @@ of representations generated from a handful of seeds by duals, direct sums
 and tensor products.
 
 Corpus members are kept as construction expressions and never materialized
-wholesale: the nilpotency outcome of an expression is computed from trace
-power sums, which add over direct sums, alternate in sign under duals, and
-combine binomially over tensor products (the two factors commute after the
-Kronecker embedding).  Over the rationals, vanishing of the first dim_v
-power sums is equivalent to nilpotency, so the recorded outcomes are exact.
+wholesale: the nilpotency outcome of an expression is decided by whether the
+element's action on it has a single eigenvalue, and which one.  Eigenvalues
+are negated by duals, united by direct sums and added pairwise by tensor
+products, and in characteristic zero an operator is nilpotent iff 0 is its
+only eigenvalue, so the recorded outcomes are exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,12 +26,7 @@ from typing import Sequence
 
 from .catalog import irreducibles_for
 from .liealg import LieAlgebra
-from .linalg import (
-    Vector,
-    char_poly,
-    nilpotency_exponent,
-    power_sums_from_char_poly,
-)
+from .linalg import Matrix, Vector, is_nilpotent, nilpotency_exponent
 from .reps import (
     Representation,
     acts_nilpotently,
@@ -50,6 +44,7 @@ from .semisimple import (
 )
 
 _ZERO = Fraction(0)
+_EMPTY = object()  # corpus state of a 0-dimensional member
 
 
 @dataclass(frozen=True)
@@ -268,44 +263,41 @@ def corpus_representation(members: Sequence[CorpusMember], index: int) -> Repres
 
 
 def _corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:
-    """acts_nilpotently for every member, via trace power sums.
+    """acts_nilpotently for every member, from one state per member.
 
-    Power sums index 0..required: entry 0 is the member's dimension.  A
-    member is nilpotent iff entries 1..dim all vanish; parents may demand
-    longer prefixes from their operands, computed in one backward pass.
+    A member's state is _EMPTY (dimension 0), its single eigenvalue c, or
+    None when it has more than one.  In one forward pass:
+      seed:   c = trace/dim, single iff action - c*I is nilpotent;
+      dual:   c becomes -c;
+      sum:    _EMPTY is the identity; two single values stay single only
+              when they are equal;
+      tensor: _EMPTY absorbs; otherwise c1 + c2, None if either is None.
+    A member is nilpotent iff it is _EMPTY or single with c = 0.  A
+    0-dimensional space has no eigenvalue at all, so it must be a wildcard
+    rather than eigenvalue 0: sum(x, empty) has exactly the eigenvalues of
+    x, and tensor(x, empty) is again 0-dimensional, whatever x is.
     """
-    required = [m.dim for m in members]
-    for m in reversed(members):
-        for o in m.operands:
-            required[o] = max(required[o], required[m.index])
-
-    sums: list[list[Fraction]] = []
+    states: list = []
     for m in members:
-        need = required[m.index]
-        if m.kind == "seed":
+        operands = [states[o] for o in m.operands]
+        if m.dim == 0:
+            state = _EMPTY
+        elif m.kind == "seed":
             assert m.seed is not None
-            sums.append(power_sums_from_char_poly(char_poly(m.seed.action(av)), need))
+            action = m.seed.action(av)
+            c = action.trace() / m.dim
+            state = c if is_nilpotent(action - Matrix.identity(m.dim).scaled(c)) else None
+        elif None in operands:
+            state = None
         elif m.kind == "dual":
-            child = sums[m.operands[0]]
-            sums.append([(-c if k % 2 else c) for k, c in enumerate(child[:need + 1])])
-        elif m.kind == "sum":
-            left = sums[m.operands[0]]
-            right = sums[m.operands[1]]
-            sums.append([left[k] + right[k] for k in range(need + 1)])
-        else:
-            left = sums[m.operands[0]]
-            right = sums[m.operands[1]]
-            combined = []
-            for k in range(need + 1):
-                acc = _ZERO
-                for i in range(k + 1):
-                    a = left[i]
-                    b = right[k - i]
-                    if a and b:
-                        acc += math.comb(k, i) * a * b
-                combined.append(acc)
-            sums.append(combined)
-    return [all(sums[m.index][k] == 0 for k in range(1, m.dim + 1)) for m in members]
+            state = -operands[0]
+        elif m.kind == "tensor":
+            state = operands[0] + operands[1]
+        else:  # sum
+            values = {c for c in operands if c is not _EMPTY}
+            state = values.pop() if len(values) == 1 else None
+        states.append(state)
+    return [s is _EMPTY or s == 0 for s in states]
 
 
 def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,

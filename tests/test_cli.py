@@ -227,6 +227,14 @@ def test_parse_error_exit_code(tmp_path):
     assert "error" in text
 
 
+def test_zero_denominator_in_file_is_located(tmp_path, capsys):
+    path = write(tmp_path, "bad.txt", "dim 2\nbasis a b\n[a,b] = 1/0 a\n")
+    code, text = capture(["info", path])
+    assert code == 1
+    assert "line 3, column 9: zero denominator" in text
+    assert "Traceback" not in text + capsys.readouterr().err
+
+
 def test_unknown_catalog_name_exit_code():
     code, text = capture(["catalog", "sp4"])
     assert code == 1

@@ -19,7 +19,6 @@ from lienil.linalg import (
     kron,
     matrix_power,
     nilpotency_exponent,
-    power_sums_from_char_poly,
     rational_eigenvalues,
     rational_roots,
     rref,
@@ -197,7 +196,7 @@ def test_scaling_does_not_change_nilpotency():
     assert is_nilpotent(m.scaled(F(3, 5)))
 
 
-# --- characteristic polynomial and power sums --------------------------------
+# --- characteristic polynomial -----------------------------------------------
 
 def test_char_poly_of_companion_like():
     m = Matrix.from_rows([[2, 0], [0, 3]])
@@ -220,13 +219,6 @@ def test_rational_roots_with_zero_root():
 def test_rational_eigenvalues_of_diagonal():
     m = Matrix.from_rows([[F(1, 2), 0], [0, -3]])
     assert rational_eigenvalues(m) == [F(-3), F(1, 2)]
-
-
-def test_power_sums_match_direct_traces():
-    m = Matrix.from_rows([[1, 2], [3, -1]])
-    sums = power_sums_from_char_poly(char_poly(m), 6)
-    for k in range(7):
-        assert sums[k] == matrix_power(m, k).trace()
 
 
 def test_trace_product_agrees_with_full_product():

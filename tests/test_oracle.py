@@ -215,7 +215,8 @@ def test_corpus_members_materialize_and_validate():
 
 
 def test_corpus_outcomes_match_materialized_actions():
-    for name, element in (("sl2", (1, 1, 0)), ("heisenberg", (0, 0, 1))):
+    for name, element in (("sl2", (1, 1, 0)), ("heisenberg", (0, 0, 1)),
+                          ("heisenberg", (1, 0, 0))):
         g = builtin(name).algebra
         report = cross_validate(g, element, depth=2, max_dim=12)
         members = build_corpus(g, 2, 12)
