@@ -15,8 +15,9 @@ be regenerated from any algebra (the ``catalog`` command does exactly
 that).
 
 Exit codes: 0 for a completed computation regardless of the verdict, 1 for
-any input, parse or validation problem, and 2 when ``--assert`` is given
-and the computed verdict (or consistency, for crosscheck) is negative.
+any input, parse or validation problem or failed internal cross-check, and
+2 when ``--assert`` is given and the computed verdict (or consistency, for
+crosscheck) is negative.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .liealg import LieAlgebra
 from .linalg import Vector
 from .oracle import cross_validate, find_witness, nilpotent_in_all_reps
 from .semisimple import (
+    ConsistencyError,
+    analyze,
     is_nilpotent_element_power,
     killing_matrix,
     radical,
@@ -274,17 +277,18 @@ def _cmd_validate(args, out) -> int:
 
 def _cmd_info(args, out) -> int:
     algebra = _validated(args.file)
+    structure = analyze(algebra)
     payload = {
         "command": "info",
         "file": args.file,
         "dim": algebra.dim,
         "basis": list(algebra.basis_names),
-        "derived_dim": algebra.derived_subalgebra().dim,
-        "radical_dim": radical(algebra).dim,
+        "derived_dim": structure.derived.dim,
+        "radical_dim": structure.radical.dim,
         "center_dim": algebra.center().dim,
         "solvable": algebra.is_solvable(),
         "nilpotent": algebra.is_nilpotent_algebra(),
-        "semisimple": radical(algebra).is_zero(),
+        "semisimple": structure.radical.is_zero(),
         "derived_series_dims": [s.dim for s in algebra.derived_series()],
         "lower_central_dims": [s.dim for s in algebra.lower_central_series()],
     }
@@ -490,7 +494,7 @@ def run(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         return _COMMANDS[args.command](args, stream)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ConsistencyError) as exc:
         _emit({"command": args.command, "error": str(exc)}, fmt, stream)
         return 1
 

@@ -115,10 +115,17 @@ class LieAlgebra:
         return tuple(acc)
 
     def ad(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y] in the defining basis."""
+        """Matrix of y -> [x, y] in the defining basis, filled from the table."""
         xv = self.element(x)
-        columns = [self.bracket(xv, self.basis_element(j)) for j in range(self.dim)]
-        return Matrix.from_columns(columns)
+        entries = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), expansion in self.table.items():
+            a, b = xv[i], xv[j]  # column j gains a [e_i, e_j]; column i gains -b [e_i, e_j]
+            for k, c in expansion.items():
+                if a:
+                    entries[k][j] += a * c
+                if b:
+                    entries[k][i] -= b * c
+        return Matrix(self.dim, self.dim, tuple(map(tuple, entries)))
 
     # -- validation -------------------------------------------------------
 
@@ -161,8 +168,9 @@ class LieAlgebra:
         return Subspace.full(self.dim)
 
     def derived_subalgebra(self) -> Subspace:
-        full = self.full_space()
-        return self.product_space(full, full)
+        """[g, g]: the span of the table's values, the brackets of basis pairs."""
+        return Subspace.from_vectors(
+            self.dim, [[e.get(k, _ZERO) for k in range(self.dim)] for e in self.table.values()])
 
     def derived_series(self) -> list[Subspace]:
         """The chain g >= [g,g] >= ... until it hits zero or repeats a term.
@@ -209,9 +217,6 @@ class LieAlgebra:
 
     def is_ideal(self, h: Subspace) -> bool:
         return h.contains_subspace(self.product_space(self.full_space(), h))
-
-    def is_subalgebra(self, h: Subspace) -> bool:
-        return h.contains_subspace(self.product_space(h, h))
 
     # -- derivations --------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything here is computed with ``fractions.Fraction``; no floating point
-is ever involved, so ranks, kernels and solvability verdicts are exact.
-Matrices are immutable and subspaces are kept in a canonical reduced
-row-echelon form, which makes subspace equality a plain ``==``.
+Values are ``fractions.Fraction`` and elimination runs fraction-free on
+integer rows; no floating point is ever involved, so ranks, kernels and
+solvability verdicts are exact.  Matrices are immutable and subspaces are
+kept in a canonical reduced row-echelon form, so equality is a plain ``==``.
 """
 
 from __future__ import annotations
@@ -182,28 +182,43 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
+def _cleared(values: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators: integers in the same ratios."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    content = math.gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
 def _rref_rows(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot column list)."""
+    """Fraction-free Gauss-Jordan on primitive integer rows; returns (rows, pivot columns).
+
+    A row with x in the pivot column becomes (a*row - b*pivot_row)/content, a/b =
+    pivot/x in lowest terms.  Fractions appear only when each pivot row is divided
+    by its pivot at the end; RREF is unique, so the rows are the rational algorithm's.
+    """
+    ints = [_primitive(_cleared(row)) for row in rows]
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+        prow = ints[r]
+        p = prow[c]
+        for i, row in enumerate(ints):
+            x = row[c]
+            if x and i != r:
+                g = math.gcd(p, x)
+                a, b = p // g, x // g
+                ints[i] = _primitive([a * u - b * v for u, v in zip(row, prow)])
         pivots.append(c)
-        r += 1
-    return rows, pivots
+    reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(ints, pivots)]
+    return reduced + [[_ZERO] * cols for _ in ints[len(pivots):]], pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -385,11 +400,8 @@ def matrix_power(m: Matrix, exponent: int) -> Matrix:
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
     """Clear denominators; scaling does not change nilpotency or kernels of powers."""
-    scale = 1
-    for row in m.entries:
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    return [[int(x * scale) for x in row] for row in m.entries]
+    flat = _cleared([x for row in m.entries for x in row])
+    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
 
 
 def nilpotency_exponent(m: Matrix) -> tuple[bool, int]:
@@ -501,10 +513,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         coeffs = coeffs[1:]
     if not coeffs or len(coeffs) == 1:
         return []
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
+    ints = _cleared(coeffs)
     roots = []
     while ints[-1] == 0:
         ints = ints[:-1]

@@ -37,11 +37,7 @@ from .reps import (
     pullback,
     tensor,
 )
-from .semisimple import (
-    ConsistencyError,
-    is_nilpotent_element_image,
-    semisimple_quotient,
-)
+from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
 _EMPTY = object()  # corpus state of a 0-dimensional member
@@ -97,32 +93,12 @@ class CrossCheckReport:
     max_dim: int
 
 
-def canonical_functionals(algebra: LieAlgebra) -> list[Vector]:
-    """One functional per free coordinate of the derived subalgebra.
-
-    Each vanishes on the derived subalgebra, takes value 1 on its own free
-    coordinate, and is supported only on that coordinate plus the pivot
-    coordinates.  Jointly they separate every element outside the derived
-    subalgebra from it.
-    """
-    derived = algebra.derived_subalgebra()
-    pivots = derived.pivots
-    out = []
-    for q in derived.complement_coordinates():
-        xi = [_ZERO] * algebra.dim
-        xi[q] = Fraction(1)
-        for row, p in zip(derived.basis, pivots):
-            xi[p] = -row[q]
-        out.append(tuple(xi))
-    return out
-
-
 def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
     """The main decision: nilpotent action in every representation, yes or no."""
     av = algebra.element(a)
-    derived = algebra.derived_subalgebra()
-    in_derived = derived.contains(av)
-    q = semisimple_quotient(algebra)
+    structure = analyze(algebra)
+    in_derived = structure.derived.contains(av)
+    q = structure.quotient
     if q.target.dim == 0:
         image_nilpotent = True
     else:
@@ -132,7 +108,7 @@ def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
         in_derived=in_derived,
         image_nilpotent=image_nilpotent,
         radical_dim=q.ideal.dim,
-        derived_dim=derived.dim,
+        derived_dim=structure.derived.dim,
     )
 
 
@@ -147,7 +123,7 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
         raise ValueError("element acts nilpotently in every representation; no witness exists")
     av = algebra.element(a)
     if not verdict.in_derived:
-        for xi in canonical_functionals(algebra):
+        for xi in analyze(algebra).functionals:
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
                 rep = one_dim_rep(algebra, xi)
                 case_tag = "derived_character"
@@ -155,7 +131,7 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
         else:  # pragma: no cover - contradicts in_derived False
             raise ConsistencyError("no canonical functional separates the element")
     else:
-        q = semisimple_quotient(algebra)
+        q = analyze(algebra).quotient
         rep = pullback(adjoint_rep(q.target), q)
         case_tag = "adjoint_pullback"
     nilpotent, exponent = nilpotency_exponent(rep.action(av))
@@ -208,12 +184,12 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
                 return
         seeds.append(rep)
 
+    structure = analyze(algebra)
     add_seed(adjoint_rep(algebra))
-    quotient = semisimple_quotient(algebra)
-    add_seed(pullback(adjoint_rep(quotient.target), quotient))
+    add_seed(pullback(adjoint_rep(structure.quotient.target), structure.quotient))
     for rep in irreducibles_for(algebra):
         add_seed(rep)
-    for xi in canonical_functionals(algebra):
+    for xi in structure.functionals:
         add_seed(one_dim_rep(algebra, xi))
 
     members = [CorpusMember(i, rep.label, rep.dim_v, 0, "seed", (), rep)

@@ -1,5 +1,9 @@
 """Killing form, radical, and nilpotency tests for single elements.
 
+``analyze`` gives each algebra one ``Structure``, which computes its derived
+subalgebra, Killing form, radical, semisimple quotient and canonical
+functionals lazily, each once; the public readers below read from it.
+
 The radical is computed from the Cartan criterion: it is the set of x whose
 Killing pairing with the whole derived subalgebra vanishes.  The result is
 double-checked structurally (it must be a solvable ideal, and the quotient
@@ -10,14 +14,16 @@ means the arithmetic itself went wrong, which is reported as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .liealg import LieAlgebra, QuotientMap
 from .linalg import (
     Matrix,
     Subspace,
+    Vector,
     frac,
     generalized_eigenspace,
     is_nilpotent,
@@ -26,6 +32,8 @@ from .linalg import (
     solve,
     trace_product,
 )
+
+_ZERO = Fraction(0)
 
 
 class ConsistencyError(RuntimeError):
@@ -58,13 +66,27 @@ def killing_form(algebra: LieAlgebra, x, y) -> Fraction:
     return trace_product(algebra.ad(x), algebra.ad(y))
 
 
-@lru_cache(maxsize=None)
 def killing_matrix(algebra: LieAlgebra) -> KillingForm:
-    ads = [algebra.ad(algebra.basis_element(i)) for i in range(algebra.dim)]
-    gram = Matrix.from_rows([
-        [trace_product(ads[i], ads[j]) for j in range(algebra.dim)]
-        for i in range(algebra.dim)])
-    return KillingForm(algebra, gram)
+    return analyze(algebra).killing
+
+
+def _killing_gram(algebra: LieAlgebra) -> Matrix:
+    """K_ij = trace(ad e_i ad e_j) = sum over l, k of c(i,l)_k c(j,k)_l, where c(i,l)_k is
+    the coefficient of e_k in [e_i, e_l]; summed in integers on the constants times the
+    lcm s of their denominators, divided by s**2, for i <= j only.
+    """
+    n = algebra.dim
+    scale = math.lcm(*(x.denominator for e in algebra.table.values() for x in e.values()))
+    c: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, l), expansion in algebra.table.items():
+        c[i][l] = {k: x.numerator * (scale // x.denominator) for k, x in expansion.items()}
+        c[l][i] = {k: -x for k, x in c[i][l].items()}
+    gram = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            total = sum(x * c[j][k].get(l, 0) for l in range(n) for k, x in c[i][l].items())
+            gram[i][j] = gram[j][i] = Fraction(total, scale * scale)
+    return Matrix(n, n, tuple(map(tuple, gram)))
 
 
 def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
@@ -79,29 +101,17 @@ def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
     return kernel
 
 
-@lru_cache(maxsize=None)
 def radical(algebra: LieAlgebra) -> Subspace:
     """Maximal solvable ideal, via Killing-orthogonality to the derived subalgebra.
 
     Raises ConsistencyError if the computed space fails to be a solvable
     ideal or if the quotient by it has a degenerate Killing form.
     """
-    derived = algebra.derived_subalgebra()
-    rad = killing_orth(algebra, derived)
-    if not algebra.is_ideal(rad):
-        raise ConsistencyError("computed radical is not an ideal")
-    if not _restrict_to_subalgebra(algebra, rad).is_solvable():
-        raise ConsistencyError("computed radical is not solvable")
-    quotient = algebra.quotient(rad).target
-    if quotient.dim and not killing_matrix(quotient).is_nondegenerate():
-        raise ConsistencyError("Killing form degenerate on the quotient by the radical")
-    return rad
+    return analyze(algebra).radical
 
 
 def _restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> LieAlgebra:
     """The bracket restricted to a subspace that is closed under it."""
-    if not algebra.is_subalgebra(space):
-        raise ValueError("subspace is not closed under the bracket")
     names = tuple(f"s{i}" for i in range(space.dim))
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(space.dim):
@@ -118,12 +128,7 @@ def _restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> LieAlgebra:
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
     """Radical zero; cross-checked against nondegeneracy of the Killing form."""
-    by_radical = radical(algebra).is_zero()
-    by_gram = algebra.dim == 0 or killing_matrix(algebra).is_nondegenerate()
-    if by_radical != by_gram:
-        raise ConsistencyError(
-            "radical computation disagrees with Killing-form nondegeneracy")
-    return by_radical
+    return analyze(algebra).semisimple
 
 
 def is_nilpotent_element_power(algebra: LieAlgebra, x) -> bool:
@@ -164,7 +169,68 @@ def shift_nilpotence_check(algebra: LieAlgebra, d: Matrix, lam, a) -> bool:
     return is_nilpotent(algebra.ad(av))
 
 
-@lru_cache(maxsize=None)
 def semisimple_quotient(algebra: LieAlgebra) -> QuotientMap:
     """Quotient by the radical; the target carries a nondegenerate Killing form."""
-    return algebra.quotient(radical(algebra))
+    return analyze(algebra).quotient
+
+
+@dataclass(eq=False)
+class Structure:
+    """One algebra's structure for the decision, each part computed on first use."""
+
+    algebra: LieAlgebra
+
+    @cached_property
+    def derived(self) -> Subspace:
+        return self.algebra.derived_subalgebra()
+
+    @cached_property
+    def killing(self) -> KillingForm:
+        return KillingForm(self.algebra, _killing_gram(self.algebra))
+
+    @cached_property
+    def quotient(self) -> QuotientMap:
+        """g -> g/rad(g), the radical checked as radical() documents."""
+        algebra = self.algebra
+        rad = killing_orth(algebra, self.derived)
+        if not algebra.is_ideal(rad):
+            raise ConsistencyError("computed radical is not an ideal")
+        if not _restrict_to_subalgebra(algebra, rad).is_solvable():
+            raise ConsistencyError("computed radical is not solvable")
+        quotient = algebra.quotient(rad)
+        if quotient.target.dim and not analyze(quotient.target).killing.is_nondegenerate():
+            raise ConsistencyError("Killing form degenerate on the quotient by the radical")
+        return quotient
+
+    @property
+    def radical(self) -> Subspace:
+        return self.quotient.ideal
+
+    @cached_property
+    def semisimple(self) -> bool:
+        if self.radical.is_zero() != (self.algebra.dim == 0 or self.killing.is_nondegenerate()):
+            raise ConsistencyError("radical computation disagrees with Killing-form nondegeneracy")
+        return self.radical.is_zero()
+
+    @cached_property
+    def functionals(self) -> tuple[Vector, ...]:
+        """One functional per free coordinate of [g, g]: 1 on it, 0 on the other
+        free coordinates and on [g, g]; jointly they separate g from [g, g].
+        """
+        derived = self.derived
+        pivots = derived.pivots
+        out = []
+        for q in derived.complement_coordinates():
+            xi = [_ZERO] * self.algebra.dim
+            xi[q] = Fraction(1)
+            for row, p in zip(derived.basis, pivots):
+                xi[p] = -row[q]
+            out.append(tuple(xi))
+        return tuple(out)
+
+
+def analyze(algebra: LieAlgebra) -> Structure:
+    """The algebra's Structure, made on first use and kept on the instance."""
+    if "_structure" not in vars(algebra):
+        object.__setattr__(algebra, "_structure", Structure(algebra))
+    return vars(algebra)["_structure"]

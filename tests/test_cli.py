@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import lienil.semisimple as semisimple
 from lienil.catalog import builtin, standard_entries
+from lienil.linalg import Matrix, Subspace
 from lienil.cli import (
     ParseError,
     parse_algebra,
@@ -235,6 +237,21 @@ def test_zero_denominator_in_file_is_located(tmp_path, capsys):
     assert "Traceback" not in text + capsys.readouterr().err
 
 
+def test_consistency_error_is_reported(tmp_path, monkeypatch, capsys):
+    gl2 = builtin("gl2").algebra  # under basis names that no other test uses
+    renamed = gl2.change_of_basis(Matrix.identity(4), ["u11", "u12", "u21", "u22"])
+    path = write(tmp_path, "gl2.txt", render_algebra(renamed))
+    # A zero "radical" leaves gl2's degenerate Killing form on the quotient.
+    monkeypatch.setattr(semisimple, "killing_orth",
+                        lambda algebra, space: Subspace.zero(algebra.dim))
+    code, text = capture(["radical", "--format", "json", path])
+    assert code == 1
+    assert json.loads(text) == {
+        "command": "radical",
+        "error": "Killing form degenerate on the quotient by the radical"}
+    assert "Traceback" not in text + capsys.readouterr().err
+
+
 def test_unknown_catalog_name_exit_code():
     code, text = capture(["catalog", "sp4"])
     assert code == 1
@@ -262,3 +279,101 @@ def test_text_and_json_agree_on_values(tmp_path):
     payload = json.loads(json_text)
     assert f"answer: {'true' if payload['answer'] else 'false'}" in plain
     assert f"radical_dim: {payload['radical_dim']}" in plain
+
+
+# --- golden snapshot --------------------------------------------------------------
+# JSON reports on sl3, gl2 and upper_triangular(3), each moved by one fixed
+# rational basis change so that elimination meets denominators.  The values
+# were recorded from the Fraction Gauss-Jordan kernel; stdout must equal their
+# rendering json.dumps(indent=2, sort_keys=True) byte for byte.
+
+GOLDEN_CASES = (  # (catalog name, file name, oracle element in moved coordinates)
+    ("sl3", "sl3.lie", "1/9,1/9,1/3,2,0,0,0,0"),  # H1
+    ("gl2", "gl2.lie", "19/9,1/9,1/3,2"),  # the identity
+    ("upper_triangular(3)", "ut3.lie", "2,0,0,0,0,0"),  # E11
+)
+
+GOLDEN = {
+    ("sl3.lie", "info"): {
+        "basis": ["b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"], "center_dim": 0,
+        "command": "info", "derived_dim": 8, "derived_series_dims": [8, 8], "dim": 8,
+        "file": "sl3.lie", "lower_central_dims": [8, 8], "nilpotent": False,
+        "radical_dim": 0, "semisimple": True, "solvable": False},
+    ("sl3.lie", "radical"): {
+        "basis_vectors": [], "command": "radical", "dim": 0, "file": "sl3.lie",
+        "semisimple": True},
+    ("sl3.lie", "killing"): {
+        "command": "killing", "file": "sl3.lie", "nondegenerate": True,
+        "gram": [["0", "0", "0", "0", "0", "9/2", "-3/7", "0"],
+                 ["0", "0", "0", "0", "0", "-9/2", "24/7", "-3/4"],
+                 ["0", "0", "0", "0", "0", "0", "-1", "37/4"],
+                 ["0", "0", "0", "3", "-21/5", "1/2", "0", "-3/2"],
+                 ["0", "0", "0", "-21/5", "372/25", "-11/5", "0", "0"],
+                 ["9/2", "-9/2", "0", "1/2", "-11/5", "1/3", "0", "0"],
+                 ["-3/7", "24/7", "-1", "0", "0", "0", "0", "0"],
+                 ["0", "-3/4", "37/4", "-3/2", "0", "0", "0", "0"]]},
+    ("sl3.lie", "oracle"): {
+        "answer": False, "command": "oracle", "derived_dim": 8,
+        "element": ["1/9", "1/9", "1/3", "2", "0", "0", "0", "0"], "file": "sl3.lie",
+        "image_nilpotent": False, "in_derived": True, "radical_dim": 0,
+        "witness_acts_nilpotently": False, "witness_case": "adjoint_pullback",
+        "witness_dim": 8, "witness_exponent": 2, "witness_label": "pullback(adjoint)"},
+    ("gl2.lie", "info"): {
+        "basis": ["b0", "b1", "b2", "b3"], "center_dim": 1, "command": "info",
+        "derived_dim": 3, "derived_series_dims": [4, 3, 3], "dim": 4, "file": "gl2.lie",
+        "lower_central_dims": [4, 3, 3], "nilpotent": False, "radical_dim": 1,
+        "semisimple": False, "solvable": False},
+    ("gl2.lie", "radical"): {
+        "basis_vectors": [["1", "1/19", "3/19", "18/19"]], "command": "radical",
+        "dim": 1, "file": "gl2.lie", "semisimple": False},
+    ("gl2.lie", "killing"): {
+        "command": "killing", "file": "gl2.lie", "nondegenerate": False,
+        "gram": [["1/2", "-1/2", "0", "-1/2"],
+                 ["-1/2", "1/2", "6", "-1/2"],
+                 ["0", "6", "-4", "1/3"],
+                 ["-1/2", "-1/2", "1/3", "1/2"]]},
+    ("gl2.lie", "oracle"): {
+        "answer": False, "command": "oracle", "derived_dim": 3,
+        "element": ["19/9", "1/9", "1/3", "2"], "file": "gl2.lie",
+        "image_nilpotent": True, "in_derived": False, "radical_dim": 1,
+        "witness_acts_nilpotently": False, "witness_case": "derived_character",
+        "witness_dim": 1, "witness_exponent": 1, "witness_label": "character(1,-1,0,1)"},
+    ("ut3.lie", "info"): {
+        "basis": ["b0", "b1", "b2", "b3", "b4", "b5"], "center_dim": 1,
+        "command": "info", "derived_dim": 3, "derived_series_dims": [6, 3, 1, 0],
+        "dim": 6, "file": "ut3.lie", "lower_central_dims": [6, 3, 3],
+        "nilpotent": False, "radical_dim": 6, "semisimple": False, "solvable": True},
+    ("ut3.lie", "radical"): {
+        "basis_vectors": [[str(int(i == j)) for j in range(6)] for i in range(6)],
+        "command": "radical", "dim": 6, "file": "ut3.lie", "semisimple": False},
+    ("ut3.lie", "killing"): {
+        "command": "killing", "file": "ut3.lie", "nondegenerate": False,
+        "gram": [["1/2", "-1/2", "0", "-1/4", "1/10", "-3/4"],
+                 ["-1/2", "1/2", "0", "1/4", "-1/10", "3/4"],
+                 ["0", "0", "0", "0", "0", "0"],
+                 ["-1/4", "1/4", "0", "1/2", "-1/5", "-3/4"],
+                 ["1/10", "-1/10", "0", "-1/5", "2/25", "3/10"],
+                 ["-3/4", "3/4", "0", "-3/4", "3/10", "9/2"]]},
+    ("ut3.lie", "oracle"): {
+        "answer": False, "command": "oracle", "derived_dim": 3,
+        "element": ["2", "0", "0", "0", "0", "0"], "file": "ut3.lie",
+        "image_nilpotent": True, "in_derived": False, "radical_dim": 6,
+        "witness_acts_nilpotently": False, "witness_case": "derived_character",
+        "witness_dim": 1, "witness_exponent": 1, "witness_label": "character(-1,1,0,0,0,0)"},
+}
+
+
+@pytest.mark.parametrize("name, filename, element", GOLDEN_CASES)
+def test_json_reports_match_golden_snapshot(tmp_path, monkeypatch, name, filename, element):
+    g = builtin(name).algebra
+    n = g.dim
+    basis_change = Matrix.from_rows([
+        [F(i % 3 + 1, 2) if j == i else F(-1, i + 2) if j == i + 1 else 0 for j in range(n)]
+        for i in range(n)])
+    write(tmp_path, filename, render_algebra(g.change_of_basis(basis_change)))
+    monkeypatch.chdir(tmp_path)  # the reports name the file as given
+    for command, extra in (("info", []), ("radical", []), ("killing", []),
+                           ("oracle", ["--element", element, "--witness"])):
+        code, text = capture([command, filename, *extra, "--format", "json"])
+        assert code == 0
+        assert text == json.dumps(GOLDEN[filename, command], indent=2, sort_keys=True) + "\n"

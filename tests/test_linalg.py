@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lienil import linalg
 from lienil.catalog import builtin
 from lienil.linalg import (
     Matrix,
@@ -241,6 +244,98 @@ def test_invert_round_trip():
     assert inv is not None
     assert m @ inv == Matrix.identity(2)
     assert invert(Matrix.from_rows([[1, 2], [2, 4]])) is None
+
+
+# --- integer kernel against the Fraction Gauss-Jordan reference --------------
+
+def _fraction_rref_rows(rows, cols):
+    """The Fraction Gauss-Jordan the integer kernel replaced, kept as the reference."""
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _big_rational(rng):
+    if rng.random() < 0.3:
+        return F(0)
+    return F(rng.randint(-10**15, 10**15), rng.randint(1, 10**12))
+
+
+def _kernel_inputs(seed=41):
+    """Seeded matrices: dense with large entries, zero rows and columns,
+    empty shapes, and rank-deficient products."""
+    rng = random.Random(seed)
+    out = [Matrix(0, 3, ()), Matrix(3, 0, ((),) * 3), Matrix(0, 0, ()), Matrix.zero(3, 4)]
+    for _ in range(12):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[_big_rational(rng) for _ in range(cols)] for _ in range(rows)]
+        zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+        if rng.random() < 0.5:
+            entries[zero_row] = [F(0)] * cols
+        if rng.random() < 0.5:
+            for row in entries:
+                row[zero_col] = F(0)
+        out.append(Matrix.from_rows(entries))
+    for _ in range(8):
+        n, k = rng.randint(2, 6), rng.randint(1, 3)
+        left = Matrix.from_rows([[_big_rational(rng) for _ in range(k)] for _ in range(n)])
+        right = Matrix.from_rows([[_big_rational(rng) for _ in range(n)] for _ in range(k)])
+        out.append(left @ right)  # n x n of rank at most k < n
+    return out
+
+
+def _kernel_results(m, rng):
+    x = tuple(_big_rational(rng) for _ in range(m.cols))
+    b = tuple(_big_rational(rng) for _ in range(m.rows))
+    half = m.rows // 2
+    results = [rref(m), solve(m, m.apply(x)), solve(m, b), kernel_image(m),
+               Subspace.from_vectors(m.cols, m.entries),
+               Subspace.from_vectors(m.cols, m.entries[:half]).intersect(
+                   Subspace.from_vectors(m.cols, m.entries[half:]))]
+    if m.is_square():
+        results.append(invert(m))
+    return results
+
+
+def test_integer_kernel_matches_fraction_reference(monkeypatch):
+    inputs = _kernel_inputs()
+    integer = [_kernel_results(m, random.Random(i)) for i, m in enumerate(inputs)]
+    monkeypatch.setattr(linalg, "_rref_rows", _fraction_rref_rows)
+    reference = [_kernel_results(m, random.Random(i)) for i, m in enumerate(inputs)]
+    assert integer == reference
+    solved = [r[2] for r in reference]
+    assert None in solved and any(x is not None for x in solved)  # both kinds seen
+    assert any(r[-1] is None for r in reference if len(r) == 7)  # a singular one
+
+
+def test_rank_and_nullspace_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _kernel_inputs(seed=43):
+        if not m.rows or not m.cols:
+            continue
+        theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                               for row in m.entries])
+        kernel, image = kernel_image(m)
+        assert rref(m)[1] == image.dim == theirs.rank()
+        assert kernel == Subspace.from_vectors(m.cols, [
+            [F(int(x.p), int(x.q)) for x in v] for v in theirs.nullspace()])
 
 
 # --- properties --------------------------------------------------------------

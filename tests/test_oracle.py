@@ -10,13 +10,13 @@ from lienil.catalog import builtin, semidirect, sl2_irrep
 from lienil.linalg import Matrix, invert, matrix_power
 from lienil.oracle import (
     build_corpus,
-    canonical_functionals,
     corpus_representation,
     cross_validate,
     find_witness,
     nilpotent_in_all_reps,
 )
 from lienil.reps import acts_nilpotently, validate_rep
+from lienil.semisimple import analyze
 
 from support import seeded_elements, seeded_invertible_matrices
 
@@ -166,16 +166,16 @@ def test_canonical_functionals_vanish_on_derived():
     for name in ("heisenberg", "gl2", "nonabelian2", "upper_triangular(2)"):
         g = builtin(name).algebra
         derived = g.derived_subalgebra()
-        for xi in canonical_functionals(g):
+        for xi in analyze(g).functionals:
             for v in derived.basis:
                 assert sum(c * x for c, x in zip(xi, v)) == 0
 
 
 def test_canonical_functionals_count():
     g = builtin("gl2").algebra
-    assert len(canonical_functionals(g)) == 1
-    assert len(canonical_functionals(builtin("sl2").algebra)) == 0
-    assert len(canonical_functionals(builtin("abelian(2)").algebra)) == 2
+    assert len(analyze(g).functionals) == 1
+    assert len(analyze(builtin("sl2").algebra).functionals) == 0
+    assert len(analyze(builtin("abelian(2)").algebra).functionals) == 2
 
 
 # --- corpus ------------------------------------------------------------------------

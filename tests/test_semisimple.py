@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lienil.catalog import builtin
+from lienil.catalog import builtin, standard_entries
 from lienil.linalg import Matrix, Subspace, is_nilpotent, kernel_image
 from lienil.semisimple import (
     is_nilpotent_element_image,
@@ -96,6 +96,32 @@ def test_killing_form_brackets_skew():
         lhs = killing_form(g, g.bracket(a, x), y)
         rhs = killing_form(g, x, g.bracket(a, y))
         assert lhs + rhs == 0
+
+
+def _with_rational_basis_changes(g, count=3, seed=71):
+    """g and count copies of it moved by seeded invertible rational matrices."""
+    out = [g]
+    attempt = 0
+    while len(out) <= count:
+        columns = seeded_elements(g.dim, g.dim, seed=seed + attempt)
+        attempt += 1
+        if kernel_image(Matrix.from_columns(columns))[0].is_zero():
+            out.append(g.change_of_basis(columns))
+    return out
+
+
+@pytest.mark.parametrize("entry", standard_entries(), ids=lambda entry: entry.name)
+def test_structure_read_from_table_matches_brackets(entry):
+    for g in _with_rational_basis_changes(entry.algebra):
+        full = g.full_space()
+        basis = [g.basis_element(i) for i in range(g.dim)]
+        assert g.derived_subalgebra() == g.product_space(full, full)
+        gram = killing_matrix(g).gram
+        for i, ei in enumerate(basis):
+            for j, ej in enumerate(basis):
+                assert gram.entry(i, j) == killing_form(g, ei, ej)
+        for x in basis + seeded_elements(g.dim, 2, seed=73):
+            assert g.ad(x) == Matrix.from_columns([g.bracket(x, ej) for ej in basis])
 
 
 # --- orthogonal complements ------------------------------------------------------
