@@ -16,9 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .liealg import LieAlgebra
-from .linalg import Matrix, Subspace, solve
+from .linalg import Matrix, Subspace, Vector, solve
 from .reps import Representation, adjoint_rep, trivial_rep, validate_rep
-from .semisimple import ConsistencyError, is_semisimple, radical
+from .semisimple import ConsistencyError, analyze, is_semisimple, radical
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,7 +38,7 @@ def _verified(entry: CatalogEntry) -> CatalogEntry:
     entry.algebra.validate()
     if radical(entry.algebra) != entry.known_radical:
         raise ConsistencyError(f"catalog entry {entry.name}: radical mismatch")
-    if entry.algebra.derived_subalgebra() != entry.known_derived:
+    if analyze(entry.algebra).derived != entry.known_derived:
         raise ConsistencyError(f"catalog entry {entry.name}: derived subalgebra mismatch")
     if is_semisimple(entry.algebra) != entry.known_semisimple:
         raise ConsistencyError(f"catalog entry {entry.name}: semisimplicity mismatch")
@@ -63,19 +63,15 @@ def _flatten(m: Matrix) -> tuple[Fraction, ...]:
 
 def _algebra_from_matrices(names, mats: list[Matrix]) -> LieAlgebra:
     """Structure constants of a matrix Lie algebra given by a linearly independent basis."""
-    dim = len(mats)
-    span = Matrix.from_columns([_flatten(m) for m in mats]) if dim else Matrix.zero(0, 0)
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coords = solve(span, _flatten(comm))
-            if coords is None:
-                raise ValueError("matrix set is not closed under the commutator")
-            expansion = {k: c for k, c in enumerate(coords) if c}
-            if expansion:
-                table[(i, j)] = expansion
-    return LieAlgebra(dim, names, table)
+    span = Matrix.from_columns([_flatten(m) for m in mats]) if mats else Matrix.zero(0, 0)
+
+    def product(i: int, j: int) -> Vector:
+        coords = solve(span, _flatten(mats[i] @ mats[j] - mats[j] @ mats[i]))
+        if coords is None:
+            raise ValueError("matrix set is not closed under the commutator")
+        return coords
+
+    return LieAlgebra.from_products(names, product)
 
 
 def _matrix_unit(n: int, i: int, j: int) -> Matrix:
@@ -296,7 +292,7 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
         known_radical = radical(algebra)
     return _verified(CatalogEntry(
         entry_name, algebra, known_radical,
-        algebra.derived_subalgebra(), is_semisimple(algebra)))
+        analyze(algebra).derived, is_semisimple(algebra)))
 
 
 def irreducibles_for(algebra: LieAlgebra) -> tuple[Representation, ...]:

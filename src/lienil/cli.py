@@ -59,7 +59,19 @@ _NAME_RE = re.compile(rf"^{_NAME_PATTERN}$")
 _DIM_RE = re.compile(r"^dim\s+(\d+)$")
 _BRACKET_RE = re.compile(
     rf"^\[\s*({_NAME_PATTERN})\s*,\s*({_NAME_PATTERN})\s*\]\s*=\s*(.+)$")
-_TERM_RE = re.compile(rf"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s+)?({_NAME_PATTERN})")
+_RATIONAL_PATTERN = r"\d+(?:/\d+)?"
+_TERM_RE = re.compile(rf"\s*([+-])?\s*(?:({_RATIONAL_PATTERN})\s+)?({_NAME_PATTERN})")
+_COORDINATE_RE = re.compile(rf"[+-]?{_RATIONAL_PATTERN}")
+
+
+def _rational(text: str, line_no: int | None = None, column: int | None = None) -> Fraction:
+    """A number matched by the file grammar, or a ParseError located where given."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", line_no, column) from None
+    except ValueError:  # more digits than int() converts to or from text
+        raise ParseError(f"number too long ({len(text)} characters)", line_no, column) from None
 
 
 def _parse_terms(rhs: str, line_no: int, offset: int,
@@ -73,11 +85,8 @@ def _parse_terms(rhs: str, line_no: int, offset: int,
             raise ParseError("expected a signed term like `2 h` or `- e`",
                              line_no, offset + pos + 1)
         sign = -1 if match.group(1) == "-" else 1
-        try:
-            coeff = Fraction(match.group(2)) if match.group(2) else Fraction(1)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {match.group(2)!r}",
-                             line_no, offset + match.start(2) + 1) from None
+        coeff = (_rational(match.group(2), line_no, offset + match.start(2) + 1)
+                 if match.group(2) else Fraction(1))
         name = match.group(3)
         if name not in index_of:
             raise ParseError(f"unknown basis name {name!r}", line_no, offset + match.start(3) + 1)
@@ -108,7 +117,7 @@ def parse_algebra(text: str) -> LieAlgebra:
             match = _DIM_RE.match(line)
             if match is None:
                 raise ParseError("dim line must be `dim <n>`", line_no)
-            dim = int(match.group(1))
+            dim = _rational(match.group(1), line_no, match.start(1) + 1).numerator
             continue
         if line.startswith("basis"):
             if dim is None:
@@ -158,7 +167,8 @@ def parse_algebra(text: str) -> LieAlgebra:
 
 
 def parse_element(text: str, dim: int) -> Vector:
-    """Comma-separated exact rationals, one per basis element."""
+    """Comma-separated exact rationals, one per basis element, each an optionally
+    signed ``p`` or ``p/q`` as in the file grammar."""
     stripped = text.strip()
     if stripped == "" and dim == 0:
         return ()
@@ -166,11 +176,11 @@ def parse_element(text: str, dim: int) -> Vector:
     if len(parts) != dim:
         raise ParseError(f"element has {len(parts)} coordinates, expected {dim}")
     coords = []
-    for part in parts:
-        try:
-            coords.append(Fraction(part.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {part.strip()!r}") from None
+    for part in map(str.strip, parts):
+        # Checked before Fraction, which would also expand exponents like 1e10000000.
+        if not _COORDINATE_RE.fullmatch(part):
+            raise ParseError(f"bad rational {part!r}")
+        coords.append(_rational(part))
     return tuple(coords)
 
 
@@ -278,6 +288,8 @@ def _cmd_validate(args, out) -> int:
 def _cmd_info(args, out) -> int:
     algebra = _validated(args.file)
     structure = analyze(algebra)
+    derived_series = algebra.derived_series()
+    lower_central = algebra.lower_central_series()
     payload = {
         "command": "info",
         "file": args.file,
@@ -286,11 +298,11 @@ def _cmd_info(args, out) -> int:
         "derived_dim": structure.derived.dim,
         "radical_dim": structure.radical.dim,
         "center_dim": algebra.center().dim,
-        "solvable": algebra.is_solvable(),
-        "nilpotent": algebra.is_nilpotent_algebra(),
+        "solvable": derived_series[-1].is_zero(),
+        "nilpotent": lower_central[-1].is_zero(),
         "semisimple": structure.radical.is_zero(),
-        "derived_series_dims": [s.dim for s in algebra.derived_series()],
-        "lower_central_dims": [s.dim for s in algebra.lower_central_series()],
+        "derived_series_dims": [s.dim for s in derived_series],
+        "lower_central_dims": [s.dim for s in lower_central],
     }
     _emit(payload, args.format, out)
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -68,6 +68,15 @@ class LieAlgebra:
         object.__setattr__(self, "table", frozen)
         object.__setattr__(self, "_table_key", tuple(
             (key, tuple(sorted(frozen[key].items()))) for key in sorted(frozen)))
+
+    @classmethod
+    def from_products(cls, names: Sequence[str],
+                      product: Callable[[int, int], Sequence]) -> "LieAlgebra":
+        """The algebra on these basis names where product(i, j) gives the coordinates
+        of [e_i, e_j] for i < j."""
+        n = len(names)
+        return cls(n, names, {(i, j): dict(enumerate(product(i, j)))
+                              for i in range(n) for j in range(i + 1, n)})
 
     # -- elements ---------------------------------------------------------
 
@@ -172,29 +181,27 @@ class LieAlgebra:
         return Subspace.from_vectors(
             self.dim, [[e.get(k, _ZERO) for k in range(self.dim)] for e in self.table.values()])
 
-    def derived_series(self) -> list[Subspace]:
-        """The chain g >= [g,g] >= ... until it hits zero or repeats a term.
+    def derived_series(self, start: Subspace | None = None) -> list[Subspace]:
+        """The chain s >= [s,s] >= ... from the subalgebra s = start (default g),
+        until it hits zero or stops shrinking.
 
         A zero tail appears once; a nonzero stable term appears twice (the
         repeat is the evidence of stabilization), so solvability is read off
         as "last term is zero".
         """
-        chain = [self.full_space()]
-        while not chain[-1].is_zero():
-            nxt = self.product_space(chain[-1], chain[-1])
-            chain.append(nxt)
-            if nxt == chain[-2]:
-                break
-        return chain
+        return self._series(self.full_space() if start is None else start, None)
 
     def lower_central_series(self) -> list[Subspace]:
         """g >= [g,g] >= [g,[g,g]] >= ..., same termination rule as derived_series."""
-        chain = [self.full_space()]
-        full = self.full_space()
+        return self._series(self.full_space(), self.full_space())
+
+    def _series(self, first: Subspace, outer: Subspace | None) -> list[Subspace]:
+        """first, then [outer or term, term] of each last term until one is zero or no
+        smaller than the term before; the dimension test ends it even for an open first."""
+        chain = [first]
         while not chain[-1].is_zero():
-            nxt = self.product_space(full, chain[-1])
-            chain.append(nxt)
-            if nxt == chain[-2]:
+            chain.append(self.product_space(chain[-1] if outer is None else outer, chain[-1]))
+            if chain[-1].dim >= chain[-2].dim:
                 break
         return chain
 
@@ -210,10 +217,10 @@ class LieAlgebra:
         return kernel
 
     def center(self) -> Subspace:
-        space = self.full_space()
-        for i in range(self.dim):
-            space = space.intersect(self.centralizer(self.basis_element(i)))
-        return space
+        """Kernel of the ad(e_i) stacked: all y with [e_i, y] = 0 for every i."""
+        rows = tuple(row for i in range(self.dim) for row in self.ad(self.basis_element(i)).entries)
+        kernel, _ = kernel_image(Matrix(len(rows), self.dim, rows))
+        return kernel
 
     def is_ideal(self, h: Subspace) -> bool:
         return h.contains_subspace(self.product_space(self.full_space(), h))
@@ -252,15 +259,8 @@ class LieAlgebra:
             reduced = ideal.reduce(v)
             return tuple(reduced[j] for j in complement)
 
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a in range(q_dim):
-            for b in range(a + 1, q_dim):
-                prod = project(self.bracket(
-                    self.basis_element(complement[a]), self.basis_element(complement[b])))
-                expansion = {k: c for k, c in enumerate(prod) if c}
-                if expansion:
-                    table[(a, b)] = expansion
-        quotient_algebra = LieAlgebra(q_dim, names, table)
+        quotient_algebra = LieAlgebra.from_products(names, lambda a, b: project(self.bracket(
+            self.basis_element(complement[a]), self.basis_element(complement[b]))))
         projection_matrix = Matrix.from_columns(
             [project(self.basis_element(j)) for j in range(self.dim)])
         section_matrix = Matrix.from_columns(
@@ -279,16 +279,11 @@ class LieAlgebra:
         p_inv = invert(p)
         if p_inv is None:
             raise ValueError("new basis vectors are linearly dependent")
-        if names is None:
-            names = tuple(f"b{i}" for i in range(self.dim))
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                prod = p_inv.apply(self.bracket(columns[i], columns[j]))
-                expansion = {k: c for k, c in enumerate(prod) if c}
-                if expansion:
-                    table[(i, j)] = expansion
-        return LieAlgebra(self.dim, tuple(names), table)
+        names = tuple(f"b{i}" for i in range(self.dim)) if names is None else tuple(names)
+        if len(names) != self.dim:
+            raise ValueError(f"{len(names)} basis names for dimension {self.dim}")
+        return LieAlgebra.from_products(
+            names, lambda i, j: p_inv.apply(self.bracket(columns[i], columns[j])))
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         names = tuple(f"{n}.0" for n in self.basis_names) + tuple(

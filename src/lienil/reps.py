@@ -24,6 +24,7 @@ from .linalg import (
     kron,
     rational_eigenvalues,
 )
+from .semisimple import analyze
 
 _ZERO = Fraction(0)
 
@@ -137,7 +138,7 @@ def one_dim_rep(algebra: LieAlgebra, xi: Sequence) -> Representation:
     values = as_vector(xi)
     if len(values) != algebra.dim:
         raise ValueError(f"functional has {len(values)} coordinates, expected {algebra.dim}")
-    for v in algebra.derived_subalgebra().basis:
+    for v in analyze(algebra).derived.basis:
         if sum((a * b for a, b in zip(values, v)), _ZERO) != 0:
             raise ValueError("functional does not vanish on the derived subalgebra")
     matrices = tuple(Matrix.from_rows([[c]]) for c in values)
@@ -169,15 +170,12 @@ def weight_space(rep: Representation, space: Subspace, weight: Weight) -> Subspa
 def _solvable_subalgebra_check(algebra: LieAlgebra, space: Subspace) -> None:
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace must live in the algebra")
-    current = space
-    # Derived series of the restricted bracket; stationary nonzero => not solvable.
-    while not current.is_zero():
-        nxt = algebra.product_space(current, current)
-        if not current.contains_subspace(nxt):
-            raise ValueError("subspace is not closed under the bracket")
-        if nxt == current:
-            raise ValueError("weight search requires a solvable subalgebra")
-        current = nxt
+    series = algebra.derived_series(space)
+    # A closed space's series descends; an open one's leaves it at the first step.
+    if not all(term.contains_subspace(nxt) for term, nxt in zip(series, series[1:])):
+        raise ValueError("subspace is not closed under the bracket")
+    if not series[-1].is_zero():
+        raise ValueError("weight search requires a solvable subalgebra")
 
 
 def rational_weights(rep: Representation, space: Subspace) -> list[Weight]:

@@ -109,6 +109,8 @@ def test_parse_element_errors():
         parse_element("1, 2", 3)
     with pytest.raises(ParseError):
         parse_element("1, x", 2)
+    with pytest.raises(ParseError):  # exponents are outside the grammar, and unbounded
+        parse_element("1e10000000", 1)
 
 
 # --- commands ----------------------------------------------------------------------
@@ -235,6 +237,23 @@ def test_zero_denominator_in_file_is_located(tmp_path, capsys):
     assert code == 1
     assert "line 3, column 9: zero denominator" in text
     assert "Traceback" not in text + capsys.readouterr().err
+
+
+def test_too_long_number_in_file_is_located(tmp_path, capsys):
+    digits = "1" * 5000  # more than int() converts from text by default
+    for text, place in ((f"dim 2\nbasis a b\n[a,b] = {digits} a\n", "line 3, column 9"),
+                        (f"dim {digits}\n", "line 1, column 5")):
+        code, out = capture(["info", write(tmp_path, "long.txt", text)])
+        assert code == 1
+        assert f"{place}: number too long" in out
+        assert "Traceback" not in out + capsys.readouterr().err
+
+
+def test_exponent_element_exits_1(tmp_path):
+    path = write(tmp_path, "sl2.txt", SL2_TEXT)
+    code, text = capture(["oracle", path, "--element=1e10000000,0,0"])
+    assert code == 1
+    assert "bad rational '1e10000000'" in text
 
 
 def test_consistency_error_is_reported(tmp_path, monkeypatch, capsys):

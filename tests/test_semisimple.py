@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from lienil.catalog import builtin, standard_entries
+from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.linalg import Matrix, Subspace, is_nilpotent, kernel_image
 from lienil.semisimple import (
+    _restrict_to_subalgebra,
     is_nilpotent_element_image,
     is_nilpotent_element_power,
     is_semisimple,
@@ -122,6 +124,18 @@ def test_structure_read_from_table_matches_brackets(entry):
                 assert gram.entry(i, j) == killing_form(g, ei, ej)
         for x in basis + seeded_elements(g.dim, 2, seed=73):
             assert g.ad(x) == Matrix.from_columns([g.bracket(x, ej) for ej in basis])
+
+
+@pytest.mark.parametrize("entry", standard_entries() + [
+    semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
+def test_in_place_series_matches_restricted_reference(entry):
+    for g in _with_rational_basis_changes(entry.algebra):
+        rad = radical(g)
+        assert ([s.dim for s in g.derived_series(rad)]
+                == [s.dim for s in _restrict_to_subalgebra(g, rad).derived_series()])
+        assert g.change_of_basis(Matrix.identity(g.dim), g.basis_names)._table_key == g._table_key
+        centralizers = (g.centralizer(g.basis_element(i)) for i in range(g.dim))
+        assert g.center() == functools.reduce(Subspace.intersect, centralizers, g.full_space())
 
 
 # --- orthogonal complements ------------------------------------------------------
