@@ -18,6 +18,9 @@ Exit codes: 0 for a completed computation regardless of the verdict, 1 for
 any input, parse or validation problem or failed internal cross-check, and
 2 when ``--assert`` is given and the computed verdict (or consistency, for
 crosscheck) is negative.
+
+Numerators and denominators have at most 4300 digits, so computed values are
+bounded too, and ``run`` lets reports render them exactly, however long.
 """
 
 from __future__ import annotations
@@ -62,16 +65,17 @@ _BRACKET_RE = re.compile(
 _RATIONAL_PATTERN = r"\d+(?:/\d+)?"
 _TERM_RE = re.compile(rf"\s*([+-])?\s*(?:({_RATIONAL_PATTERN})\s+)?({_NAME_PATTERN})")
 _COORDINATE_RE = re.compile(rf"[+-]?{_RATIONAL_PATTERN}")
+_MAX_DIGITS = 4300
 
 
 def _rational(text: str, line_no: int | None = None, column: int | None = None) -> Fraction:
     """A number matched by the file grammar, or a ParseError located where given."""
+    if max(map(len, text.lstrip("+-").split("/"))) > _MAX_DIGITS:
+        raise ParseError(f"number too long ({len(text)} characters)", line_no, column)
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}", line_no, column) from None
-    except ValueError:  # more digits than int() converts to or from text
-        raise ParseError(f"number too long ({len(text)} characters)", line_no, column) from None
 
 
 def _parse_terms(rhs: str, line_no: int, offset: int,
@@ -504,11 +508,17 @@ def run(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     fmt = getattr(args, "format", "text")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # Python 3.10.7 and later bound int-to-text conversion; numbers are bounded above
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args, stream)
     except (ParseError, ValueError, ConsistencyError) as exc:
         _emit({"command": args.command, "error": str(exc)}, fmt, stream)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -4,10 +4,15 @@ An algebra is given by structure constants on an ordered basis: the table
 maps an index pair (i, j) with i < j to the sparse expansion of the bracket
 of basis elements i and j.  Antisymmetry fills in the rest, and ``validate``
 checks the Jacobi identity so arbitrary tables can be rejected early.
+
+The constants are cleared to integers once per algebra, when it is built: s
+times the table, s the lcm of its denominators.  Brackets, adjoints, the Jacobi
+check and the Killing form run on them; Fractions appear only at the API edge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -16,10 +21,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _cleared,
+    _fractions,
     as_vector,
     frac,
     invert,
-    kernel_image,
+    null_space,
 )
 
 _ZERO = Fraction(0)
@@ -52,6 +59,9 @@ class LieAlgebra:
     basis_names: tuple[str, ...]
     table: StructureTable = field(compare=False)
     _table_key: tuple = field(default=(), repr=False)
+    # The cleared constants: _constants[i][j][k] = s * c(i,j)_k for i != j, s = _scale.
+    _scale: int = field(default=1, compare=False, repr=False)
+    _constants: tuple[dict[int, dict[int, int]], ...] = field(default=(), compare=False, repr=False)
 
     def __init__(self, dim: int, basis_names: Sequence[str],
                  table: Mapping[tuple[int, int], Mapping[int, object]]):
@@ -68,6 +78,13 @@ class LieAlgebra:
         object.__setattr__(self, "table", frozen)
         object.__setattr__(self, "_table_key", tuple(
             (key, tuple(sorted(frozen[key].items()))) for key in sorted(frozen)))
+        scale = math.lcm(*(c.denominator for e in frozen.values() for c in e.values()))
+        constants = tuple({} for _ in range(dim))
+        for (i, j), expansion in frozen.items():
+            row = {k: c.numerator * (scale // c.denominator) for k, c in expansion.items()}
+            constants[i][j], constants[j][i] = row, {k: -c for k, c in row.items()}
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_constants", constants)
 
     @classmethod
     def from_products(cls, names: Sequence[str],
@@ -102,60 +119,56 @@ class LieAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
-    def _basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        xv = self.element(x)
-        yv = self.element(y)
-        acc = [_ZERO] * self.dim
-        for i, a in enumerate(xv):
-            if not a:
-                continue
-            for j, b in enumerate(yv):
-                if not b:
-                    continue
-                for k, c in self._basis_bracket(i, j).items():
-                    acc[k] += a * b * c
-        return tuple(acc)
+        xs, x_scale = _cleared(self.element(x))
+        ys, y_scale = _cleared(self.element(y))
+        y_terms = [(j, b) for j, b in enumerate(ys) if b]
+        acc = [0] * self.dim
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in y_terms:
+                    expansion = self._constants[i].get(j)
+                    if expansion:
+                        ab = a * b
+                        for k, c in expansion.items():
+                            acc[k] += ab * c
+        return _fractions(acc, x_scale * y_scale * self._scale)
 
     def ad(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y] in the defining basis, filled from the table."""
-        xv = self.element(x)
-        entries = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), expansion in self.table.items():
-            a, b = xv[i], xv[j]  # column j gains a [e_i, e_j]; column i gains -b [e_i, e_j]
-            for k, c in expansion.items():
-                if a:
-                    entries[k][j] += a * c
-                if b:
-                    entries[k][i] -= b * c
-        return Matrix(self.dim, self.dim, tuple(map(tuple, entries)))
+        """Matrix of y -> [x, y] in the defining basis, filled from the constants."""
+        xs, x_scale = _cleared(self.element(x))
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(xs):
+            if a:
+                for j, expansion in self._constants[i].items():  # column j gains a [e_i, e_j]
+                    for k, c in expansion.items():
+                        acc[k][j] += a * c
+        return Matrix(self.dim, self.dim, tuple(_fractions(row, x_scale * self._scale)
+                                                for row in acc))
 
     # -- validation -------------------------------------------------------
 
     def jacobi_violations(self) -> list[str]:
-        """All basis triples breaking the Jacobi identity, with their residuals."""
+        """All basis triples breaking the Jacobi identity, with their residuals: each
+        [e_a, e_b] in the table adds [e_x, [e_a, e_b]] to the cyclic sum of {x, a, b},
+        negated when a < x < b, expanded from the cleared constants (s**2 times it)."""
+        residuals: dict[tuple[int, int, int], list[int]] = {}
+        for a, b in self.table:
+            for x in range(self.dim):
+                terms = [(t, c * d) for m, c in self._constants[a][b].items()
+                         for t, d in self._constants[x].get(m, {}).items()]
+                if terms and x != a and x != b:
+                    total = residuals.setdefault(tuple(sorted((x, a, b))), [0] * self.dim)
+                    for t, value in terms:
+                        total[t] += -value if a < x < b else value
         violations = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    ei, ej, ek = (self.basis_element(t) for t in (i, j, k))
-                    total = [
-                        a + b + c for a, b, c in zip(
-                            self.bracket(ei, self.bracket(ej, ek)),
-                            self.bracket(ej, self.bracket(ek, ei)),
-                            self.bracket(ek, self.bracket(ei, ej)))]
-                    if any(total):
-                        residual = self.format_element(total)
-                        violations.append(
-                            "Jacobi identity fails on basis triple "
-                            f"({self.basis_names[i]}, {self.basis_names[j]}, "
-                            f"{self.basis_names[k]}): residual {residual}")
+        for (i, j, k), total in sorted(residuals.items()):
+            if any(total):
+                residual = self.format_element(_fractions(total, self._scale ** 2))
+                violations.append(
+                    "Jacobi identity fails on basis triple "
+                    f"({self.basis_names[i]}, {self.basis_names[j]}, "
+                    f"{self.basis_names[k]}): residual {residual}")
         return violations
 
     def validate(self) -> None:
@@ -213,14 +226,13 @@ class LieAlgebra:
 
     def centralizer(self, x: Sequence) -> Subspace:
         """Kernel of ad(x): all y with [x, y] = 0."""
-        kernel, _ = kernel_image(self.ad(x))
-        return kernel
+        return null_space([list(row) for row in self.ad(x).entries], self.dim)
 
     def center(self) -> Subspace:
         """Kernel of the ad(e_i) stacked: all y with [e_i, y] = 0 for every i."""
-        rows = tuple(row for i in range(self.dim) for row in self.ad(self.basis_element(i)).entries)
-        kernel, _ = kernel_image(Matrix(len(rows), self.dim, rows))
-        return kernel
+        n = self.dim
+        return null_space([[self._constants[i].get(j, {}).get(k, 0) for j in range(n)]
+                           for i in range(n) for k in range(n)], n)
 
     def is_ideal(self, h: Subspace) -> bool:
         return h.contains_subspace(self.product_space(self.full_space(), h))

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Values are ``fractions.Fraction`` and elimination runs fraction-free on
-integer rows; no floating point is ever involved, so ranks, kernels and
-solvability verdicts are exact.  Matrices are immutable and subspaces are
-kept in a canonical reduced row-echelon form, so equality is a plain ``==``.
+Values are ``fractions.Fraction`` at the API edge only: elimination,
+reduction and nilpotency run fraction-free on integer rows, and structure
+constants are cleared to integers once per algebra.  Nothing is floating
+point, so ranks and kernels are exact.  Matrices are immutable and subspaces
+canonical (reduced row-echelon), so equality is a plain ``==``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -76,9 +77,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -182,10 +180,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
-def _cleared(values: Sequence[Fraction]) -> list[int]:
-    """The values times the lcm of their denominators: integers in the same ratios."""
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm s of their denominators, as integers, and s."""
     scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _fractions(ints: Sequence[int], scale: int) -> Vector:
+    """The integers over a common positive scale, back as Fractions."""
+    return tuple(Fraction(x, scale) if x else _ZERO for x in ints)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -200,7 +203,7 @@ def _rref_rows(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fractio
     pivot/x in lowest terms.  Fractions appear only when each pivot row is divided
     by its pivot at the end; RREF is unique, so the rows are the rational algorithm's.
     """
-    ints = [_primitive(_cleared(row)) for row in rows]
+    ints = [_primitive(_cleared(row)[0]) for row in rows]
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
@@ -294,17 +297,26 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
+    @cached_property
+    def _cleared_rows(self) -> tuple[tuple[int, list[int]], ...]:
+        """(pivot, row times its denominator lcm d) per basis row; d sits at the pivot."""
+        return tuple((p, _cleared(row)[0]) for row, p in zip(self.basis, self.pivots))
+
     def reduce(self, v: Sequence) -> Vector:
-        """Canonical remainder of v after eliminating all pivot coordinates."""
-        vec = list(as_vector(v))
+        """Canonical remainder of v after eliminating all pivot coordinates, fraction-free."""
+        vec = as_vector(v)
         if len(vec) != self.ambient_dim:
             raise ValueError(
                 f"vector length {len(vec)} does not match ambient dimension {self.ambient_dim}")
-        for row, p in zip(self.basis, self.pivots):
-            f = vec[p]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return tuple(vec)
+        ints, scale = _cleared(vec)
+        for p, row in self._cleared_rows:
+            x = ints[p]
+            if x:
+                g = math.gcd(row[p], x)
+                a, b = row[p] // g, x // g
+                ints = [a * u - b * w for u, w in zip(ints, row)]
+                scale *= a
+        return _fractions(ints, scale)
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
@@ -350,22 +362,26 @@ class Subspace:
             raise ValueError("subspaces live in different ambient dimensions")
 
 
-def kernel_image(a: Matrix) -> tuple[Subspace, Subspace]:
-    """Null space and column space of a, both canonical."""
-    reduced, pivots = _rref_rows([list(r) for r in a.entries], a.cols)
+def null_space(rows: list[list], cols: int) -> Subspace:
+    """Canonical null space of the matrix with these rows (Fractions or ints)."""
+    reduced, pivots = _rref_rows(rows, cols)
     pivot_set = set(pivots)
     kernel_vectors = []
-    for free in range(a.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * a.cols
+        vec = [_ZERO] * cols
         vec[free] = _ONE
         for r, p in enumerate(pivots):
             vec[p] = -reduced[r][free]
         kernel_vectors.append(vec)
-    kernel = Subspace.from_vectors(a.cols, kernel_vectors)
+    return Subspace.from_vectors(cols, kernel_vectors)
+
+
+def kernel_image(a: Matrix) -> tuple[Subspace, Subspace]:
+    """Null space and column space of a, both canonical."""
     image = Subspace.from_vectors(a.rows, [a.column(j) for j in range(a.cols)])
-    return kernel, image
+    return null_space([list(r) for r in a.entries], a.cols), image
 
 
 def invert(m: Matrix) -> Matrix | None:
@@ -381,26 +397,9 @@ def invert(m: Matrix) -> Matrix | None:
     return Matrix(n, n, tuple(tuple(r[n:]) for r in rows[:n]))
 
 
-def matrix_power(m: Matrix, exponent: int) -> Matrix:
-    if not m.is_square():
-        raise ValueError("only square matrices can be powered")
-    if exponent < 0:
-        raise ValueError("negative exponent")
-    result = Matrix.identity(m.rows)
-    base = m
-    e = exponent
-    while e:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
-
-
 def _integer_rows(m: Matrix) -> list[list[int]]:
     """Clear denominators; scaling does not change nilpotency or kernels of powers."""
-    flat = _cleared([x for row in m.entries for x in row])
+    flat, _ = _cleared([x for row in m.entries for x in row])
     return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
 
 
@@ -460,16 +459,12 @@ def generalized_eigenspace(x: Matrix, lam) -> Subspace:
     if not x.is_square():
         raise ValueError("generalized eigenspaces need a square matrix")
     n = x.rows
-    shifted = x - Matrix.identity(n).scaled(frac(lam))
-    if n == 0:
-        return Subspace.zero(0)
-    power = shifted
+    power = _integer_rows(x - Matrix.identity(n).scaled(frac(lam)))
     exponent = 1
     while exponent < n:
-        power = power @ power
+        power = _int_square(power)
         exponent *= 2
-    kernel, _ = kernel_image(power)
-    return kernel
+    return null_space(power, n)
 
 
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:
@@ -490,48 +485,69 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _positive_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _homogeneous(coeffs: Sequence[int], u: int, v: int) -> int:
+    """v**degree times the polynomial (highest degree first) at u/v, in integers."""
+    acc, power = 0, 1
+    for c in coeffs:
+        acc, power = acc * u + c * power, power * v
+    return acc
+
+
+def _sturm(ints: list[int]) -> list[list[int]]:
+    """Sturm sequence f, f', -rem(f, f'), ..., each term made primitive (signs kept)."""
+    chain = [ints, [c * (len(ints) - 1 - k) for k, c in enumerate(ints[:-1])]]
+    while len(chain[-1]) > 1:
+        rem, div = [Fraction(c) for c in chain[-2]], chain[-1]
+        while len(rem) >= len(div):  # a zero leading coefficient gives f = 0: a shift
+            f = rem[0] / div[0]
+            rem = [x - f * y for x, y in zip(rem[1:], div[1:])] + rem[len(div):]
+        while rem and not rem[0]:
+            rem = rem[1:]
+        if not rem:
+            break
+        chain.append(_primitive([-x for x in _cleared(rem)[0]]))
+    return chain
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial with the given coefficients.
 
-    Coefficients are highest degree first.  Roots over extensions of the
-    rationals are not searched for.
+    Coefficients are highest degree first.  Cleared to integers with leading
+    coefficient L, every rational root is m/L for an integer m.  The points
+    (2t+1)/(2L) are never roots, so Sturm sign variations there count the roots
+    between candidates, and bisection narrows each count to one, tested exactly.
     """
     coeffs = [frac(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
-    if not coeffs or len(coeffs) == 1:
+    if len(coeffs) <= 1:
         return []
-    ints = _cleared(coeffs)
-    roots = []
-    while ints[-1] == 0:
-        ints = ints[:-1]
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        if len(ints) == 1:
-            return sorted(roots)
-    lead, tail = ints[0], ints[-1]
-    for p in _positive_divisors(tail):
-        for q in _positive_divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = _ZERO
-                for c in ints:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+    ints, _ = _cleared(coeffs)
+    while not ints[-1]:
+        ints.pop()
+    roots = [_ZERO] if len(ints) < len(coeffs) else []
+    if len(ints) == 1:
+        return roots
+    lead = abs(ints[0])
+    chain = _sturm(ints)
+
+    def variations(t: int) -> int:
+        signs = [x for x in (_homogeneous(p, 2 * t + 1, 2 * lead) for p in chain) if x]
+        return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+
+    bound = lead + max(abs(c) for c in ints[1:])  # Cauchy: |m| <= L + max |c|
+    stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
+    while stack:  # (lo, hi]: the candidates m/L with lo < m <= hi
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _homogeneous(ints, hi, lead) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
 
 

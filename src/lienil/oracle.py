@@ -27,16 +27,7 @@ from typing import Sequence
 from .catalog import irreducibles_for
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, is_nilpotent, nilpotency_exponent
-from .reps import (
-    Representation,
-    acts_nilpotently,
-    adjoint_rep,
-    direct_sum,
-    dual,
-    one_dim_rep,
-    pullback,
-    tensor,
-)
+from .reps import Representation, acts_nilpotently, adjoint_rep, one_dim_rep, pullback
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
@@ -221,21 +212,6 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
         for label, width, kind, operands in additions:
             members.append(CorpusMember(len(members), label, width, level, kind, operands, None))
     return tuple(members)
-
-
-def corpus_representation(members: Sequence[CorpusMember], index: int) -> Representation:
-    """Materialize one corpus expression as an actual Representation."""
-    member = members[index]
-    if member.kind == "seed":
-        assert member.seed is not None
-        return member.seed
-    if member.kind == "dual":
-        return dual(corpus_representation(members, member.operands[0]))
-    left = corpus_representation(members, member.operands[0])
-    right = corpus_representation(members, member.operands[1])
-    if member.kind == "sum":
-        return direct_sum(left, right)
-    return tensor(left, right)
 
 
 def _corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:

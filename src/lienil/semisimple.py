@@ -16,7 +16,6 @@ rather than ``ValueError``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,10 +25,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _integer_rows,
     frac,
     generalized_eigenspace,
     is_nilpotent,
-    kernel_image,
+    null_space,
     rref,
     solve,
     trace_product,
@@ -74,20 +74,17 @@ def killing_matrix(algebra: LieAlgebra) -> KillingForm:
 
 def _killing_gram(algebra: LieAlgebra) -> Matrix:
     """K_ij = trace(ad e_i ad e_j) = sum over l, k of c(i,l)_k c(j,k)_l, where c(i,l)_k is
-    the coefficient of e_k in [e_i, e_l]; summed in integers on the constants times the
-    lcm s of their denominators, divided by s**2, for i <= j only.
+    the coefficient of e_k in [e_i, e_l]; summed on the algebra's integer constants s*c,
+    divided by s**2, for i <= j only.
     """
     n = algebra.dim
-    scale = math.lcm(*(x.denominator for e in algebra.table.values() for x in e.values()))
-    c: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, l), expansion in algebra.table.items():
-        c[i][l] = {k: x.numerator * (scale // x.denominator) for k, x in expansion.items()}
-        c[l][i] = {k: -x for k, x in c[i][l].items()}
+    c = algebra._constants
     gram = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            total = sum(x * c[j][k].get(l, 0) for l in range(n) for k, x in c[i][l].items())
-            gram[i][j] = gram[j][i] = Fraction(total, scale * scale)
+            total = sum(x * c[j].get(k, {}).get(l, 0)
+                        for l, expansion in c[i].items() for k, x in expansion.items())
+            gram[i][j] = gram[j][i] = Fraction(total, algebra._scale ** 2)
     return Matrix(n, n, tuple(map(tuple, gram)))
 
 
@@ -95,12 +92,12 @@ def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
     """Orthogonal complement of a subspace under the Killing form."""
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace must live in the algebra")
-    gram = killing_matrix(algebra).gram
+    gram = _integer_rows(killing_matrix(algebra).gram)  # symmetric, so rows serve as columns
     if space.is_zero():
         return Subspace.full(algebra.dim)
-    rows = [gram.apply(v) for v in space.basis]
-    kernel, _ = kernel_image(Matrix.from_rows(rows))
-    return kernel
+    basis = _integer_rows(Matrix(space.dim, algebra.dim, space.basis))  # cleared rows
+    return null_space([[sum(x * y for x, y in zip(column, v) if y) for column in gram]
+                       for v in basis], algebra.dim)
 
 
 def radical(algebra: LieAlgebra) -> Subspace:
@@ -110,17 +107,6 @@ def radical(algebra: LieAlgebra) -> Subspace:
     ideal or if the quotient by it has a degenerate Killing form.
     """
     return analyze(algebra).radical
-
-
-def _restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> LieAlgebra:
-    """The bracket restricted to a subspace closed under it (the tests' solvability reference)."""
-    def product(i: int, j: int) -> Vector:
-        coords = space.coordinates(algebra.bracket(space.basis[i], space.basis[j]))
-        if coords is None:
-            raise ValueError("subspace is not closed under the bracket")
-        return coords
-
-    return LieAlgebra.from_products(tuple(f"s{i}" for i in range(space.dim)), product)
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:

@@ -1,13 +1,16 @@
-"""Shared helpers: deterministic pseudo-random data and composite fixtures."""
+"""Shared helpers: deterministic pseudo-random data, composite fixtures, and
+reference implementations that the library itself no longer calls."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from lienil.catalog import builtin
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, invert
+from lienil.linalg import Matrix, Subspace, Vector, as_vector, invert
+from lienil.reps import Representation, direct_sum, dual, tensor
 
 
 def seeded_elements(dim: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -39,3 +42,138 @@ def sl2_plus_sl2() -> LieAlgebra:
 
 
 SEMISIMPLE_NAMES = ("sl2", "sl3", "so3")
+
+
+# --- references that no library path calls --------------------------------------
+
+def corpus_representation(members, index: int) -> Representation:
+    """Materialize one corpus expression as an actual Representation."""
+    member = members[index]
+    if member.kind == "seed":
+        assert member.seed is not None
+        return member.seed
+    if member.kind == "dual":
+        return dual(corpus_representation(members, member.operands[0]))
+    left = corpus_representation(members, member.operands[0])
+    right = corpus_representation(members, member.operands[1])
+    if member.kind == "sum":
+        return direct_sum(left, right)
+    return tensor(left, right)
+
+
+def matrix_power(m: Matrix, exponent: int) -> Matrix:
+    if not m.is_square():
+        raise ValueError("only square matrices can be powered")
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    result = Matrix.identity(m.rows)
+    base = m
+    e = exponent
+    while e:
+        if e & 1:
+            result = result @ base
+        e >>= 1
+        if e:
+            base = base @ base
+    return result
+
+
+def _restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> LieAlgebra:
+    """The bracket restricted to a subspace closed under it (the solvability reference)."""
+    def product(i: int, j: int) -> Vector:
+        coords = space.coordinates(algebra.bracket(space.basis[i], space.basis[j]))
+        if coords is None:
+            raise ValueError("subspace is not closed under the bracket")
+        return coords
+
+    return LieAlgebra.from_products(tuple(f"s{i}" for i in range(space.dim)), product)
+
+
+# --- Fraction references for the integer structure kernels ------------------------
+
+_ZERO = Fraction(0)
+
+
+def _basis_bracket(g: LieAlgebra, i: int, j: int) -> dict[int, Fraction]:
+    if i == j:
+        return {}
+    if i < j:
+        return g.table.get((i, j), {})
+    return {k: -c for k, c in g.table.get((j, i), {}).items()}
+
+
+def fraction_bracket(g: LieAlgebra, x, y) -> Vector:
+    """[x, y] summed in Fractions over the public table."""
+    xv = g.element(x)
+    yv = g.element(y)
+    acc = [_ZERO] * g.dim
+    for i, a in enumerate(xv):
+        if not a:
+            continue
+        for j, b in enumerate(yv):
+            if not b:
+                continue
+            for k, c in _basis_bracket(g, i, j).items():
+                acc[k] += a * b * c
+    return tuple(acc)
+
+
+def fraction_ad(g: LieAlgebra, x) -> Matrix:
+    """ad(x) filled in Fractions from the public table."""
+    xv = g.element(x)
+    entries = [[_ZERO] * g.dim for _ in range(g.dim)]
+    for (i, j), expansion in g.table.items():
+        a, b = xv[i], xv[j]  # column j gains a [e_i, e_j]; column i gains -b [e_i, e_j]
+        for k, c in expansion.items():
+            if a:
+                entries[k][j] += a * c
+            if b:
+                entries[k][i] -= b * c
+    return Matrix(g.dim, g.dim, tuple(map(tuple, entries)))
+
+
+def fraction_killing_gram(g: LieAlgebra) -> Matrix:
+    """K_ij = sum over l, k of c(i,l)_k c(j,k)_l, cleared by its own lcm of the table."""
+    n = g.dim
+    scale = math.lcm(*(x.denominator for e in g.table.values() for x in e.values()))
+    c: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, l), expansion in g.table.items():
+        c[i][l] = {k: x.numerator * (scale // x.denominator) for k, x in expansion.items()}
+        c[l][i] = {k: -x for k, x in c[i][l].items()}
+    gram = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            total = sum(x * c[j][k].get(l, 0) for l in range(n) for k, x in c[i][l].items())
+            gram[i][j] = gram[j][i] = Fraction(total, scale * scale)
+    return Matrix(n, n, tuple(map(tuple, gram)))
+
+
+def fraction_reduce(space: Subspace, v) -> Vector:
+    """Remainder of v after eliminating the pivot coordinates, in Fractions."""
+    vec = list(as_vector(v))
+    for row, p in zip(space.basis, space.pivots):
+        f = vec[p]
+        if f:
+            vec = [x - f * y for x, y in zip(vec, row)]
+    return tuple(vec)
+
+
+def fraction_jacobi_violations(g: LieAlgebra) -> list[str]:
+    """The Jacobi messages from dense Fraction brackets of every basis triple."""
+    violations = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                ei, ej, ek = (g.basis_element(t) for t in (i, j, k))
+                total = [
+                    a + b + c for a, b, c in zip(
+                        fraction_bracket(g, ei, fraction_bracket(g, ej, ek)),
+                        fraction_bracket(g, ej, fraction_bracket(g, ek, ei)),
+                        fraction_bracket(g, ek, fraction_bracket(g, ei, ej)))]
+                if any(total):
+                    residual = g.format_element(total)
+                    violations.append(
+                        "Jacobi identity fails on basis triple "
+                        f"({g.basis_names[i]}, {g.basis_names[j]}, "
+                        f"{g.basis_names[k]}): residual {residual}")
+    return violations

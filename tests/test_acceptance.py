@@ -33,7 +33,6 @@ from lienil.reps import (
     weight_space,
 )
 from lienil.semisimple import (
-    _restrict_to_subalgebra,
     is_nilpotent_element_image,
     is_nilpotent_element_power,
     killing_form,
@@ -42,7 +41,13 @@ from lienil.semisimple import (
     radical,
 )
 
-from support import SEMISIMPLE_NAMES, seeded_elements, seeded_invertible_matrices, sl2_plus_sl2
+from support import (
+    SEMISIMPLE_NAMES,
+    _restrict_to_subalgebra,
+    seeded_elements,
+    seeded_invertible_matrices,
+    sl2_plus_sl2,
+)
 
 F = Fraction
 

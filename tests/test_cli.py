@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,25 @@ def test_too_long_number_in_file_is_located(tmp_path, capsys):
         assert code == 1
         assert f"{place}: number too long" in out
         assert "Traceback" not in out + capsys.readouterr().err
+
+
+def test_computed_values_beyond_the_text_limit_render_exactly(tmp_path):
+    sevens = "7" * 3000  # the square in the Killing form has 6000 digits
+    limit = sys.get_int_max_str_digits()
+    path = write(tmp_path, "sevens.txt", f"dim 2\nbasis a b\n[a,b] = {sevens} b\n")
+    code, out = capture(["killing", path, "--format=json"])
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        square = str(int(sevens) ** 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert json.loads(out)["gram"] == [[square, "0"], ["0", "0"]]
+    broken = f"dim 3\nbasis a b c\n[a,b] = {sevens} c\n[b,c] = {sevens} b\n"
+    code, out = capture(["validate", write(tmp_path, "broken.txt", broken), "--format=json"])
+    assert code == 1
+    assert json.loads(out)["violations"][0].startswith("Jacobi identity fails on basis triple")
 
 
 def test_exponent_element_exits_1(tmp_path):

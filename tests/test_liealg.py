@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from lienil.catalog import builtin
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace, kernel_image
 
-from support import seeded_elements
+from support import fraction_jacobi_violations, seeded_elements
 
 F = Fraction
 
@@ -57,6 +58,26 @@ def test_validate_reports_broken_triple():
     assert "x, y, z" in violations[0]
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def _broken_table(dim: int, seed: int) -> LieAlgebra:
+    """Seeded rational constants on about half the pairs: Jacobi fails on most triples."""
+    rng = random.Random(seed)
+    table = {(i, j): {k: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10**6 + 3)))
+                      for k in range(dim) if rng.random() < 0.5}
+             for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.6}
+    return LieAlgebra(dim, tuple(f"x{i}" for i in range(dim)), table)
+
+
+def test_sparse_jacobi_matches_dense_expansion():
+    algebras = [builtin(name).algebra for name in (
+        "sl3", "upper_triangular(4)", "strictly_upper(5)")]
+    broken = [_broken_table(dim, seed) for dim, seed in ((3, 1), (4, 2), (5, 3), (6, 4))]
+    broken.append(broken[-1].change_of_basis(seeded_elements(6, 6, seed=5)))
+    for g in algebras + broken:
+        assert g.jacobi_violations() == fraction_jacobi_violations(g)
+    assert all(g.jacobi_violations() == [] for g in algebras)
+    assert sum(len(g.jacobi_violations()) for g in broken) >= 20
 
 
 # --- bracket and adjoint -------------------------------------------------------

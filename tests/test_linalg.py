@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from lienil.linalg import (
     is_nilpotent,
     kernel_image,
     kron,
-    matrix_power,
     nilpotency_exponent,
     rational_eigenvalues,
     rational_roots,
@@ -28,6 +28,8 @@ from lienil.linalg import (
     solve,
     trace_product,
 )
+
+from support import matrix_power
 
 F = Fraction
 
@@ -217,6 +219,39 @@ def test_rational_roots_simple():
 
 def test_rational_roots_with_zero_root():
     assert rational_roots([1, -1, 0]) == [F(0), F(1)]
+
+
+def test_rational_roots_of_a_large_constant_term_return_quickly():
+    start = time.perf_counter()
+    assert rational_roots([1, 0, -(10**24 + 1)]) == []
+    assert rational_roots([1, 0, -(10**24)]) == [F(-10**12), F(10**12)]
+    assert time.perf_counter() - start < 1
+
+
+def _polynomial_times(coeffs, factor):
+    out = [0] * (len(coeffs) + len(factor) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    for _ in range(40):
+        coeffs = [rng.choice((1, -1, 2, 3))]
+        for _ in range(rng.randint(0, 4)):  # known rational roots, some repeated
+            p = rng.choice((rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+            q = rng.choice((1, 1, 2, 7, rng.randint(1, 10**6)))
+            for _ in range(rng.choice((1, 1, 2))):
+                coeffs = _polynomial_times(coeffs, [q, -p])
+        if rng.random() < 0.7:  # a factor that may have no rational root
+            coeffs = _polynomial_times(coeffs, [rng.randint(1, 5), 0, rng.randint(-50, 50)])
+        if len(coeffs) == 1:
+            coeffs.append(rng.randint(1, 9))
+        theirs = sympy.Poly(coeffs, sympy.Symbol("t")).ground_roots()
+        assert rational_roots(coeffs) == sorted(F(int(r.p), int(r.q)) for r in theirs), coeffs
 
 
 def test_rational_eigenvalues_of_diagonal():

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from lienil.catalog import builtin, semidirect, sl2_irrep
-from lienil.linalg import Matrix, invert, matrix_power
+from lienil.linalg import Matrix, invert
 from lienil.oracle import (
     build_corpus,
-    corpus_representation,
     cross_validate,
     find_witness,
     nilpotent_in_all_reps,
@@ -18,7 +17,7 @@ from lienil.oracle import (
 from lienil.reps import acts_nilpotently, validate_rep
 from lienil.semisimple import analyze
 
-from support import seeded_elements, seeded_invertible_matrices
+from support import corpus_representation, matrix_power, seeded_elements, seeded_invertible_matrices
 
 F = Fraction
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.linalg import Matrix, Subspace, is_nilpotent, kernel_image
 from lienil.semisimple import (
-    _restrict_to_subalgebra,
+    _killing_gram,
+    analyze,
     is_nilpotent_element_image,
     is_nilpotent_element_power,
     is_semisimple,
@@ -22,7 +24,15 @@ from lienil.semisimple import (
     shift_nilpotence_check,
 )
 
-from support import SEMISIMPLE_NAMES, seeded_elements
+from support import (
+    SEMISIMPLE_NAMES,
+    _restrict_to_subalgebra,
+    fraction_ad,
+    fraction_bracket,
+    fraction_killing_gram,
+    fraction_reduce,
+    seeded_elements,
+)
 
 F = Fraction
 
@@ -110,6 +120,35 @@ def _with_rational_basis_changes(g, count=3, seed=71):
         if kernel_image(Matrix.from_columns(columns))[0].is_zero():
             out.append(g.change_of_basis(columns))
     return out
+
+
+def _exact(values, reference) -> bool:
+    """Equal to the Fraction reference, entry for entry, and Fractions themselves."""
+    if isinstance(values, Matrix):
+        return values == reference and _exact(sum(values.entries, ()), sum(reference.entries, ()))
+    return values == reference and all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize("entry", standard_entries() + [
+    semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
+def test_integer_structure_matches_fraction_reference(entry):
+    for n, g in enumerate(_with_rational_basis_changes(entry.algebra)):
+        rng = random.Random(97 + n)
+        large = [tuple(F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(g.dim))
+                 for _ in range(2)]
+        elements = ([g.zero()] + [g.basis_element(i) for i in range(g.dim)]
+                    + seeded_elements(g.dim, 3, seed=97 + n) + large)
+        for x in elements:
+            assert _exact(g.ad(x), fraction_ad(g, x)), x
+            for y in elements:
+                assert _exact(g.bracket(x, y), fraction_bracket(g, x, y)), (x, y)
+        assert _exact(_killing_gram(g), fraction_killing_gram(g))
+        spaces = [analyze(g).derived, radical(g), g.full_space(), Subspace.zero(g.dim),
+                  Subspace.from_vectors(g.dim, elements[-3:])]
+        for space in spaces:
+            for v in elements:
+                assert _exact(space.reduce(v), fraction_reduce(space, v)), (space, v)
+                assert space.contains(v) == (not any(fraction_reduce(space, v)))
 
 
 @pytest.mark.parametrize("entry", standard_entries(), ids=lambda entry: entry.name)
@@ -310,8 +349,6 @@ def test_radical_is_a_solvable_ideal():
         r = radical(g)
         assert g.is_ideal(r)
         if not r.is_zero():
-            from lienil.semisimple import _restrict_to_subalgebra
-
             assert _restrict_to_subalgebra(g, r).is_solvable()
 
 
