@@ -340,9 +340,8 @@ class Subspace:
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
         # x in both spaces iff  sum x_i s_i - sum y_j t_j = 0 has a solution.
-        stacked = Matrix.from_columns(
-            [list(v) for v in self.basis] + [[-x for x in v] for v in other.basis])
-        ker, _ = kernel_image(stacked)
+        columns = list(self.basis) + [[-x for x in v] for v in other.basis]
+        ker = null_space([list(row) for row in zip(*columns)], len(columns))
         vectors = []
         for coeffs in ker.basis:
             vec = [_ZERO] * self.ambient_dim

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .catalog import irreducibles_for
@@ -146,7 +145,6 @@ class CorpusMember:
     seed: Representation | None
 
 
-@lru_cache(maxsize=None)
 def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusMember, ...]:
     """Seeds closed under dual, direct sum and tensor, in a fixed order.
 
@@ -159,12 +157,15 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
     previous level (swapping operands yields a permutation-equivalent
     representation, so only i <= j is enumerated).  Results wider than
     max_dim are dropped.  The enumeration is deterministic, so reports
-    built from it are byte-stable.
+    built from it are byte-stable.  Each is kept on the algebra's Structure.
     """
     if depth < 0:
         raise ValueError("negative closure depth")
     if max_dim < 0:
         raise ValueError("negative dimension bound")
+    structure = analyze(algebra)
+    if (depth, max_dim) in structure.corpora:
+        return structure.corpora[depth, max_dim]
     seeds: list[Representation] = []
 
     def add_seed(rep: Representation) -> None:
@@ -175,7 +176,6 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
                 return
         seeds.append(rep)
 
-    structure = analyze(algebra)
     add_seed(adjoint_rep(algebra))
     add_seed(pullback(adjoint_rep(structure.quotient.target), structure.quotient))
     for rep in irreducibles_for(algebra):
@@ -211,7 +211,7 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
                         width, "tensor", (i, j)))
         for label, width, kind, operands in additions:
             members.append(CorpusMember(len(members), label, width, level, kind, operands, None))
-    return tuple(members)
+    return structure.corpora.setdefault((depth, max_dim), tuple(members))
 
 
 def _corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:

@@ -2,21 +2,22 @@
 
 ``analyze`` gives each algebra one ``Structure``, which computes its derived
 subalgebra, Killing form, radical, semisimple quotient and canonical
-functionals lazily, each once; the public readers below read from it.
+functionals lazily, each once, and keeps its corpora; the public readers
+below read from it.  Semisimplicity is Cartan's criterion: the Killing form
+is nondegenerate, ranked once per algebra.  The image test gates on it.
 
-The radical is computed from the Cartan criterion: it is the set of x whose
-Killing pairing with the whole derived subalgebra vanishes.  The result is
-double-checked structurally: it must be an ideal (tested once, by the
-quotient map that needs it), it must be solvable (its derived series,
-computed inside the algebra, must reach zero), and the quotient by it must
-carry a nondegenerate Killing form.  A failure of any check means the
-arithmetic itself went wrong, which is reported as ``ConsistencyError``
-rather than ``ValueError``.
+The radical is the set of x whose Killing pairing with the whole derived
+subalgebra vanishes.  The quotient map that needs it checks it four times, in
+this order: it must be an ideal, it must be solvable (its derived series,
+computed inside the algebra, must reach zero), the quotient by it must be
+semisimple, and it must be zero exactly when the algebra is semisimple.  A
+failure of any check means the arithmetic itself went wrong, which is
+reported as ``ConsistencyError`` rather than ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -103,15 +104,15 @@ def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
 def radical(algebra: LieAlgebra) -> Subspace:
     """Maximal solvable ideal, via Killing-orthogonality to the derived subalgebra.
 
-    Raises ConsistencyError if the computed space fails to be a solvable
-    ideal or if the quotient by it has a degenerate Killing form.
+    Raises ConsistencyError if any of the four checks in the module docstring
+    fails: a solvable ideal, a semisimple quotient, zero iff g is semisimple.
     """
     return analyze(algebra).radical
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
-    """Radical zero; cross-checked against nondegeneracy of the Killing form."""
-    return analyze(algebra).semisimple
+    """Radical zero, after radical()'s four checks; the last is Cartan's criterion."""
+    return analyze(algebra).radical.is_zero()
 
 
 def is_nilpotent_element_power(algebra: LieAlgebra, x) -> bool:
@@ -123,9 +124,10 @@ def is_nilpotent_element_image(algebra: LieAlgebra, x) -> bool:
     """Membership test: in a semisimple algebra, ad(x) is nilpotent iff x ∈ Im ad(x).
 
     Raises ValueError when the algebra is not semisimple — the equivalence
-    is specific to that case.
+    is specific to that case.  The gate is Cartan's criterion, the cached Killing
+    rank, which g/rad(g) already has from g's quotient check.
     """
-    if not is_semisimple(algebra):
+    if not analyze(algebra).semisimple:
         raise ValueError("image-membership nilpotency test requires a semisimple algebra")
     xv = algebra.element(x)
     return solve(algebra.ad(xv), xv) is not None
@@ -162,6 +164,7 @@ class Structure:
     """One algebra's structure for the decision, each part computed on first use."""
 
     algebra: LieAlgebra
+    corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> oracle.build_corpus
 
     @cached_property
     def derived(self) -> Subspace:
@@ -182,8 +185,10 @@ class Structure:
             raise ConsistencyError("computed radical is not an ideal") from None
         if not algebra.derived_series(rad)[-1].is_zero():
             raise ConsistencyError("computed radical is not solvable")
-        if quotient.target.dim and not analyze(quotient.target).killing.is_nondegenerate():
+        if quotient.target.dim and not analyze(quotient.target).semisimple:
             raise ConsistencyError("Killing form degenerate on the quotient by the radical")
+        if rad.is_zero() != self.semisimple:
+            raise ConsistencyError("radical computation disagrees with Killing-form nondegeneracy")
         return quotient
 
     @property
@@ -192,9 +197,8 @@ class Structure:
 
     @cached_property
     def semisimple(self) -> bool:
-        if self.radical.is_zero() != (self.algebra.dim == 0 or self.killing.is_nondegenerate()):
-            raise ConsistencyError("radical computation disagrees with Killing-form nondegeneracy")
-        return self.radical.is_zero()
+        """Cartan's criterion; the radical's fourth check and the image gate read it."""
+        return self.killing.is_nondegenerate()
 
     @cached_property
     def functionals(self) -> tuple[Vector, ...]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lienil.catalog import builtin, semidirect, sl2_irrep
+from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, invert
 from lienil.oracle import (
     build_corpus,
@@ -184,8 +185,7 @@ def test_corpus_is_deterministic():
     first = build_corpus(g, 2, 32)
     second = build_corpus(g, 2, 32)
     assert first is second  # cached
-    build_corpus.cache_clear()
-    third = build_corpus(builtin("sl2").algebra, 2, 32)
+    third = build_corpus(LieAlgebra(g.dim, g.basis_names, g.table), 2, 32)
     assert [m.label for m in first] == [m.label for m in third]
 
 

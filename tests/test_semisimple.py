@@ -8,9 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from lienil import semisimple
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
+from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace, is_nilpotent, kernel_image
+from lienil.oracle import nilpotent_in_all_reps
 from lienil.semisimple import (
+    ConsistencyError,
+    KillingForm,
     _killing_gram,
     analyze,
     is_nilpotent_element_image,
@@ -356,3 +361,53 @@ def test_caching_returns_identical_objects():
     g = builtin("sl2").algebra
     assert killing_matrix(g) is killing_matrix(builtin("sl2").algebra)
     assert radical(g) is radical(builtin("sl2").algebra)
+
+
+def _fresh(name):
+    """A new instance of a catalog algebra, under basis names no other test uses."""
+    g = builtin(name).algebra
+    return g.change_of_basis(Matrix.identity(g.dim), [f"fresh{i}" for i in range(g.dim)])
+
+
+E12_IN_GL2 = Subspace.from_vectors(4, [[0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize("reader", [is_semisimple, radical], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name, owner, attribute, patched, message", [
+    ("gl2", semisimple, "killing_orth", lambda algebra, space: E12_IN_GL2,
+     "computed radical is not an ideal"),
+    ("sl2", semisimple, "killing_orth", lambda algebra, space: Subspace.full(algebra.dim),
+     "computed radical is not solvable"),
+    ("gl2", semisimple, "killing_orth", lambda algebra, space: Subspace.zero(algebra.dim),
+     "Killing form degenerate on the quotient by the radical"),
+    ("gl2", KillingForm, "is_nondegenerate", lambda form: True,
+     "radical computation disagrees with Killing-form nondegeneracy"),
+], ids=["not_ideal", "not_solvable", "degenerate_quotient", "rank_disagrees"])
+def test_every_radical_check_raises_its_message(monkeypatch, reader, name, owner, attribute,
+                                                patched, message):
+    g = _fresh(name)
+    monkeypatch.setattr(owner, attribute, patched)
+    with pytest.raises(ConsistencyError) as raised:
+        reader(g)
+    assert str(raised.value) == message
+
+
+def test_one_quotient_and_one_gram_per_algebra(monkeypatch):
+    calls = {"quotient": 0, "gram": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LieAlgebra, "quotient", counted("quotient", LieAlgebra.quotient))
+    monkeypatch.setattr(semisimple, "_killing_gram", counted("gram", semisimple._killing_gram))
+    # g -> g/rad(g) once; a Killing gram for g and, unless g is solvable, for g/rad(g).
+    for name, expected in (("gl2", (1, 2)), ("sl3", (1, 2)), ("heisenberg", (1, 1))):
+        g = _fresh(name)
+        calls.update(quotient=0, gram=0)
+        nilpotent_in_all_reps(g, g.basis_element(1))
+        assert (calls["quotient"], calls["gram"]) == expected, name
+        nilpotent_in_all_reps(g, g.basis_element(0))  # a second verdict adds nothing
+        assert (calls["quotient"], calls["gram"]) == expected, name
