@@ -122,6 +122,10 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         xs, x_scale = _cleared(self.element(x))
         ys, y_scale = _cleared(self.element(y))
+        return _fractions(self._int_bracket(xs, ys), x_scale * y_scale * self._scale)
+
+    def _int_bracket(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """s times the bracket of two integer vectors, in integers."""
         y_terms = [(j, b) for j, b in enumerate(ys) if b]
         acc = [0] * self.dim
         for i, a in enumerate(xs):
@@ -132,7 +136,7 @@ class LieAlgebra:
                         ab = a * b
                         for k, c in expansion.items():
                             acc[k] += ab * c
-        return _fractions(acc, x_scale * y_scale * self._scale)
+        return acc
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y] in the defining basis, filled from the constants."""
@@ -183,16 +187,15 @@ class LieAlgebra:
         """Span of all brackets [u, v], u and v running over the two subspaces."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ValueError("subspaces must live in the algebra")
-        vectors = [self.bracket(a, b) for a in u.basis for b in v.basis]
-        return Subspace.from_vectors(self.dim, vectors)
+        return Subspace._span(self.dim, [self._int_bracket(a, b) for a in u.rows for b in v.rows])
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the table's values, the brackets of basis pairs."""
-        return Subspace.from_vectors(
-            self.dim, [[e.get(k, _ZERO) for k in range(self.dim)] for e in self.table.values()])
+        return Subspace._span(self.dim, [[self._constants[i][j].get(k, 0) for k in range(self.dim)]
+                                         for i, j in self.table])
 
     def derived_series(self, start: Subspace | None = None) -> list[Subspace]:
         """The chain s >= [s,s] >= ... from the subalgebra s = start (default g),
@@ -226,13 +229,16 @@ class LieAlgebra:
 
     def centralizer(self, x: Sequence) -> Subspace:
         """Kernel of ad(x): all y with [x, y] = 0."""
-        return null_space([list(row) for row in self.ad(x).entries], self.dim)
+        return null_space(self.ad(x).entries, self.dim)
 
     def center(self) -> Subspace:
         """Kernel of the ad(e_i) stacked: all y with [e_i, y] = 0 for every i."""
-        n = self.dim
-        return null_space([[self._constants[i].get(j, {}).get(k, 0) for j in range(n)]
-                           for i in range(n) for k in range(n)], n)
+        rows: dict[tuple[int, int], list[int]] = {}  # (i, k): e_k's coefficient in [e_i, y]
+        for i, products in enumerate(self._constants):
+            for j, expansion in products.items():
+                for k, c in expansion.items():
+                    rows.setdefault((i, k), [0] * self.dim)[j] = c
+        return null_space(rows.values(), self.dim)
 
     def is_ideal(self, h: Subspace) -> bool:
         return h.contains_subspace(self.product_space(self.full_space(), h))
@@ -271,8 +277,9 @@ class LieAlgebra:
             reduced = ideal.reduce(v)
             return tuple(reduced[j] for j in complement)
 
-        quotient_algebra = LieAlgebra.from_products(names, lambda a, b: project(self.bracket(
-            self.basis_element(complement[a]), self.basis_element(complement[b]))))
+        quotient_algebra = LieAlgebra.from_products(names, lambda a, b: project([
+            self.table.get((complement[a], complement[b]), {}).get(k, _ZERO)
+            for k in range(self.dim)]))
         projection_matrix = Matrix.from_columns(
             [project(self.basis_element(j)) for j in range(self.dim)])
         section_matrix = Matrix.from_columns(

@@ -2,9 +2,11 @@
 
 Values are ``fractions.Fraction`` at the API edge only: elimination,
 reduction and nilpotency run fraction-free on integer rows, and structure
-constants are cleared to integers once per algebra.  Nothing is floating
-point, so ranks and kernels are exact.  Matrices are immutable and subspaces
-canonical (reduced row-echelon), so equality is a plain ``==``.
+constants are cleared to integers once per algebra.  A ``Subspace`` stores only its
+reduced row-echelon rows, each cleared to primitive integers, so spans, sums,
+intersections and kernels stay in integers; ``rref``, ``solve``, ``invert`` and
+``Subspace.basis`` divide by the pivots.  Nothing is floating point, so ranks and
+kernels are exact, and subspaces are canonical, so equality is a plain ``==``.
 """
 
 from __future__ import annotations
@@ -196,14 +198,19 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // content for x in row] if content > 1 else row
 
 
-def _rref_rows(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Fraction-free Gauss-Jordan on primitive integer rows; returns (rows, pivot columns).
+def _over_pivot(row: Sequence[int], p: int) -> Vector:
+    """An integer row divided by its entry at p: the RREF row it stands for."""
+    return tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
 
-    A row with x in the pivot column becomes (a*row - b*pivot_row)/content, a/b =
-    pivot/x in lowest terms.  Fractions appear only when each pivot row is divided
-    by its pivot at the end; RREF is unique, so the rows are the rational algorithm's.
+
+def _rref_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan; returns one integer row per pivot, and the pivot columns.
+
+    Rows (Fractions or ints) are cleared to primitive integers; zero rows are dropped.  A
+    row with x in the pivot column becomes (a*row - b*pivot_row)/content, a/b = pivot/x in
+    lowest terms.  Each result is its RREF row times the lcm of its denominators.
     """
-    ints = [_primitive(_cleared(row)[0]) for row in rows]
+    ints = [_primitive(_cleared(row)[0]) for row in rows if any(row)]
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
@@ -220,15 +227,15 @@ def _rref_rows(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fractio
                 a, b = p // g, x // g
                 ints[i] = _primitive([a * u - b * v for u, v in zip(row, prow)])
         pivots.append(c)
-    reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(ints, pivots)]
-    return reduced + [[_ZERO] * cols for _ in ints[len(pivots):]], pivots
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(ints, pivots)], pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows)), len(pivots)
+    rows, pivots = _rref_rows(m.entries, m.cols)
+    reduced = tuple(_over_pivot(row, c) for row, c in zip(rows, pivots))
+    padding = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
+    return Matrix(m.rows, m.cols, reduced + padding), len(pivots)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:
@@ -239,39 +246,40 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
     rhs = as_vector(b)
     if len(rhs) != a.rows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {a.rows} rows")
-    rows = [list(r) + [rhs[i]] for i, r in enumerate(a.entries)]
-    rows, pivots = _rref_rows(rows, a.cols + 1)
+    rows, pivots = _rref_rows([(*r, rhs[i]) for i, r in enumerate(a.entries)], a.cols + 1)
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][a.cols]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[a.cols], row[c])
     return tuple(x)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace stored by its reduced-echelon basis.
+    """A linear subspace stored by its reduced-echelon basis, as primitive integer rows.
 
-    The basis rows have strictly increasing pivot columns, each pivot entry
-    is 1 and is the only nonzero entry in its column.  Two Subspace values
-    describe the same subspace iff they compare equal.
+    Each of ``rows`` is an RREF row times the lcm of its denominators, so pivots rise, are
+    positive and are alone in their columns, and two Subspace values describe the same
+    subspace iff they compare equal.  ``basis`` is the Fraction RREF (pivot 1), made on read.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = []
-        for v in vectors:
-            vec = as_vector(v)
+        rows = [as_vector(v) for v in vectors]
+        for vec in rows:
             if len(vec) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(vec)} does not match ambient dimension {ambient_dim}")
-            rows.append(list(vec))
-        rows, pivots = _rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(r) for r in rows[:len(pivots)]))
+        return cls._span(ambient_dim, rows)
+
+    @classmethod
+    def _span(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
+        """Span of rows of the right length, Fractions or ints; no checks."""
+        return cls(ambient_dim, tuple(map(tuple, _rref_rows(rows, ambient_dim)[0])))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -280,107 +288,96 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(ambient_dim))
-            for i in range(ambient_dim)))
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim
+        return len(self.rows)
 
     @cached_property
-    def _cleared_rows(self) -> tuple[tuple[int, list[int]], ...]:
-        """(pivot, row times its denominator lcm d) per basis row; d sits at the pivot."""
-        return tuple((p, _cleared(row)[0]) for row, p in zip(self.basis, self.pivots))
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.rows)
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical remainder of v after eliminating all pivot coordinates, fraction-free."""
-        vec = as_vector(v)
-        if len(vec) != self.ambient_dim:
-            raise ValueError(
-                f"vector length {len(vec)} does not match ambient dimension {self.ambient_dim}")
-        ints, scale = _cleared(vec)
-        for p, row in self._cleared_rows:
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(_over_pivot(row, p) for row, p in zip(self.rows, self.pivots))
+
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def is_full(self) -> bool:
+        return len(self.rows) == self.ambient_dim
+
+    def _eliminate(self, ints: list[int], scale: int = 1) -> tuple[list[int], int]:
+        """Clear the pivot coordinates of the vector ints/scale; the remainder, and its scale."""
+        for row, p in zip(self.rows, self.pivots):
             x = ints[p]
             if x:
                 g = math.gcd(row[p], x)
                 a, b = row[p] // g, x // g
                 ints = [a * u - b * w for u, w in zip(ints, row)]
                 scale *= a
-        return _fractions(ints, scale)
+        return ints, scale
+
+    def reduce(self, v: Sequence) -> Vector:
+        """Canonical remainder of v after eliminating all pivot coordinates."""
+        vec = as_vector(v)
+        if len(vec) != self.ambient_dim:
+            raise ValueError(
+                f"vector length {len(vec)} does not match ambient dimension {self.ambient_dim}")
+        return _fractions(*self._eliminate(*_cleared(vec)))
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
 
     def coordinates(self, v: Sequence) -> Vector | None:
-        """Coefficients of v against the stored basis, or None if outside."""
+        """Coefficients of v against ``basis`` (not ``rows``), or None if outside."""
         if not self.contains(v):
             return None
         vec = as_vector(v)
         return tuple(vec[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        self._same_ambient(other)
+        return not any(any(self._eliminate(list(row))[0]) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        return Subspace._span(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
-        # x in both spaces iff  sum x_i s_i - sum y_j t_j = 0 has a solution.
-        columns = list(self.basis) + [[-x for x in v] for v in other.basis]
-        ker = null_space([list(row) for row in zip(*columns)], len(columns))
-        vectors = []
-        for coeffs in ker.basis:
-            vec = [_ZERO] * self.ambient_dim
-            for c, base in zip(coeffs[:self.dim], self.basis):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, base)]
-            vectors.append(vec)
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        # The meet is cut out by the annihilators of both: each space's null space.
+        n = self.ambient_dim
+        return null_space(null_space(self.rows, n).rows + null_space(other.rows, n).rows, n)
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Ambient coordinate indices not used as pivots; they span a complement."""
-        taken = set(self.pivots)
-        return tuple(j for j in range(self.ambient_dim) if j not in taken)
+        return tuple(j for j in range(self.ambient_dim) if j not in self.pivots)
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient dimensions")
 
 
-def null_space(rows: list[list], cols: int) -> Subspace:
+def null_space(rows: Iterable[Sequence], cols: int) -> Subspace:
     """Canonical null space of the matrix with these rows (Fractions or ints)."""
     reduced, pivots = _rref_rows(rows, cols)
-    pivot_set = set(pivots)
     kernel_vectors = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [_ZERO] * cols
-        vec[free] = _ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][free]
+    for free in (j for j in range(cols) if j not in pivots):
+        lcm = math.lcm(*(row[p] for row, p in zip(reduced, pivots) if row[free]))
+        vec = [0] * cols
+        vec[free] = lcm
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free] * (lcm // row[p])
         kernel_vectors.append(vec)
-    return Subspace.from_vectors(cols, kernel_vectors)
+    return Subspace._span(cols, kernel_vectors)
 
 
 def kernel_image(a: Matrix) -> tuple[Subspace, Subspace]:
     """Null space and column space of a, both canonical."""
     image = Subspace.from_vectors(a.rows, [a.column(j) for j in range(a.cols)])
-    return null_space([list(r) for r in a.entries], a.cols), image
+    return null_space(a.entries, a.cols), image
 
 
 def invert(m: Matrix) -> Matrix | None:
@@ -388,12 +385,11 @@ def invert(m: Matrix) -> Matrix | None:
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows = [list(r) + [_ONE if i == j else _ZERO for j in range(n)]
-            for i, r in enumerate(m.entries)]
-    rows, pivots = _rref_rows(rows, 2 * n)
+    rows, pivots = _rref_rows([(*r, *(int(i == j) for j in range(n)))
+                               for i, r in enumerate(m.entries)], 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return Matrix(n, n, tuple(tuple(r[n:]) for r in rows[:n]))
+    return Matrix(n, n, tuple(_over_pivot(r, i)[n:] for i, r in enumerate(rows[:n])))
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:

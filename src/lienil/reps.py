@@ -160,7 +160,7 @@ def weight_space(rep: Representation, space: Subspace, weight: Weight) -> Subspa
     current = Subspace.full(rep.dim_v)
     for v, lam in zip(space.basis, weight.values):
         shifted = rep.action(v) - Matrix.identity(rep.dim_v).scaled(lam)
-        current = current.intersect(null_space([list(r) for r in shifted.entries], rep.dim_v))
+        current = current.intersect(null_space(shifted.entries, rep.dim_v))
         if current.is_zero():
             break
     return current
@@ -201,7 +201,7 @@ def rational_weights(rep: Representation, space: Subspace) -> list[Weight]:
             return
         for lam in candidates[level]:
             shifted = actions[level] - Matrix.identity(rep.dim_v).scaled(lam)
-            inter = current.intersect(null_space([list(r) for r in shifted.entries], rep.dim_v))
+            inter = current.intersect(null_space(shifted.entries, rep.dim_v))
             if not inter.is_zero():
                 descend(level + 1, values + (lam,), inter)
 

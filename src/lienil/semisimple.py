@@ -94,11 +94,8 @@ def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace must live in the algebra")
     gram = _integer_rows(killing_matrix(algebra).gram)  # symmetric, so rows serve as columns
-    if space.is_zero():
-        return Subspace.full(algebra.dim)
-    basis = _integer_rows(Matrix(space.dim, algebra.dim, space.basis))  # cleared rows
     return null_space([[sum(x * y for x, y in zip(column, v) if y) for column in gram]
-                       for v in basis], algebra.dim)
+                       for v in space.rows], algebra.dim)
 
 
 def radical(algebra: LieAlgebra) -> Subspace:

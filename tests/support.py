@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from lienil.catalog import builtin
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, Subspace, Vector, as_vector, invert
+from lienil.linalg import Matrix, Subspace, Vector, as_vector, invert, kernel_image
 from lienil.reps import Representation, direct_sum, dual, tensor
 
 
@@ -33,6 +33,18 @@ def seeded_invertible_matrices(dim: int, count: int, seed: int) -> list[Matrix]:
             [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
         if invert(candidate) is not None:
             out.append(candidate)
+    return out
+
+
+def with_rational_basis_changes(g: LieAlgebra, count: int = 3, seed: int = 71) -> list[LieAlgebra]:
+    """g and count copies of it moved by seeded invertible rational matrices."""
+    out = [g]
+    attempt = 0
+    while len(out) <= count:
+        columns = seeded_elements(g.dim, g.dim, seed=seed + attempt)
+        attempt += 1
+        if kernel_image(Matrix.from_columns(columns))[0].is_zero():
+            out.append(g.change_of_basis(columns))
     return out
 
 
@@ -156,6 +168,38 @@ def fraction_reduce(space: Subspace, v) -> Vector:
         if f:
             vec = [x - f * y for x, y in zip(vec, row)]
     return tuple(vec)
+
+
+def fraction_rref(rows, cols: int) -> tuple[tuple[Vector, ...], list[int]]:
+    """Nonzero rows of the reduced row-echelon form (pivot 1) and the pivots, by
+    Gauss-Jordan in Fractions."""
+    rows = [list(as_vector(row)) for row in rows]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in rows[:len(pivots)]), pivots
+
+
+def fraction_null_space(rows, cols: int) -> list[Vector]:
+    """A kernel basis of the matrix with these rows, one vector per free column."""
+    reduced, pivots = fraction_rref(rows, cols)
+    out = []
+    for free in (j for j in range(cols) if j not in pivots):
+        vec = [_ZERO] * cols
+        vec[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        out.append(tuple(vec))
+    return out
 
 
 def fraction_jacobi_violations(g: LieAlgebra) -> list[str]:

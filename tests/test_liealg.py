@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lienil.catalog import builtin
+from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace, kernel_image
+from lienil.semisimple import analyze, killing_orth, radical
 
-from support import fraction_jacobi_violations, seeded_elements
+from support import (
+    fraction_bracket,
+    fraction_jacobi_violations,
+    fraction_killing_gram,
+    fraction_null_space,
+    fraction_rref,
+    seeded_elements,
+    with_rational_basis_changes,
+)
 
 F = Fraction
 
@@ -253,6 +263,59 @@ def test_quotient_projection_is_bracket_compatible():
                 rhs = q.target.bracket(q.project(g.basis_element(i)),
                                        q.project(g.basis_element(j)))
                 assert lhs == rhs
+
+
+# --- integer subspaces against the Fraction references ----------------------------
+
+def _canonical(space: Subspace) -> bool:
+    """Primitive integer rows with positive pivots, and ``basis`` those rows over them."""
+    return all(
+        all(type(x) is int for x in row) and math.gcd(*row) == 1 and row[p] > 0
+        and basis == tuple(F(x, row[p]) for x in row) and basis[p] == 1
+        for row, p, basis in zip(space.rows, space.pivots, space.basis))
+
+
+def _reference_span(vectors, dim):
+    return fraction_rref(vectors, dim)[0]
+
+
+@pytest.mark.parametrize("entry", standard_entries() + [
+    semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
+def test_integer_subspaces_match_fraction_reference(entry):
+    for n, g in enumerate(with_rational_basis_changes(entry.algebra)):
+        rng = random.Random(89 + n)
+        gram = fraction_killing_gram(g)
+        spaces = [analyze(g).derived, radical(g), g.full_space(), Subspace.zero(g.dim),
+                  Subspace.from_vectors(g.dim, seeded_elements(g.dim, 2, seed=89 + n)),
+                  Subspace.from_vectors(g.dim, seeded_elements(g.dim, g.dim - 1, seed=79 + n))]
+        basis = [g.basis_element(i) for i in range(g.dim)]
+        for u in spaces:
+            assert _canonical(u)
+            assert u.basis == _reference_span(u.basis, g.dim)
+            factors = [F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 7))) for _ in u.basis]
+            moved = [[c * x for x in v] for c, v in zip(factors, u.basis)]
+            rng.shuffle(moved)
+            assert Subspace.from_vectors(g.dim, moved) == u
+            assert hash(Subspace.from_vectors(g.dim, moved)) == hash(u)
+            brackets = tuple(fraction_bracket(g, x, b) for x in basis for b in u.basis)
+            assert g.is_ideal(u) == (len(_reference_span(u.basis + brackets, g.dim)) == u.dim)
+            orth = killing_orth(g, u)
+            assert _canonical(orth)
+            assert orth.basis == _reference_span(
+                fraction_null_space([gram.apply(b) for b in u.basis], g.dim), g.dim)
+            for v in spaces:
+                product = g.product_space(u, v)
+                assert _canonical(product)
+                assert product.basis == _reference_span(
+                    [fraction_bracket(g, a, b) for a in u.basis for b in v.basis], g.dim)
+                meet = u.intersect(v)
+                assert _canonical(meet)
+                # x in both iff sum c_i u_i - sum d_j v_j = 0; x is the first half.
+                columns = list(u.basis) + [[-x for x in b] for b in v.basis]
+                coefficients = fraction_null_space(list(zip(*columns)), len(columns))
+                assert meet.basis == _reference_span(
+                    [[sum(c * b[k] for c, b in zip(coeffs, u.basis)) for k in range(g.dim)]
+                     for coeffs in coefficients], g.dim)
 
 
 # --- derivations ------------------------------------------------------------------

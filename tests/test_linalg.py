@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -307,6 +308,14 @@ def _fraction_rref_rows(rows, cols):
     return rows, pivots
 
 
+def _primitive_fraction_rref_rows(rows, cols):
+    """The reference under the kernel's contract: zero rows dropped, each RREF row
+    cleared to primitive integers (times its denominator lcm; the pivot stays positive)."""
+    reduced, pivots = _fraction_rref_rows([[F(x) for x in row] for row in rows], cols)
+    return [[int(x * scale) for x in row] for row in reduced[:len(pivots)]
+            for scale in [math.lcm(*(y.denominator for y in row))]], pivots
+
+
 def _big_rational(rng):
     if rng.random() < 0.3:
         return F(0)
@@ -352,7 +361,7 @@ def _kernel_results(m, rng):
 def test_integer_kernel_matches_fraction_reference(monkeypatch):
     inputs = _kernel_inputs()
     integer = [_kernel_results(m, random.Random(i)) for i, m in enumerate(inputs)]
-    monkeypatch.setattr(linalg, "_rref_rows", _fraction_rref_rows)
+    monkeypatch.setattr(linalg, "_rref_rows", _primitive_fraction_rref_rows)
     reference = [_kernel_results(m, random.Random(i)) for i, m in enumerate(inputs)]
     assert integer == reference
     solved = [r[2] for r in reference]

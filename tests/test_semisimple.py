@@ -37,6 +37,7 @@ from support import (
     fraction_killing_gram,
     fraction_reduce,
     seeded_elements,
+    with_rational_basis_changes,
 )
 
 F = Fraction
@@ -115,18 +116,6 @@ def test_killing_form_brackets_skew():
         assert lhs + rhs == 0
 
 
-def _with_rational_basis_changes(g, count=3, seed=71):
-    """g and count copies of it moved by seeded invertible rational matrices."""
-    out = [g]
-    attempt = 0
-    while len(out) <= count:
-        columns = seeded_elements(g.dim, g.dim, seed=seed + attempt)
-        attempt += 1
-        if kernel_image(Matrix.from_columns(columns))[0].is_zero():
-            out.append(g.change_of_basis(columns))
-    return out
-
-
 def _exact(values, reference) -> bool:
     """Equal to the Fraction reference, entry for entry, and Fractions themselves."""
     if isinstance(values, Matrix):
@@ -137,7 +126,7 @@ def _exact(values, reference) -> bool:
 @pytest.mark.parametrize("entry", standard_entries() + [
     semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
 def test_integer_structure_matches_fraction_reference(entry):
-    for n, g in enumerate(_with_rational_basis_changes(entry.algebra)):
+    for n, g in enumerate(with_rational_basis_changes(entry.algebra)):
         rng = random.Random(97 + n)
         large = [tuple(F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(g.dim))
                  for _ in range(2)]
@@ -158,7 +147,7 @@ def test_integer_structure_matches_fraction_reference(entry):
 
 @pytest.mark.parametrize("entry", standard_entries(), ids=lambda entry: entry.name)
 def test_structure_read_from_table_matches_brackets(entry):
-    for g in _with_rational_basis_changes(entry.algebra):
+    for g in with_rational_basis_changes(entry.algebra):
         full = g.full_space()
         basis = [g.basis_element(i) for i in range(g.dim)]
         assert g.derived_subalgebra() == g.product_space(full, full)
@@ -173,7 +162,7 @@ def test_structure_read_from_table_matches_brackets(entry):
 @pytest.mark.parametrize("entry", standard_entries() + [
     semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
 def test_in_place_series_matches_restricted_reference(entry):
-    for g in _with_rational_basis_changes(entry.algebra):
+    for g in with_rational_basis_changes(entry.algebra):
         rad = radical(g)
         assert ([s.dim for s in g.derived_series(rad)]
                 == [s.dim for s in _restrict_to_subalgebra(g, rad).derived_series()])
