@@ -123,7 +123,7 @@ def parse_algebra(text: str) -> LieAlgebra:
                 raise ParseError("dim line must be `dim <n>`", line_no)
             dim = _rational(match.group(1), line_no, match.start(1) + 1).numerator
             continue
-        if line.startswith("basis"):
+        if line.split()[0] == "basis":
             if dim is None:
                 raise ParseError("basis line before dim line", line_no)
             if names is not None:

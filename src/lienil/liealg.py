@@ -51,6 +51,11 @@ def _freeze_table(table: Mapping[tuple[int, int], Mapping[int, object]],
     return frozen
 
 
+def _terms(ints: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero (index, value) terms of an integer vector."""
+    return [(j, x) for j, x in enumerate(ints) if x]
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """A Lie algebra presented by basis names and sparse structure constants."""
@@ -122,20 +127,20 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         xs, x_scale = _cleared(self.element(x))
         ys, y_scale = _cleared(self.element(y))
-        return _fractions(self._int_bracket(xs, ys), x_scale * y_scale * self._scale)
+        return _fractions(self._int_bracket(_terms(xs), _terms(ys)),
+                          x_scale * y_scale * self._scale)
 
-    def _int_bracket(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-        """s times the bracket of two integer vectors, in integers."""
-        y_terms = [(j, b) for j, b in enumerate(ys) if b]
+    def _int_bracket(self, x_terms: list, y_terms: list) -> list[int]:
+        """s times the bracket of two integer vectors, given by their nonzero terms."""
         acc = [0] * self.dim
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in y_terms:
-                    expansion = self._constants[i].get(j)
-                    if expansion:
-                        ab = a * b
-                        for k, c in expansion.items():
-                            acc[k] += ab * c
+        for i, a in x_terms:
+            products = self._constants[i]
+            for j, b in y_terms:
+                expansion = products.get(j)
+                if expansion:
+                    ab = a * b
+                    for k, c in expansion.items():
+                        acc[k] += ab * c
         return acc
 
     def ad(self, x: Sequence) -> Matrix:
@@ -147,8 +152,7 @@ class LieAlgebra:
                 for j, expansion in self._constants[i].items():  # column j gains a [e_i, e_j]
                     for k, c in expansion.items():
                         acc[k][j] += a * c
-        return Matrix(self.dim, self.dim, tuple(_fractions(row, x_scale * self._scale)
-                                                for row in acc))
+        return Matrix(self.dim, self.dim, tuple(map(tuple, acc)), x_scale * self._scale)
 
     # -- validation -------------------------------------------------------
 
@@ -187,7 +191,9 @@ class LieAlgebra:
         """Span of all brackets [u, v], u and v running over the two subspaces."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ValueError("subspaces must live in the algebra")
-        return Subspace._span(self.dim, [self._int_bracket(a, b) for a in u.rows for b in v.rows])
+        v_terms = list(map(_terms, v.rows))
+        return Subspace._span(self.dim, [self._int_bracket(x, y) for x in map(_terms, u.rows)
+                                         for y in v_terms])
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -229,7 +235,7 @@ class LieAlgebra:
 
     def centralizer(self, x: Sequence) -> Subspace:
         """Kernel of ad(x): all y with [x, y] = 0."""
-        return null_space(self.ad(x).entries, self.dim)
+        return null_space(self.ad(x).ints, self.dim)
 
     def center(self) -> Subspace:
         """Kernel of the ad(e_i) stacked: all y with [e_i, y] = 0 for every i."""
@@ -272,19 +278,18 @@ class LieAlgebra:
             names = tuple(names)
             if len(names) != q_dim:
                 raise ValueError(f"{len(names)} names for quotient dimension {q_dim}")
-
-        def project(v: Sequence) -> Vector:
-            reduced = ideal.reduce(v)
-            return tuple(reduced[j] for j in complement)
-
-        quotient_algebra = LieAlgebra.from_products(names, lambda a, b: project([
-            self.table.get((complement[a], complement[b]), {}).get(k, _ZERO)
-            for k in range(self.dim)]))
-        projection_matrix = Matrix.from_columns(
-            [project(self.basis_element(j)) for j in range(self.dim)])
-        section_matrix = Matrix.from_columns(
-            [self.basis_element(complement[a]) for a in range(q_dim)])
-        return QuotientMap(self, quotient_algebra, ideal, projection_matrix, section_matrix)
+        projection = ideal.projection()
+        denominator = self._scale * projection.scale
+        table = {}  # [e~a, e~b] is the projection of s * [e_i, e_j], over s
+        for a, i in enumerate(complement):
+            for b in range(a + 1, q_dim):
+                expansion = self._constants[i].get(complement[b], {})
+                image = [sum(c * row[k] for k, c in expansion.items()) for row in projection.ints]
+                if any(image):
+                    table[a, b] = {t: x for t, x in enumerate(_fractions(image, denominator)) if x}
+        section = Matrix(self.dim, q_dim, tuple(
+            tuple(int(k == j) for j in complement) for k in range(self.dim)))
+        return QuotientMap(self, LieAlgebra(q_dim, names, table), ideal, projection, section)
 
     def change_of_basis(self, new_basis,
                         names: Sequence[str] | None = None) -> "LieAlgebra":

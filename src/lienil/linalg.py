@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Values are ``fractions.Fraction`` at the API edge only: elimination,
-reduction and nilpotency run fraction-free on integer rows, and structure
-constants are cleared to integers once per algebra.  A ``Subspace`` stores only its
+Values are ``fractions.Fraction`` at the API edge only, and this module alone turns
+integers into Fractions.  A ``Matrix`` stores integer rows over one positive scale, in
+lowest terms, and every matrix operation (sums, products, traces, Kronecker products)
+works on those integers; its ``entries`` are a view.  A ``Subspace`` stores only its
 reduced row-echelon rows, each cleared to primitive integers, so spans, sums,
-intersections and kernels stay in integers; ``rref``, ``solve``, ``invert`` and
-``Subspace.basis`` divide by the pivots.  Nothing is floating point, so ranks and
-kernels are exact, and subspaces are canonical, so equality is a plain ``==``.
+intersections and kernels stay in integers.  Elimination, reduction and nilpotency run
+fraction-free on integer rows; ``rref``, ``solve``, ``invert`` and ``Subspace.basis``
+divide by the pivots.  Nothing is floating point, so ranks and kernels are exact, and
+matrices and subspaces are canonical, so equality is a plain ``==``.
 """
 
 from __future__ import annotations
@@ -36,150 +38,135 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(frac(c) for c in coords)
 
 
+def _exact(value) -> int | Fraction:
+    """An int or a Fraction as it is; anything else through ``frac``."""
+    return value if isinstance(value, (int, Fraction)) else frac(value)
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals: integer rows ``ints`` over one positive
+    ``scale``, put in lowest terms on construction (the gcd of the scale and every entry
+    is 1, so a zero matrix has scale 1), so ``==`` and ``hash`` are exact.  Every
+    operation works on the integers; ``entries`` is the Fraction view, made on read.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    scale: int = 1
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
+        if len(self.ints) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
+        for row in self.ints:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
+        if self.scale <= 0:
+            raise ValueError("matrix scale must be positive")
+        if self.scale != 1:
+            content = math.gcd(self.scale, *(math.gcd(*row) for row in self.ints))
+            if content != 1:
+                object.__setattr__(self, "ints", tuple(
+                    tuple(x // content for x in row) for row in self.ints))
+                object.__setattr__(self, "scale", self.scale // content)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        entries = tuple(tuple(frac(x) for x in row) for row in rows)
-        n_rows = len(entries)
-        n_cols = len(entries[0]) if entries else 0
-        return cls(n_rows, n_cols, entries)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        rows = [[_exact(x) for x in row] for row in rows]
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        return cls(len(rows), len(rows[0]) if rows else 0, tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows), scale)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [as_vector(c) for c in columns]
-        n_rows = len(cols[0]) if cols else 0
-        for c in cols:
-            if len(c) != n_rows:
-                raise ValueError("ragged matrix columns")
-        return cls(n_rows, len(cols),
-                   tuple(tuple(c[i] for c in cols) for i in range(n_rows)))
+        return cls.from_rows(columns).transpose()
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "Matrix":
+        return cls(rows, cols, ((0,) * cols,) * rows)
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        return tuple(_fractions(row, self.scale) for row in self.ints)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        return Fraction(self.ints[i][j], self.scale)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return _fractions([row[j] for row in self.ints], self.scale)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.ints))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+        scale = math.lcm(self.scale, other.scale)
+        a, b = scale // self.scale, scale // other.scale
         return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+            tuple(a * x + b * y for x, y in zip(ra, rb))
+            for ra, rb in zip(self.ints, other.ints)), scale)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(
-            tuple(-a for a in row) for row in self.entries))
+            tuple(-x for x in row) for row in self.ints), self.scale)
 
     def scaled(self, c) -> "Matrix":
-        c = frac(c)
+        c = _exact(c)
+        p = c.numerator
         return Matrix(self.rows, self.cols, tuple(
-            tuple(c * a for a in row) for row in self.entries))
+            tuple(p * x for x in row) for row in self.ints), self.scale * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        other_rows = other.entries
-        out = []
-        for row in self.entries:
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    brow = other_rows[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix(self.rows, other.cols, tuple(map(tuple, _int_product(
+            self.ints, other.ints, other.cols))), self.scale * other.scale)
 
     def apply(self, v: Sequence) -> Vector:
-        vec = as_vector(v)
+        vec = [_exact(x) for x in v]
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return tuple(
-            sum((a * x for a, x in zip(row, vec) if a), _ZERO)
-            for row in self.entries)
+        xs, x_scale = _cleared(vec)
+        return _fractions([sum(a * x for a, x in zip(row, xs) if a) for row in self.ints],
+                          self.scale * x_scale)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)))
+        return Matrix(self.cols, self.rows, tuple(zip(*self.ints)) if self.rows else
+                      ((),) * self.cols, self.scale)
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
+        return Fraction(sum(self.ints[i][i] for i in range(self.rows)), self.scale)
 
 
 def trace_product(a: Matrix, b: Matrix) -> Fraction:
     """trace(a @ b) without forming the product."""
     if a.cols != b.rows or a.rows != b.cols:
         raise ValueError("shapes not compatible with a square product")
-    total = _ZERO
-    for i in range(a.rows):
-        arow = a.entries[i]
-        for k in range(a.cols):
-            x = arow[k]
-            if x:
-                total += x * b.entries[k][i]
-    return total
+    return Fraction(sum(x * b.ints[k][i] for i, arow in enumerate(a.ints)
+                        for k, x in enumerate(arow) if x), a.scale * b.scale)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, row-major block layout."""
-    out = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                x = a.entries[i][j]
-                brow = b.entries[p]
-                if x:
-                    row.extend(x * y for y in brow)
-                else:
-                    row.extend(_ZERO for _ in brow)
-            out.append(tuple(row))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    zeros = (0,) * b.cols
+    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        tuple(y for x in arow for y in (tuple(x * y for y in brow) if x else zeros))
+        for arow in a.ints for brow in b.ints), a.scale * b.scale)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -196,11 +183,6 @@ def _fractions(ints: Sequence[int], scale: int) -> Vector:
 def _primitive(row: list[int]) -> list[int]:
     content = math.gcd(*row)
     return [x // content for x in row] if content > 1 else row
-
-
-def _over_pivot(row: Sequence[int], p: int) -> Vector:
-    """An integer row divided by its entry at p: the RREF row it stands for."""
-    return tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
 
 
 def _rref_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -230,12 +212,19 @@ def _rref_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], li
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(ints, pivots)], pivots
 
 
+def _over_pivots(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple[tuple, int]:
+    """Each integer row over its entry at its pivot (its RREF row), all over one scale."""
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return tuple(tuple(x * (scale // row[p]) for x in row)
+                 for row, p in zip(rows, pivots)), scale
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank."""
-    rows, pivots = _rref_rows(m.entries, m.cols)
-    reduced = tuple(_over_pivot(row, c) for row, c in zip(rows, pivots))
-    padding = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
-    return Matrix(m.rows, m.cols, reduced + padding), len(pivots)
+    rows, pivots = _rref_rows(m.ints, m.cols)
+    reduced, scale = _over_pivots(rows, pivots)
+    padding = ((0,) * m.cols,) * (m.rows - len(pivots))
+    return Matrix(m.rows, m.cols, reduced + padding, scale), len(pivots)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:
@@ -243,10 +232,12 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
 
     Free variables are set to zero, so the returned solution is canonical.
     """
-    rhs = as_vector(b)
+    rhs, rhs_scale = _cleared([_exact(x) for x in b])
     if len(rhs) != a.rows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {a.rows} rows")
-    rows, pivots = _rref_rows([(*r, rhs[i]) for i, r in enumerate(a.entries)], a.cols + 1)
+    # (ints/scale) x = rhs/rhs_scale, cleared: rhs_scale*ints x = scale*rhs.
+    rows, pivots = _rref_rows([[*(rhs_scale * x for x in r), a.scale * y]
+                               for r, y in zip(a.ints, rhs)], a.cols + 1)
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
@@ -300,7 +291,8 @@ class Subspace:
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
-        return tuple(_over_pivot(row, p) for row, p in zip(self.rows, self.pivots))
+        reduced, scale = _over_pivots(self.rows, self.pivots)
+        return tuple(_fractions(row, scale) for row in reduced)
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -355,6 +347,19 @@ class Subspace:
         """Ambient coordinate indices not used as pivots; they span a complement."""
         return tuple(j for j in range(self.ambient_dim) if j not in self.pivots)
 
+    def projection(self) -> Matrix:
+        """The map v -> reduce(v) read on the complement coordinates, as a matrix.
+
+        Column j is e_j's remainder: e_j itself off the pivots, and -row/row[p] on the
+        complement for the pivot p of a row.
+        """
+        complement = self.complement_coordinates()
+        reduced, scale = _over_pivots(self.rows, self.pivots)
+        at_pivot = dict(zip(self.pivots, reduced))
+        return Matrix(len(complement), self.ambient_dim, tuple(
+            tuple(-at_pivot[k][j] if k in at_pivot else scale * (k == j)
+                  for k in range(self.ambient_dim)) for j in complement), scale)
+
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient dimensions")
@@ -376,8 +381,7 @@ def null_space(rows: Iterable[Sequence], cols: int) -> Subspace:
 
 def kernel_image(a: Matrix) -> tuple[Subspace, Subspace]:
     """Null space and column space of a, both canonical."""
-    image = Subspace.from_vectors(a.rows, [a.column(j) for j in range(a.cols)])
-    return null_space(a.entries, a.cols), image
+    return null_space(a.ints, a.cols), Subspace._span(a.rows, zip(*a.ints))
 
 
 def invert(m: Matrix) -> Matrix | None:
@@ -386,16 +390,12 @@ def invert(m: Matrix) -> Matrix | None:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     rows, pivots = _rref_rows([(*r, *(int(i == j) for j in range(n)))
-                               for i, r in enumerate(m.entries)], 2 * n)
+                               for i, r in enumerate(m.ints)], 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return Matrix(n, n, tuple(_over_pivot(r, i)[n:] for i, r in enumerate(rows[:n])))
-
-
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    """Clear denominators; scaling does not change nilpotency or kernels of powers."""
-    flat, _ = _cleared([x for row in m.entries for x in row])
-    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    # [ints | I] reduces to [I | ints**-1], and (ints/scale)**-1 = scale * ints**-1.
+    inverse, scale = _over_pivots(rows, pivots)
+    return Matrix(n, n, tuple(tuple(m.scale * x for x in row[n:]) for row in inverse), scale)
 
 
 def nilpotency_exponent(m: Matrix) -> tuple[bool, int]:
@@ -412,7 +412,7 @@ def nilpotency_exponent(m: Matrix) -> tuple[bool, int]:
     n = m.rows
     if n == 0:
         return True, 0
-    power = _integer_rows(m)
+    power = m.ints  # a positive scale changes neither nilpotency nor which traces vanish
     exponent = 1
     while True:
         if all(not x for row in power for x in row):
@@ -421,19 +421,20 @@ def nilpotency_exponent(m: Matrix) -> tuple[bool, int]:
             return False, exponent
         if exponent >= n:
             return False, exponent
-        power = _int_square(power)
+        power = _int_product(power, power, n)
         exponent *= 2
 
 
-def _int_square(rows: list[list[int]]) -> list[list[int]]:
-    n = len(rows)
+def _int_product(rows: Sequence[Sequence[int]], other: Sequence[Sequence[int]],
+                 cols: int) -> list[list[int]]:
+    """The product of two integer matrices given by rows; other has cols columns."""
     out = []
     for row in rows:
-        acc = [0] * n
+        acc = [0] * cols
         for k, a in enumerate(row):
             if a:
-                brow = rows[k]
-                for j in range(n):
+                brow = other[k]
+                for j in range(cols):
                     b = brow[j]
                     if b:
                         acc[j] += a * b
@@ -454,10 +455,10 @@ def generalized_eigenspace(x: Matrix, lam) -> Subspace:
     if not x.is_square():
         raise ValueError("generalized eigenspaces need a square matrix")
     n = x.rows
-    power = _integer_rows(x - Matrix.identity(n).scaled(frac(lam)))
+    power = (x - Matrix.identity(n).scaled(lam)).ints  # scaling keeps the kernels
     exponent = 1
     while exponent < n:
-        power = _int_square(power)
+        power = _int_product(power, power, n)
         exponent *= 2
     return null_space(power, n)
 

@@ -110,9 +110,9 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
     n1, n2 = rep1.dim_v, rep2.dim_v
     matrices = []
     for m1, m2 in zip(rep1.matrices, rep2.matrices):
-        rows = [tuple(m1.entries[i]) + (_ZERO,) * n2 for i in range(n1)]
-        rows += [(_ZERO,) * n1 + tuple(m2.entries[i]) for i in range(n2)]
-        matrices.append(Matrix(n1 + n2, n1 + n2, tuple(rows)))
+        rows = [(*row, *(0,) * n2) for row in m1.entries]
+        rows += [(*(0,) * n1, *row) for row in m2.entries]
+        matrices.append(Matrix.from_rows(rows))
     return Representation(rep1.algebra, n1 + n2, tuple(matrices),
                           f"sum({rep1.label}, {rep2.label})")
 
@@ -160,7 +160,7 @@ def weight_space(rep: Representation, space: Subspace, weight: Weight) -> Subspa
     current = Subspace.full(rep.dim_v)
     for v, lam in zip(space.basis, weight.values):
         shifted = rep.action(v) - Matrix.identity(rep.dim_v).scaled(lam)
-        current = current.intersect(null_space(shifted.entries, rep.dim_v))
+        current = current.intersect(null_space(shifted.ints, rep.dim_v))
         if current.is_zero():
             break
     return current
@@ -201,7 +201,7 @@ def rational_weights(rep: Representation, space: Subspace) -> list[Weight]:
             return
         for lam in candidates[level]:
             shifted = actions[level] - Matrix.identity(rep.dim_v).scaled(lam)
-            inter = current.intersect(null_space(shifted.entries, rep.dim_v))
+            inter = current.intersect(null_space(shifted.ints, rep.dim_v))
             if not inter.is_zero():
                 descend(level + 1, values + (lam,), inter)
 

@@ -26,7 +26,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _integer_rows,
     frac,
     generalized_eigenspace,
     is_nilpotent,
@@ -53,15 +52,10 @@ class KillingForm:
     def value(self, x, y) -> Fraction:
         xv = self.algebra.element(x)
         yv = self.algebra.element(y)
-        return _dot(xv, self.gram.apply(yv))
+        return sum((a * b for a, b in zip(xv, self.gram.apply(yv)) if a and b), _ZERO)
 
     def is_nondegenerate(self) -> bool:
-        _, rank = rref(self.gram)
-        return rank == self.algebra.dim
-
-
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+        return rref(self.gram)[1] == self.algebra.dim
 
 
 def killing_form(algebra: LieAlgebra, x, y) -> Fraction:
@@ -76,24 +70,24 @@ def killing_matrix(algebra: LieAlgebra) -> KillingForm:
 def _killing_gram(algebra: LieAlgebra) -> Matrix:
     """K_ij = trace(ad e_i ad e_j) = sum over l, k of c(i,l)_k c(j,k)_l, where c(i,l)_k is
     the coefficient of e_k in [e_i, e_l]; summed on the algebra's integer constants s*c,
-    divided by s**2, for i <= j only.
+    over s**2, for i <= j only.
     """
     n = algebra.dim
     c = algebra._constants
-    gram = [[_ZERO] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            total = sum(x * c[j].get(k, {}).get(l, 0)
-                        for l, expansion in c[i].items() for k, x in expansion.items())
-            gram[i][j] = gram[j][i] = Fraction(total, algebra._scale ** 2)
-    return Matrix(n, n, tuple(map(tuple, gram)))
+            gram[i][j] = gram[j][i] = sum(x * c[j].get(k, {}).get(l, 0)
+                                          for l, expansion in c[i].items()
+                                          for k, x in expansion.items())
+    return Matrix(n, n, tuple(map(tuple, gram)), algebra._scale ** 2)
 
 
 def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
     """Orthogonal complement of a subspace under the Killing form."""
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace must live in the algebra")
-    gram = _integer_rows(killing_matrix(algebra).gram)  # symmetric, so rows serve as columns
+    gram = killing_matrix(algebra).gram.ints  # symmetric, so rows serve as columns
     return null_space([[sum(x * y for x, y in zip(column, v) if y) for column in gram]
                        for v in space.rows], algebra.dim)
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from lienil.catalog import builtin
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, Subspace, Vector, as_vector, invert, kernel_image
+from lienil.linalg import Matrix, Subspace, Vector, as_vector, frac, invert, kernel_image
 from lienil.reps import Representation, direct_sum, dual, tensor
 
 
@@ -141,7 +143,7 @@ def fraction_ad(g: LieAlgebra, x) -> Matrix:
                 entries[k][j] += a * c
             if b:
                 entries[k][i] -= b * c
-    return Matrix(g.dim, g.dim, tuple(map(tuple, entries)))
+    return Matrix.from_rows(entries)
 
 
 def fraction_killing_gram(g: LieAlgebra) -> Matrix:
@@ -157,7 +159,7 @@ def fraction_killing_gram(g: LieAlgebra) -> Matrix:
         for j in range(i, n):
             total = sum(x * c[j][k].get(l, 0) for l in range(n) for k, x in c[i][l].items())
             gram[i][j] = gram[j][i] = Fraction(total, scale * scale)
-    return Matrix(n, n, tuple(map(tuple, gram)))
+    return Matrix.from_rows(gram)
 
 
 def fraction_reduce(space: Subspace, v) -> Vector:
@@ -221,3 +223,105 @@ def fraction_jacobi_violations(g: LieAlgebra) -> list[str]:
                         f"({g.basis_names[i]}, {g.basis_names[j]}, "
                         f"{g.basis_names[k]}): residual {residual}")
     return violations
+
+
+# --- the dense Fraction matrix the integer Matrix replaced ------------------------
+
+@dataclass(frozen=True)
+class FractionMatrix:
+    """Immutable dense matrix of Fractions, entry by entry: the reference for ``Matrix``."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "FractionMatrix":
+        entries = tuple(tuple(frac(x) for x in row) for row in rows)
+        n_cols = cols if cols is not None else len(entries[0]) if entries else 0
+        return cls(len(entries), n_cols, entries)
+
+    @classmethod
+    def identity(cls, n: int) -> "FractionMatrix":
+        return cls(n, n, tuple(
+            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence]) -> "FractionMatrix":
+        cols = [as_vector(c) for c in columns]
+        n_rows = len(cols[0]) if cols else 0
+        return cls(n_rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n_rows)))
+
+    def __add__(self, other: "FractionMatrix") -> "FractionMatrix":
+        return FractionMatrix(self.rows, self.cols, tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "FractionMatrix") -> "FractionMatrix":
+        return FractionMatrix(self.rows, self.cols, tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+
+    def __neg__(self) -> "FractionMatrix":
+        return FractionMatrix(self.rows, self.cols, tuple(
+            tuple(-a for a in row) for row in self.entries))
+
+    def scaled(self, c) -> "FractionMatrix":
+        c = frac(c)
+        return FractionMatrix(self.rows, self.cols, tuple(
+            tuple(c * a for a in row) for row in self.entries))
+
+    def __matmul__(self, other: "FractionMatrix") -> "FractionMatrix":
+        return FractionMatrix(self.rows, other.cols, tuple(
+            tuple(sum((row[k] * other.entries[k][j] for k in range(self.cols)), _ZERO)
+                  for j in range(other.cols))
+            for row in self.entries))
+
+    def apply(self, v: Sequence) -> Vector:
+        vec = as_vector(v)
+        return tuple(sum((a * x for a, x in zip(row, vec)), _ZERO) for row in self.entries)
+
+    def transpose(self) -> "FractionMatrix":
+        return FractionMatrix(self.cols, self.rows, tuple(
+            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+
+    def trace(self) -> Fraction:
+        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
+
+
+def fraction_trace_product(a: FractionMatrix, b: FractionMatrix) -> Fraction:
+    return sum((a.entries[i][k] * b.entries[k][i]
+                for i in range(a.rows) for k in range(a.cols)), _ZERO)
+
+
+def fraction_kron(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
+    return FractionMatrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        tuple(x * y for x in a.entries[i] for y in b.entries[p])
+        for i in range(a.rows) for p in range(b.rows)))
+
+
+def fraction_rref_matrix(m: FractionMatrix) -> tuple[FractionMatrix, int]:
+    """Reduced row-echelon form padded with zero rows, and the rank."""
+    reduced, pivots = fraction_rref(m.entries, m.cols)
+    padding = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
+    return FractionMatrix(m.rows, m.cols, reduced + padding), len(pivots)
+
+
+def fraction_solve(a: FractionMatrix, b: Sequence) -> Vector | None:
+    """The solution with free variables zero, or None, by Gauss-Jordan in Fractions."""
+    rhs = as_vector(b)
+    reduced, pivots = fraction_rref([(*row, y) for row, y in zip(a.entries, rhs)], a.cols + 1)
+    if a.cols in pivots:
+        return None
+    x = [_ZERO] * a.cols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[a.cols]
+    return tuple(x)
+
+
+def fraction_invert(m: FractionMatrix) -> FractionMatrix | None:
+    n = m.rows
+    reduced, pivots = fraction_rref(
+        [(*row, *(Fraction(int(i == j)) for j in range(n))) for i, row in enumerate(m.entries)],
+        2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return FractionMatrix(n, n, tuple(row[n:] for row in reduced[:n]))

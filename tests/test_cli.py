@@ -8,9 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lienil.semisimple as semisimple
 from lienil.catalog import builtin, standard_entries
+from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace
 from lienil.cli import (
     ParseError,
@@ -98,6 +101,56 @@ def test_parse_error_on_bad_basis_count():
 def test_parse_error_on_missing_dim():
     with pytest.raises(ParseError):
         parse_algebra("basis a b\n[a,b] = b\n")
+
+
+@pytest.mark.parametrize("line", ["basisfoo a b", "basis_x a b"])
+def test_basis_line_needs_the_exact_keyword(tmp_path, line):
+    code, text = capture(["info", write(tmp_path, "bad.txt", f"dim 2\n{line}\n")])
+    assert code == 1
+    assert f"line 2: unrecognized line {line!r}" in text
+
+
+_FILE_ALPHABET = "dimbasxyz0123456789 \t[],=+-/#~._"
+_file_lines = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["dim 0", "dim 2", "basis", "basis x y", "[x,y] = y"]),
+    st.builds(lambda head, tail: head + tail,
+              st.sampled_from(["", "dim ", "basis ", "[x,y] = ", "[y,x] = ", "# "]),
+              st.text(alphabet=_FILE_ALPHABET, max_size=20)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_file_lines, max_size=6).map("\n".join))
+def test_parse_algebra_returns_an_algebra_or_raises_parse_error(text):
+    try:
+        algebra = parse_algebra(text)
+    except ParseError:
+        return
+    assert isinstance(algebra, LieAlgebra)
+
+
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_~.]{0,3}", fullmatch=True)
+_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _algebras(draw):
+    names = draw(st.lists(_names, max_size=5, unique=True))
+    n = len(names)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LieAlgebra(n, names, {
+        pair: draw(st.dictionaries(st.integers(0, n - 1), _coefficients, max_size=n))
+        for pair in keys})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_algebras())
+def test_render_then_parse_is_the_identity(g):
+    back = parse_algebra(render_algebra(g))
+    assert back == g
+    assert back.basis_names == g.basis_names
+    assert back._table_key == g._table_key
 
 
 def test_parse_element_values():

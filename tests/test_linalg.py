@@ -30,7 +30,15 @@ from lienil.linalg import (
     trace_product,
 )
 
-from support import matrix_power
+from support import (
+    FractionMatrix,
+    fraction_invert,
+    fraction_kron,
+    fraction_rref_matrix,
+    fraction_solve,
+    fraction_trace_product,
+    matrix_power,
+)
 
 F = Fraction
 
@@ -380,6 +388,153 @@ def test_rank_and_nullspace_match_sympy():
         assert rref(m)[1] == image.dim == theirs.rank()
         assert kernel == Subspace.from_vectors(m.cols, [
             [F(int(x.p), int(x.q)) for x in v] for v in theirs.nullspace()])
+
+
+# --- integer Matrix against the Fraction reference ---------------------------
+
+def _huge(rng):
+    """Zero, an integer or a fraction, with numerators up to 10**12."""
+    roll = rng.random()
+    if roll < 0.25:
+        return 0
+    if roll < 0.4:
+        return rng.randint(-10**12, 10**12)
+    return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+
+
+def _twin(rng, rows, cols):
+    """One seeded input as a Matrix and as the Fraction reference."""
+    entries = [[_huge(rng) for _ in range(cols)] for _ in range(rows)]
+    m = Matrix.from_rows(entries) if rows else Matrix.zero(0, cols)
+    return m, FractionMatrix.from_rows(entries, cols)
+
+
+def _special_twins():
+    """Zero and identity matrices, and rows sharing a factor (they must be reduced)."""
+    out = []
+    for rows in ([[0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[2, 4], [6, -8]], [[F(3, 10), F(6, 5)], [F(-9, 20), 0]], [[10**12]]):
+        out.append((Matrix.from_rows(rows), FractionMatrix.from_rows(rows)))
+    return out
+
+
+def _assert_twin(m, ref):
+    """m has ref's shape and entries, in lowest terms over a positive scale."""
+    assert isinstance(m, Matrix)
+    assert (m.rows, m.cols, m.entries) == (ref.rows, ref.cols, ref.entries)
+    assert all(type(x) is int for row in m.ints for x in row)
+    assert m.scale > 0 and math.gcd(m.scale, *(x for row in m.ints for x in row)) == 1
+
+
+_SCALARS = (0, 1, -1, F(3, 7), 10**12, F(-10**12, 10**9), "2/6")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_operations_match_fraction_reference(seed):
+    rng = random.Random(1000 + seed)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5)]
+    cases = [_twin(rng, r, c) for r, c in shapes] + _special_twins()
+    for m, ref in cases:
+        _assert_twin(-m, -ref)
+        _assert_twin(m.transpose(), ref.transpose())
+        for c in _SCALARS:
+            _assert_twin(m.scaled(c), ref.scaled(c))
+        x = [_huge(rng) for _ in range(m.cols)]
+        assert m.apply(x) == ref.apply(x)
+        columns = [ref.entries[i] for i in range(m.rows)]  # rows, read as columns
+        _assert_twin(Matrix.from_columns(columns), FractionMatrix.from_columns(columns))
+        other, other_ref = _twin(rng, m.rows, m.cols)
+        _assert_twin(m + other, ref + other_ref)
+        _assert_twin(m - other, ref - other_ref)
+        _assert_twin(m - m, ref - ref)
+        for k in (0, 2):
+            right, right_ref = _twin(rng, m.cols, k)
+            _assert_twin(m @ right, ref @ right_ref)
+        for shape in ((2, 2), (0, 2), (1, 3)):
+            small, small_ref = _twin(rng, *shape)
+            _assert_twin(kron(m, small), fraction_kron(ref, small_ref))
+            _assert_twin(kron(small, m), fraction_kron(small_ref, ref))
+        across, across_ref = _twin(rng, m.cols, m.rows)
+        assert trace_product(m, across) == fraction_trace_product(ref, across_ref)
+        reduced, rank = rref(m)
+        reduced_ref, rank_ref = fraction_rref_matrix(ref)
+        _assert_twin(reduced, reduced_ref)
+        assert rank == rank_ref
+        b = [_huge(rng) for _ in range(m.rows)]
+        for rhs in (b, ref.apply(x)):
+            assert solve(m, rhs) == fraction_solve(ref, rhs)
+        if m.is_square():
+            assert m.trace() == ref.trace()
+            inverse, inverse_ref = invert(m), fraction_invert(ref)
+            assert (inverse is None) == (inverse_ref is None)
+            if inverse is not None:
+                _assert_twin(inverse, inverse_ref)
+                _assert_twin(m @ inverse, FractionMatrix.identity(m.rows))
+
+
+def test_matrix_form_is_canonical():
+    half = Matrix.from_rows([[F(1, 2)]])
+    assert Matrix.from_rows([[F(2, 4)]]) == half
+    assert (half.ints, half.scale) == (((1,),), 2)
+    unreduced = Matrix(1, 1, ((2,),), 4)
+    assert unreduced == half and hash(unreduced) == hash(half)
+    assert Matrix(2, 2, ((0, 0), (0, 0)), 7) == Matrix.zero(2, 2)
+    assert Matrix(2, 2, ((0, 0), (0, 0)), 7).scale == 1
+    assert (half - half).scale == 1 and (half - half).ints == ((0,),)
+    assert Matrix.from_rows([[2, 4]]).scaled(F(1, 2)) == Matrix.from_rows([[1, 2]])
+    assert len({Matrix.from_rows([[F(1, 3), 1]]), Matrix(1, 2, ((2, 6),), 6)}) == 1
+    for scale in (0, -2):
+        with pytest.raises(ValueError):
+            Matrix(1, 1, ((1,),), scale)
+
+
+# --- differential check against sympy ----------------------------------------
+
+def _differential_inputs(seed=59):
+    """Seeded square matrices up to 6x6 (numerators to 10**12, denominators to 10**9),
+    conjugates P T P**-1 of triangular T with repeated rational diagonals, and
+    nilpotent conjugates P N P**-1."""
+    rng = random.Random(seed)
+
+    def big():
+        return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) if rng.random() < 0.8 else 0
+
+    def conjugate(n, diagonal):
+        while True:
+            p = Matrix.from_rows([[big() for _ in range(n)] for _ in range(n)])
+            p_inv = invert(p)
+            if p_inv is not None:
+                break
+        t = Matrix.from_rows([[diagonal[i] if i == j else big() if j > i else 0
+                               for j in range(n)] for i in range(n)])
+        return p @ t @ p_inv
+
+    dense, triangular, nilpotent = [], [], []
+    for n in range(1, 7):
+        dense.append(Matrix.from_rows([[big() for _ in range(n)] for _ in range(n)]))
+        values = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)]
+        triangular.append(conjugate(n, [rng.choice(values) for _ in range(n)]))
+        nilpotent.append(conjugate(n, [0] * n))
+    return dense, triangular, nilpotent
+
+
+def test_spectral_functions_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    dense, triangular, nilpotent = _differential_inputs()
+    for m in dense + triangular + nilpotent:
+        theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                               for row in m.entries])
+        poly = theirs.charpoly(t)
+        assert char_poly(m) == tuple(F(int(c.p), int(c.q)) for c in poly.all_coeffs())
+        assert is_nilpotent(m) == (theirs ** m.rows).is_zero_matrix
+        roots = sorted(F(-int((c / a).p), int((c / a).q))
+                       for factor, _ in sympy.factor_list(poly.as_expr(), t)[1]
+                       if sympy.degree(factor, t) == 1
+                       for a, c in [sympy.Poly(factor, t).all_coeffs()])
+        assert rational_eigenvalues(m) == roots
+    assert all(is_nilpotent(m) for m in nilpotent)
+    assert all(len(rational_eigenvalues(m)) in (1, 2) for m in triangular)
 
 
 # --- properties --------------------------------------------------------------
