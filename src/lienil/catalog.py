@@ -270,14 +270,11 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
         taken.add(candidate)
         module_names.append(candidate)
     names = s.basis_names + tuple(module_names)
-    table: dict[tuple[int, int], dict[int, Fraction]] = {
-        key: dict(val) for key, val in s.table.items()}
+    table = dict(s.table)
     for i in range(s.dim):
         mat = rep.matrices[i]
-        for j in range(dim_v):
-            expansion = {s.dim + r: c for r, c in enumerate(mat.column(j)) if c}
-            if expansion:
-                table[(i, s.dim + j)] = expansion
+        for j in range(dim_v):  # LieAlgebra drops the zero coefficients
+            table[(i, s.dim + j)] = dict(enumerate(mat.column(j), s.dim))
     algebra = LieAlgebra(dim, names, table)
     algebra.validate()
     entry_name = name if name is not None else f"semidirect({rep.label})"

@@ -5,9 +5,9 @@ maps an index pair (i, j) with i < j to the sparse expansion of the bracket
 of basis elements i and j.  Antisymmetry fills in the rest, and ``validate``
 checks the Jacobi identity so arbitrary tables can be rejected early.
 
-The constants are cleared to integers once per algebra, when it is built: s
-times the table, s the lcm of its denominators.  Brackets, adjoints, the Jacobi
-check and the Killing form run on them; Fractions appear only at the API edge.
+The constants are stored once, as integers over one positive scale in lowest
+terms; quotients and basis changes build them without Fractions.  Brackets,
+adjoints, the Jacobi check and the Killing form run on them; ``table`` is a view.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -31,42 +32,28 @@ from .linalg import (
 
 _ZERO = Fraction(0)
 
-StructureTable = dict[tuple[int, int], dict[int, Fraction]]
-
-
-def _freeze_table(table: Mapping[tuple[int, int], Mapping[int, object]],
-                  dim: int) -> StructureTable:
-    frozen: StructureTable = {}
-    for (i, j), expansion in table.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"structure table index ({i}, {j}) out of range for dim {dim}")
-        if i >= j:
-            raise ValueError(f"structure table keys must satisfy i < j, got ({i}, {j})")
-        cleaned = {k: frac(c) for k, c in expansion.items() if frac(c) != 0}
-        for k in cleaned:
-            if not 0 <= k < dim:
-                raise ValueError(f"structure table target index {k} out of range")
-        if cleaned:
-            frozen[(i, j)] = cleaned
-    return frozen
-
-
 def _terms(ints: Sequence[int]) -> list[tuple[int, int]]:
     """The nonzero (index, value) terms of an integer vector."""
     return [(j, x) for j, x in enumerate(ints) if x]
 
 
+def _image(rows: Sequence[Sequence[int]], terms: Collection[tuple[int, int]]) -> dict[int, int]:
+    """The integer matrix with these rows applied to a vector given by (index, value) terms."""
+    return {t: sum(row[k] * c for k, c in terms) for t, row in enumerate(rows)}
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
-    """A Lie algebra presented by basis names and sparse structure constants."""
+    """A Lie algebra presented by basis names and structure constants, stored once as
+    integers over one positive scale s in lowest terms: ``_constants[i][j][k]`` is s times
+    the coefficient of e_k in [e_i, e_j], and ``_table_key``, s with the upper triangle,
+    carries ``==`` and ``hash``.  ``table`` is the Fraction view, made on first read."""
 
     dim: int
     basis_names: tuple[str, ...]
-    table: StructureTable = field(compare=False)
-    _table_key: tuple = field(default=(), repr=False)
-    # The cleared constants: _constants[i][j][k] = s * c(i,j)_k for i != j, s = _scale.
-    _scale: int = field(default=1, compare=False, repr=False)
-    _constants: tuple[dict[int, dict[int, int]], ...] = field(default=(), compare=False, repr=False)
+    _table_key: tuple = field(repr=False)
+    _scale: int = field(compare=False, repr=False)
+    _constants: tuple[dict[int, dict[int, int]], ...] = field(compare=False, repr=False)
 
     def __init__(self, dim: int, basis_names: Sequence[str],
                  table: Mapping[tuple[int, int], Mapping[int, object]]):
@@ -75,21 +62,49 @@ class LieAlgebra:
         names = tuple(basis_names)
         if len(names) != dim:
             raise ValueError(f"{len(names)} basis names for dimension {dim}")
-        if len(set(names)) != dim:
+        cleaned = {}
+        for (i, j), expansion in table.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"structure table index ({i}, {j}) out of range for dim {dim}")
+            if i >= j:
+                raise ValueError(f"structure table keys must satisfy i < j, got ({i}, {j})")
+            cleaned[i, j] = {k: frac(c) for k, c in expansion.items() if frac(c) != 0}
+            for k in cleaned[i, j]:
+                if not 0 <= k < dim:
+                    raise ValueError(f"structure table target index {k} out of range")
+        scale = math.lcm(*(c.denominator for e in cleaned.values() for c in e.values()))
+        self._store(names, {key: {k: c.numerator * (scale // c.denominator) for k, c in e.items()}
+                            for key, e in cleaned.items()}, scale)
+
+    @classmethod
+    def _from_ints(cls, names: tuple[str, ...],
+                   products: Mapping[tuple[int, int], Mapping[int, int]], scale: int) -> "LieAlgebra":
+        """The algebra with [e_i, e_j] = products[i, j] / scale for i < j."""
+        algebra = object.__new__(cls)
+        algebra._store(names, products, scale)
+        return algebra
+
+    def _store(self, names: tuple[str, ...], products: Mapping[tuple[int, int], Mapping[int, int]],
+               scale: int) -> None:
+        """Set the fields from integer products over a positive scale, in lowest terms."""
+        if len(set(names)) != len(names):
             raise ValueError("basis names must be distinct")
-        frozen = _freeze_table(table, dim)
-        object.__setattr__(self, "dim", dim)
+        content = math.gcd(scale, *(c for e in products.values() for c in e.values()))
+        pairs = tuple((key, tuple((k, c // content) for k, c in sorted(products[key].items()) if c))
+                      for key in sorted(products) if any(products[key].values()))
+        constants = tuple({} for _ in names)
+        for (i, j), expansion in pairs:
+            constants[i][j], constants[j][i] = dict(expansion), {k: -c for k, c in expansion}
+        object.__setattr__(self, "dim", len(names))
         object.__setattr__(self, "basis_names", names)
-        object.__setattr__(self, "table", frozen)
-        object.__setattr__(self, "_table_key", tuple(
-            (key, tuple(sorted(frozen[key].items()))) for key in sorted(frozen)))
-        scale = math.lcm(*(c.denominator for e in frozen.values() for c in e.values()))
-        constants = tuple({} for _ in range(dim))
-        for (i, j), expansion in frozen.items():
-            row = {k: c.numerator * (scale // c.denominator) for k, c in expansion.items()}
-            constants[i][j], constants[j][i] = row, {k: -c for k, c in row.items()}
-        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_table_key", (scale // content, pairs))
+        object.__setattr__(self, "_scale", scale // content)
         object.__setattr__(self, "_constants", constants)
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        scale, pairs = self._table_key
+        return {key: {k: Fraction(c, scale) for k, c in expansion} for key, expansion in pairs}
 
     @classmethod
     def from_products(cls, names: Sequence[str],
@@ -161,9 +176,9 @@ class LieAlgebra:
         [e_a, e_b] in the table adds [e_x, [e_a, e_b]] to the cyclic sum of {x, a, b},
         negated when a < x < b, expanded from the cleared constants (s**2 times it)."""
         residuals: dict[tuple[int, int, int], list[int]] = {}
-        for a, b in self.table:
+        for (a, b), expansion in self._table_key[1]:
             for x in range(self.dim):
-                terms = [(t, c * d) for m, c in self._constants[a][b].items()
+                terms = [(t, c * d) for m, c in expansion
                          for t, d in self._constants[x].get(m, {}).items()]
                 if terms and x != a and x != b:
                     total = residuals.setdefault(tuple(sorted((x, a, b))), [0] * self.dim)
@@ -201,7 +216,7 @@ class LieAlgebra:
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the table's values, the brackets of basis pairs."""
         return Subspace._span(self.dim, [[self._constants[i][j].get(k, 0) for k in range(self.dim)]
-                                         for i, j in self.table])
+                                         for (i, j), _ in self._table_key[1]])
 
     def derived_series(self, start: Subspace | None = None) -> list[Subspace]:
         """The chain s >= [s,s] >= ... from the subalgebra s = start (default g),
@@ -252,18 +267,12 @@ class LieAlgebra:
     # -- derivations --------------------------------------------------------
 
     def is_derivation(self, d: Matrix) -> bool:
-        """Check d[x,y] = [dx,y] + [x,dy] on all basis pairs."""
+        """d[x,y] = [dx,y] + [x,dy] for all y is d ad(x) - ad(x) d = ad(dx), linear in x,
+        so it is checked on the basis elements x = e_i."""
         if d.rows != self.dim or d.cols != self.dim:
             raise ValueError("derivation candidate has the wrong shape")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                ei, ej = self.basis_element(i), self.basis_element(j)
-                lhs = d.apply(self.bracket(ei, ej))
-                rhs = tuple(a + b for a, b in zip(
-                    self.bracket(d.apply(ei), ej), self.bracket(ei, d.apply(ej))))
-                if lhs != rhs:
-                    return False
-        return True
+        ads = [self.ad(self.basis_element(i)) for i in range(self.dim)]
+        return all(d @ a - a @ d == self.ad(d.column(i)) for i, a in enumerate(ads))
 
     # -- constructions ------------------------------------------------------
 
@@ -279,17 +288,13 @@ class LieAlgebra:
             if len(names) != q_dim:
                 raise ValueError(f"{len(names)} names for quotient dimension {q_dim}")
         projection = ideal.projection()
-        denominator = self._scale * projection.scale
-        table = {}  # [e~a, e~b] is the projection of s * [e_i, e_j], over s
-        for a, i in enumerate(complement):
-            for b in range(a + 1, q_dim):
-                expansion = self._constants[i].get(complement[b], {})
-                image = [sum(c * row[k] for k, c in expansion.items()) for row in projection.ints]
-                if any(image):
-                    table[a, b] = {t: x for t, x in enumerate(_fractions(image, denominator)) if x}
+        products = {(a, b): _image(projection.ints, self._constants[i][complement[b]].items())
+                    for a, i in enumerate(complement) for b in range(a + 1, q_dim)
+                    if complement[b] in self._constants[i]}  # the projection of s [e_i, e_j]
+        target = LieAlgebra._from_ints(names, products, self._scale * projection.scale)
         section = Matrix(self.dim, q_dim, tuple(
             tuple(int(k == j) for j in complement) for k in range(self.dim)))
-        return QuotientMap(self, LieAlgebra(q_dim, names, table), ideal, projection, section)
+        return QuotientMap(self, target, ideal, projection, section)
 
     def change_of_basis(self, new_basis,
                         names: Sequence[str] | None = None) -> "LieAlgebra":
@@ -306,17 +311,18 @@ class LieAlgebra:
         names = tuple(f"b{i}" for i in range(self.dim)) if names is None else tuple(names)
         if len(names) != self.dim:
             raise ValueError(f"{len(names)} basis names for dimension {self.dim}")
-        return LieAlgebra.from_products(
-            names, lambda i, j: p_inv.apply(self.bracket(columns[i], columns[j])))
+        # P^-1 [P e_i, P e_j]: p_inv.ints on s [p.ints e_i, p.ints e_j], over the scales.
+        ints = [_terms(column) for column in zip(*p.ints)]
+        products = {(i, j): _image(p_inv.ints, _terms(self._int_bracket(ints[i], ints[j])))
+                    for i in range(self.dim) for j in range(i + 1, self.dim)}
+        return LieAlgebra._from_ints(names, products, p_inv.scale * self._scale * p.scale ** 2)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         names = tuple(f"{n}.0" for n in self.basis_names) + tuple(
             f"{n}.1" for n in other.basis_names)
-        table: dict[tuple[int, int], dict[int, Fraction]] = {
-            key: dict(val) for key, val in self.table.items()}
         off = self.dim
-        for (i, j), val in other.table.items():
-            table[(i + off, j + off)] = {k + off: c for k, c in val.items()}
+        table = {**self.table, **{(i + off, j + off): {k + off: c for k, c in val.items()}
+                                  for (i, j), val in other.table.items()}}
         return LieAlgebra(self.dim + other.dim, names, table)
 
     def format_element(self, v: Sequence) -> str:

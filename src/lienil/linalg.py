@@ -311,16 +311,20 @@ class Subspace:
                 scale *= a
         return ints, scale
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical remainder of v after eliminating all pivot coordinates."""
+    def _as_ints(self, v: Sequence) -> tuple[list[int], int]:
+        """v cleared to integers and their scale, once its length is checked."""
         vec = as_vector(v)
         if len(vec) != self.ambient_dim:
             raise ValueError(
                 f"vector length {len(vec)} does not match ambient dimension {self.ambient_dim}")
-        return _fractions(*self._eliminate(*_cleared(vec)))
+        return _cleared(vec)
+
+    def reduce(self, v: Sequence) -> Vector:
+        """Canonical remainder of v after eliminating all pivot coordinates."""
+        return _fractions(*self._eliminate(*self._as_ints(v)))
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self._eliminate(*self._as_ints(v))[0])
 
     def coordinates(self, v: Sequence) -> Vector | None:
         """Coefficients of v against ``basis`` (not ``rows``), or None if outside."""

@@ -194,18 +194,10 @@ class Structure:
     @cached_property
     def functionals(self) -> tuple[Vector, ...]:
         """One functional per free coordinate of [g, g]: 1 on it, 0 on the other
-        free coordinates and on [g, g]; jointly they separate g from [g, g].
+        free coordinates and on [g, g]; jointly they separate g from [g, g].  They are
+        the rows of the projection along [g, g] onto the free coordinates.
         """
-        derived = self.derived
-        pivots = derived.pivots
-        out = []
-        for q in derived.complement_coordinates():
-            xi = [_ZERO] * self.algebra.dim
-            xi[q] = Fraction(1)
-            for row, p in zip(derived.basis, pivots):
-                xi[p] = -row[q]
-            out.append(tuple(xi))
-        return tuple(out)
+        return self.derived.projection().entries
 
 
 def analyze(algebra: LieAlgebra) -> Structure:

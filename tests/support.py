@@ -204,6 +204,27 @@ def fraction_null_space(rows, cols: int) -> list[Vector]:
     return out
 
 
+def fraction_change_of_basis(g: LieAlgebra, columns, names: Sequence[str]) -> LieAlgebra:
+    """g on the basis of these columns, each P^-1 [P e_i, P e_j] applied in Fractions."""
+    p_inv = invert(Matrix.from_columns(columns))
+    return LieAlgebra.from_products(
+        names, lambda i, j: p_inv.apply(g.bracket(columns[i], columns[j])))
+
+
+def fraction_is_derivation(g: LieAlgebra, d: Matrix) -> bool:
+    """d[e_i, e_j] = [d e_i, e_j] + [e_i, d e_j] on every basis pair, in Fractions."""
+    m = FractionMatrix.from_rows(d.entries, g.dim)
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            ei, ej = g.basis_element(i), g.basis_element(j)
+            lhs = m.apply(fraction_bracket(g, ei, ej))
+            rhs = tuple(a + b for a, b in zip(fraction_bracket(g, m.apply(ei), ej),
+                                              fraction_bracket(g, ei, m.apply(ej))))
+            if lhs != rhs:
+                return False
+    return True
+
+
 def fraction_jacobi_violations(g: LieAlgebra) -> list[str]:
     """The Jacobi messages from dense Fraction brackets of every basis triple."""
     violations = []

@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, Subspace, kernel_image
+from lienil.cli import parse_algebra, render_algebra
+from lienil.linalg import Matrix, Subspace, invert, kernel_image
+from lienil.oracle import nilpotent_in_all_reps
 from lienil.semisimple import analyze, killing_orth, radical
 
 from support import (
     fraction_bracket,
+    fraction_change_of_basis,
+    fraction_is_derivation,
     fraction_jacobi_violations,
     fraction_killing_gram,
     fraction_null_space,
@@ -381,3 +385,116 @@ def test_direct_sum_structure():
     left = g.element((1, 1, 1, 0, 0, 0))
     right = g.element((0, 0, 0, 1, 1, 1))
     assert g.bracket(left, right) == (0,) * 6
+
+
+# --- one integer form for the structure constants ------------------------------------
+
+def _fractions_in(value) -> bool:
+    if isinstance(value, Fraction):
+        return True
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    return isinstance(value, (tuple, list)) and any(map(_fractions_in, value))
+
+
+def _fresh_algebras() -> list[LieAlgebra]:
+    gl2 = builtin("gl2").algebra
+    sl3 = builtin("sl3").algebra
+    return [
+        LieAlgebra(3, ("x", "y", "z"), {(0, 1): {2: F(3, 4)}, (0, 2): {2: F(-1, 6)}}),
+        with_rational_basis_changes(gl2, 1)[1], with_rational_basis_changes(sl3, 1)[1],
+        gl2.quotient(analyze(gl2).radical).target,
+        parse_algebra(render_algebra(sl3)),
+    ]
+
+
+def test_fresh_algebra_holds_no_fraction_until_table_is_read():
+    for g in _fresh_algebras():
+        assert not _fractions_in(vars(g))
+        assert g.table
+        assert _fractions_in(vars(g))
+
+
+def test_decision_and_validation_do_not_build_the_table():
+    for g in _fresh_algebras():
+        g.validate()
+        g.derived_subalgebra()
+        analyze(g).radical
+        nilpotent_in_all_reps(g, seeded_elements(g.dim, 1, seed=g.dim)[0])
+        assert "table" not in vars(g)
+
+
+@pytest.mark.parametrize("entry", standard_entries(), ids=lambda entry: entry.name)
+def test_change_of_basis_matches_fraction_reference(entry):
+    g = entry.algebra
+    names = [f"u{i}" for i in range(g.dim)]
+    identity = [g.basis_element(i) for i in range(g.dim)]
+    cases = [identity] + [seeded_elements(g.dim, g.dim, seed) for seed in (31, 32, 33)]
+    for columns in cases:
+        if invert(Matrix.from_columns(columns)) is None:
+            continue
+        for moved in (g.change_of_basis(columns, names),
+                      g.change_of_basis(Matrix.from_columns(columns), names)):
+            reference = fraction_change_of_basis(g, columns, names)
+            assert moved == reference
+            assert hash(moved) == hash(reference)
+            assert moved._table_key == reference._table_key
+            assert moved.table == reference.table
+
+
+@pytest.mark.parametrize("entry", standard_entries() + [
+    semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
+def test_quotient_target_is_canonical(entry):
+    for g in with_rational_basis_changes(entry.algebra, count=2):
+        target = g.quotient(radical(g)).target
+        rebuilt = LieAlgebra(target.dim, target.basis_names, target.table)
+        assert rebuilt == target
+        assert hash(rebuilt) == hash(target)
+        assert (rebuilt._scale, rebuilt._constants) == (target._scale, target._constants)
+
+
+def test_integer_table_with_common_factor_equals_its_fractions():
+    names = ("x", "y", "z")
+    fractions = LieAlgebra(3, names, {(0, 1): {2: F(3, 2)}, (0, 2): {1: F(-1, 3)}})
+    for products, scale in (({(0, 1): {2: 9}, (0, 2): {1: -2}}, 6),
+                            ({(0, 1): {0: 0, 2: 18}, (0, 2): {1: -4}, (1, 2): {2: 0}}, 12),
+                            ({(0, 1): {2: 9 * 10**20}, (0, 2): {1: -2 * 10**20}}, 6 * 10**20)):
+        ints = LieAlgebra._from_ints(names, products, scale)
+        assert ints == fractions
+        assert hash(ints) == hash(fractions)
+        assert (ints._scale, ints._constants) == (fractions._scale, fractions._constants)
+        assert ints.table == fractions.table
+    heisenberg_times_5 = LieAlgebra._from_ints(names, {(0, 1): {2: 5}}, 5)
+    assert heisenberg_times_5._table_key == (1, (((0, 1), ((2, 1),)),))
+    assert LieAlgebra._from_ints(names, {(0, 1): {2: 0}}, 7)._table_key == (1, ())
+
+
+def test_integer_form_rejects_repeated_names():
+    with pytest.raises(ValueError, match="distinct"):
+        sl2().change_of_basis(Matrix.identity(3), ("a", "a", "b"))
+    with pytest.raises(ValueError, match="distinct"):
+        heisenberg().quotient(Subspace.from_vectors(3, [[0, 0, 1]]), ("p", "p"))
+
+
+def test_is_derivation_matches_pairwise_fraction_check():
+    answers = []
+    diagonals = {"heisenberg": [(1, 0, 1), (0, 2, 2), (3, -1, 2), (1, 1, 1)],
+                 "borel2": [(0, 1), (1, 0)]}
+    for entry in standard_entries():
+        for n, g in enumerate(with_rational_basis_changes(entry.algebra, count=2)):
+            candidates = [Matrix.zero(g.dim, g.dim), Matrix.identity(g.dim)]
+            candidates += [g.ad(x) for x in seeded_elements(g.dim, 2, seed=g.dim + 7)]
+            if n == 0:
+                candidates += [Matrix.from_rows([[int(i == j) * d[j] for j in range(g.dim)]
+                                                 for i in range(g.dim)])
+                               for d in diagonals.get(entry.name, [])]
+            rng = random.Random(g.dim + n)
+            candidates += [Matrix.from_rows([[rng.randint(-2, 2) for _ in range(g.dim)]
+                                             for _ in range(g.dim)]) for _ in range(2)]
+            for d in candidates:
+                answer = g.is_derivation(d)
+                assert answer == fraction_is_derivation(g, d)
+                answers.append(answer)
+    assert answers.count(True) >= 50 and answers.count(False) >= 20
+    with pytest.raises(ValueError, match="wrong shape"):
+        sl2().is_derivation(Matrix.zero(3, 2))
