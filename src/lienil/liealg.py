@@ -30,7 +30,7 @@ from .linalg import (
     null_space,
 )
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 def _terms(ints: Sequence[int]) -> list[tuple[int, int]]:
     """The nonzero (index, value) terms of an integer vector."""
@@ -126,7 +126,7 @@ class LieAlgebra:
     def basis_element(self, i: int) -> Vector:
         if not 0 <= i < self.dim:
             raise IndexError(f"basis index {i} out of range")
-        return tuple(Fraction(int(k == i)) for k in range(self.dim))
+        return tuple(_ONE if k == i else _ZERO for k in range(self.dim))
 
     def index_of(self, name: str) -> int:
         try:
@@ -299,12 +299,10 @@ class LieAlgebra:
     def change_of_basis(self, new_basis,
                         names: Sequence[str] | None = None) -> "LieAlgebra":
         """The same algebra written on a new basis (a Matrix's columns, or vectors)."""
-        if isinstance(new_basis, Matrix):
-            new_basis = [new_basis.column(j) for j in range(new_basis.cols)]
-        columns = [self.element(v) for v in new_basis]
-        if len(columns) != self.dim:
-            raise ValueError(f"{len(columns)} vectors for dimension {self.dim}")
-        p = Matrix.from_columns(columns)
+        p = new_basis if isinstance(new_basis, Matrix) else Matrix.from_columns(
+            [self.element(v) for v in new_basis])
+        if p.rows != self.dim or p.cols != self.dim:
+            raise ValueError(f"{p.cols} vectors of length {p.rows} for dimension {self.dim}")
         p_inv = invert(p)
         if p_inv is None:
             raise ValueError("new basis vectors are linearly dependent")

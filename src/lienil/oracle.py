@@ -13,12 +13,14 @@ Corpus members are kept as construction expressions and never materialized
 wholesale: the nilpotency outcome of an expression is decided by whether the
 element's action on it has a single eigenvalue, and which one.  Eigenvalues
 are negated by duals, united by direct sums and added pairwise by tensor
-products, and in characteristic zero an operator is nilpotent iff 0 is its
-only eigenvalue, so the recorded outcomes are exact.
+products, all as integer numerators over one denominator, and in
+characteristic zero an operator is nilpotent iff 0 is its only eigenvalue,
+so the recorded outcomes are exact.  Report rows are selected, not built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -108,10 +110,15 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
     Only meaningful on a negative verdict; calling this on an element that
     acts nilpotently everywhere is a contract violation.
     """
-    verdict = nilpotent_in_all_reps(algebra, a)
+    av = algebra.element(a)
+    verdict = nilpotent_in_all_reps(algebra, av)
     if verdict.answer:
         raise ValueError("element acts nilpotently in every representation; no witness exists")
-    av = algebra.element(a)
+    return _witness(algebra, av, verdict)
+
+
+def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> Witness:
+    """find_witness for an element already read and decided negative."""
     if not verdict.in_derived:
         for xi in analyze(algebra).functionals:
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
@@ -157,7 +164,8 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
     previous level (swapping operands yields a permutation-equivalent
     representation, so only i <= j is enumerated).  Results wider than
     max_dim are dropped.  The enumeration is deterministic, so reports
-    built from it are byte-stable.  Each is kept on the algebra's Structure.
+    built from it are byte-stable.  Each is kept on the algebra's Structure,
+    with every member's two report rows, (non-nilpotent, nilpotent).
     """
     if depth < 0:
         raise ValueError("negative closure depth")
@@ -165,7 +173,7 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
         raise ValueError("negative dimension bound")
     structure = analyze(algebra)
     if (depth, max_dim) in structure.corpora:
-        return structure.corpora[depth, max_dim]
+        return structure.corpora[depth, max_dim][0]
     seeds: list[Representation] = []
 
     def add_seed(rep: Representation) -> None:
@@ -211,43 +219,52 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
                         width, "tensor", (i, j)))
         for label, width, kind, operands in additions:
             members.append(CorpusMember(len(members), label, width, level, kind, operands, None))
-    return structure.corpora.setdefault((depth, max_dim), tuple(members))
+    rows = tuple((RepOutcome(m.label, m.dim, False), RepOutcome(m.label, m.dim, True))
+                 for m in members)
+    return structure.corpora.setdefault((depth, max_dim), (tuple(members), rows))[0]
 
 
 def _corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:
-    """acts_nilpotently for every member, from one state per member.
+    """acts_nilpotently for every member, from one integer state per member.
 
-    A member's state is _EMPTY (dimension 0), its single eigenvalue c, or
-    None when it has more than one.  In one forward pass:
-      seed:   c = trace/dim, single iff action - c*I is nilpotent;
-      dual:   c becomes -c;
-      sum:    _EMPTY is the identity; two single values stay single only
-              when they are equal;
-      tensor: _EMPTY absorbs; otherwise c1 + c2, None if either is None.
-    A member is nilpotent iff it is _EMPTY or single with c = 0.  A
-    0-dimensional space has no eigenvalue at all, so it must be a wildcard
-    rather than eigenvalue 0: sum(x, empty) has exactly the eigenvalues of
-    x, and tensor(x, empty) is again 0-dimensional, whatever x is.
+    A member's state is _EMPTY (dimension 0), None when the element has more
+    than one eigenvalue on it, or its single eigenvalue's numerator over D,
+    the lcm of the seeds' denominators.  The seeds come first; a seed's
+    eigenvalue is c = trace/dim, single iff action - c*I is nilpotent.  The
+    rest follow in one forward pass: a dual negates its state, a tensor adds
+    two, and a sum keeps a state only when its two agree, _EMPTY agreeing
+    with anything.  A member is nilpotent iff it is _EMPTY or 0, exactly,
+    since every state is over the one D.  A 0-dimensional space has no
+    eigenvalue at all, so it must be a wildcard rather than eigenvalue 0:
+    sum(x, empty) has exactly the eigenvalues of x, and tensor(x, empty) is
+    again 0-dimensional, whatever x is.
     """
-    states: list = []
+    seeds: list = []  # _EMPTY, None or a Fraction, per seed
     for m in members:
-        operands = [states[o] for o in m.operands]
+        if m.kind != "seed":
+            break
+        if m.dim == 0:
+            seeds.append(_EMPTY)
+            continue
+        action = m.seed.action(av)
+        c = action.trace() / m.dim
+        seeds.append(c if is_nilpotent(action - Matrix.identity(m.dim).scaled(c)) else None)
+    d = math.lcm(*(c.denominator for c in seeds if isinstance(c, Fraction)))
+    states = [c.numerator * (d // c.denominator) if isinstance(c, Fraction) else c for c in seeds]
+    for m in members[len(states):]:
+        x = states[m.operands[0]]
         if m.dim == 0:
             state = _EMPTY
-        elif m.kind == "seed":
-            assert m.seed is not None
-            action = m.seed.action(av)
-            c = action.trace() / m.dim
-            state = c if is_nilpotent(action - Matrix.identity(m.dim).scaled(c)) else None
-        elif None in operands:
-            state = None
         elif m.kind == "dual":
-            state = -operands[0]
-        elif m.kind == "tensor":
-            state = operands[0] + operands[1]
-        else:  # sum
-            values = {c for c in operands if c is not _EMPTY}
-            state = values.pop() if len(values) == 1 else None
+            state = None if x is None else -x
+        else:
+            y = states[m.operands[1]]
+            if x is None or y is None:
+                state = None
+            elif m.kind == "tensor":  # neither is _EMPTY: the member is not 0-dimensional
+                state = x + y
+            else:  # sum
+                state = y if x is _EMPTY else (x if y is _EMPTY or x == y else None)
         states.append(state)
     return [s is _EMPTY or s == 0 for s in states]
 
@@ -264,19 +281,19 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
     av = algebra.element(a)
     verdict = nilpotent_in_all_reps(algebra, av)
     members = build_corpus(algebra, depth, max_dim)
-    outcomes = _corpus_outcomes(members, av)
-    rows = tuple(RepOutcome(m.label, m.dim, out) for m, out in zip(members, outcomes))
+    rows = analyze(algebra).corpora[depth, max_dim][1]
+    outcomes = tuple(pair[out] for pair, out in zip(rows, _corpus_outcomes(members, av)))
     witness: Witness | None = None
     witness_acts: bool | None = None
     if verdict.answer:
-        consistent = all(r.nilpotent for r in rows)
+        consistent = all(r.nilpotent for r in outcomes)
     else:
-        witness = find_witness(algebra, av)
+        witness = _witness(algebra, av, verdict)
         witness_acts = acts_nilpotently(witness.rep, av)
         consistent = witness_acts is False
     return CrossCheckReport(
         verdict=verdict,
-        outcomes=rows,
+        outcomes=outcomes,
         witness=witness,
         witness_acts_nilpotently=witness_acts,
         consistent=consistent,

@@ -155,7 +155,7 @@ class Structure:
     """One algebra's structure for the decision, each part computed on first use."""
 
     algebra: LieAlgebra
-    corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> oracle.build_corpus
+    corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> members, rows
 
     @cached_property
     def derived(self) -> Subspace:

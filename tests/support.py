@@ -11,7 +11,9 @@ from typing import Sequence
 
 from lienil.catalog import builtin
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, Subspace, Vector, as_vector, frac, invert, kernel_image
+from lienil.linalg import (
+    Matrix, Subspace, Vector, as_vector, frac, invert, is_nilpotent, kernel_image)
+from lienil.oracle import CorpusMember
 from lienil.reps import Representation, direct_sum, dual, tensor
 
 
@@ -73,6 +75,48 @@ def corpus_representation(members, index: int) -> Representation:
     if member.kind == "sum":
         return direct_sum(left, right)
     return tensor(left, right)
+
+
+_EMPTY = object()  # corpus state of a 0-dimensional member
+
+
+def fraction_corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:
+    """acts_nilpotently for every member, from one Fraction state per member: the
+    evaluator the integer corpus states replaced.
+
+    A member's state is _EMPTY (dimension 0), its single eigenvalue c, or
+    None when it has more than one.  In one forward pass:
+      seed:   c = trace/dim, single iff action - c*I is nilpotent;
+      dual:   c becomes -c;
+      sum:    _EMPTY is the identity; two single values stay single only
+              when they are equal;
+      tensor: _EMPTY absorbs; otherwise c1 + c2, None if either is None.
+    A member is nilpotent iff it is _EMPTY or single with c = 0.  A
+    0-dimensional space has no eigenvalue at all, so it must be a wildcard
+    rather than eigenvalue 0: sum(x, empty) has exactly the eigenvalues of
+    x, and tensor(x, empty) is again 0-dimensional, whatever x is.
+    """
+    states: list = []
+    for m in members:
+        operands = [states[o] for o in m.operands]
+        if m.dim == 0:
+            state = _EMPTY
+        elif m.kind == "seed":
+            assert m.seed is not None
+            action = m.seed.action(av)
+            c = action.trace() / m.dim
+            state = c if is_nilpotent(action - Matrix.identity(m.dim).scaled(c)) else None
+        elif None in operands:
+            state = None
+        elif m.kind == "dual":
+            state = -operands[0]
+        elif m.kind == "tensor":
+            state = operands[0] + operands[1]
+        else:  # sum
+            values = {c for c in operands if c is not _EMPTY}
+            state = values.pop() if len(values) == 1 else None
+        states.append(state)
+    return [s is _EMPTY or s == 0 for s in states]
 
 
 def matrix_power(m: Matrix, exponent: int) -> Matrix:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -455,17 +456,134 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name, filename, element", GOLDEN_CASES)
-def test_json_reports_match_golden_snapshot(tmp_path, monkeypatch, name, filename, element):
+# crosscheck --depth 1 on the same files and elements, recorded from the Fraction
+# corpus evaluator: each corpus row as (label, dim, nilpotent); the verdict and
+# witness fields are the oracle report's.
+CROSSCHECK_GOLDEN_ROWS = {
+    "sl3.lie": (
+        ("adjoint", 8, False),
+        ("dual(adjoint)", 8, False),
+        ("sum(adjoint, adjoint)", 16, False),
+        ("tensor(adjoint, adjoint)", 64, False),
+    ),
+    "gl2.lie": (
+        ("adjoint", 4, True),
+        ("pullback(adjoint)", 3, True),
+        ("character(1,-1,0,1)", 1, False),
+        ("dual(adjoint)", 4, True),
+        ("dual(pullback(adjoint))", 3, True),
+        ("dual(character(1,-1,0,1))", 1, False),
+        ("sum(adjoint, adjoint)", 8, True),
+        ("sum(adjoint, pullback(adjoint))", 7, True),
+        ("sum(adjoint, character(1,-1,0,1))", 5, False),
+        ("sum(pullback(adjoint), pullback(adjoint))", 6, True),
+        ("sum(pullback(adjoint), character(1,-1,0,1))", 4, False),
+        ("sum(character(1,-1,0,1), character(1,-1,0,1))", 2, False),
+        ("tensor(adjoint, adjoint)", 16, True),
+        ("tensor(adjoint, pullback(adjoint))", 12, True),
+        ("tensor(adjoint, character(1,-1,0,1))", 4, False),
+        ("tensor(pullback(adjoint), pullback(adjoint))", 9, True),
+        ("tensor(pullback(adjoint), character(1,-1,0,1))", 3, False),
+        ("tensor(character(1,-1,0,1), character(1,-1,0,1))", 1, False),
+    ),
+    "ut3.lie": (
+        ("adjoint", 6, False),
+        ("pullback(adjoint)", 0, True),
+        ("character(-1,1,0,0,0,0)", 1, False),
+        ("character(0,0,0,-5/2,1,0)", 1, True),
+        ("character(0,0,0,0,0,1)", 1, True),
+        ("dual(adjoint)", 6, False),
+        ("dual(pullback(adjoint))", 0, True),
+        ("dual(character(-1,1,0,0,0,0))", 1, False),
+        ("dual(character(0,0,0,-5/2,1,0))", 1, True),
+        ("dual(character(0,0,0,0,0,1))", 1, True),
+        ("sum(adjoint, adjoint)", 12, False),
+        ("sum(adjoint, pullback(adjoint))", 6, False),
+        ("sum(adjoint, character(-1,1,0,0,0,0))", 7, False),
+        ("sum(adjoint, character(0,0,0,-5/2,1,0))", 7, False),
+        ("sum(adjoint, character(0,0,0,0,0,1))", 7, False),
+        ("sum(pullback(adjoint), pullback(adjoint))", 0, True),
+        ("sum(pullback(adjoint), character(-1,1,0,0,0,0))", 1, False),
+        ("sum(pullback(adjoint), character(0,0,0,-5/2,1,0))", 1, True),
+        ("sum(pullback(adjoint), character(0,0,0,0,0,1))", 1, True),
+        ("sum(character(-1,1,0,0,0,0), character(-1,1,0,0,0,0))", 2, False),
+        ("sum(character(-1,1,0,0,0,0), character(0,0,0,-5/2,1,0))", 2, False),
+        ("sum(character(-1,1,0,0,0,0), character(0,0,0,0,0,1))", 2, False),
+        ("sum(character(0,0,0,-5/2,1,0), character(0,0,0,-5/2,1,0))", 2, True),
+        ("sum(character(0,0,0,-5/2,1,0), character(0,0,0,0,0,1))", 2, True),
+        ("sum(character(0,0,0,0,0,1), character(0,0,0,0,0,1))", 2, True),
+        ("tensor(adjoint, adjoint)", 36, False),
+        ("tensor(adjoint, pullback(adjoint))", 0, True),
+        ("tensor(adjoint, character(-1,1,0,0,0,0))", 6, False),
+        ("tensor(adjoint, character(0,0,0,-5/2,1,0))", 6, False),
+        ("tensor(adjoint, character(0,0,0,0,0,1))", 6, False),
+        ("tensor(pullback(adjoint), pullback(adjoint))", 0, True),
+        ("tensor(pullback(adjoint), character(-1,1,0,0,0,0))", 0, True),
+        ("tensor(pullback(adjoint), character(0,0,0,-5/2,1,0))", 0, True),
+        ("tensor(pullback(adjoint), character(0,0,0,0,0,1))", 0, True),
+        ("tensor(character(-1,1,0,0,0,0), character(-1,1,0,0,0,0))", 1, False),
+        ("tensor(character(-1,1,0,0,0,0), character(0,0,0,-5/2,1,0))", 1, False),
+        ("tensor(character(-1,1,0,0,0,0), character(0,0,0,0,0,1))", 1, False),
+        ("tensor(character(0,0,0,-5/2,1,0), character(0,0,0,-5/2,1,0))", 1, True),
+        ("tensor(character(0,0,0,-5/2,1,0), character(0,0,0,0,0,1))", 1, True),
+        ("tensor(character(0,0,0,0,0,1), character(0,0,0,0,0,1))", 1, True),
+    ),
+}
+
+# crosscheck --depth 2 --max-dim 128 on the catalog's sl2 as "sl2.lie", for e and h,
+# from the same evaluator: the sha256 of stdout and corpus_size.
+CROSSCHECK_GOLDEN_SL2 = {
+    "1,0,0": ("45a1dbf4fe6e46d963dd98c59630c057369aa9fed82fcd471da2fede1240b7aa", 2951),
+    "0,1,0": ("954d82929aa05c849eafd33dc6dee824c66a9a218a9b3449dc7bf702df49b848", 2951),
+}
+
+
+def write_moved(tmp_path, name: str, filename: str) -> None:
+    """The catalog algebra on the golden basis change, written to filename."""
     g = builtin(name).algebra
     n = g.dim
     basis_change = Matrix.from_rows([
         [F(i % 3 + 1, 2) if j == i else F(-1, i + 2) if j == i + 1 else 0 for j in range(n)]
         for i in range(n)])
     write(tmp_path, filename, render_algebra(g.change_of_basis(basis_change)))
+
+
+@pytest.mark.parametrize("name, filename, element", GOLDEN_CASES)
+def test_json_reports_match_golden_snapshot(tmp_path, monkeypatch, name, filename, element):
+    write_moved(tmp_path, name, filename)
     monkeypatch.chdir(tmp_path)  # the reports name the file as given
     for command, extra in (("info", []), ("radical", []), ("killing", []),
                            ("oracle", ["--element", element, "--witness"])):
         code, text = capture([command, filename, *extra, "--format", "json"])
         assert code == 0
         assert text == json.dumps(GOLDEN[filename, command], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name, filename, element", GOLDEN_CASES)
+def test_crosscheck_json_matches_golden_snapshot(tmp_path, monkeypatch, name, filename, element):
+    write_moved(tmp_path, name, filename)
+    monkeypatch.chdir(tmp_path)
+    oracle_report = GOLDEN[filename, "oracle"]
+    rows = CROSSCHECK_GOLDEN_ROWS[filename]
+    expected = {
+        "command": "crosscheck", "file": filename, "element": oracle_report["element"],
+        "depth": 1, "max_dim": 128, "answer": oracle_report["answer"], "consistent": True,
+        "corpus_size": len(rows),
+        "outcomes": [{"label": label, "dim": dim, "nilpotent": nilpotent}
+                     for label, dim, nilpotent in rows],
+        **{key: value for key, value in oracle_report.items() if key.startswith("witness_")}}
+    code, text = capture(["crosscheck", filename, "--element", element, "--depth", "1",
+                          "--format", "json"])
+    assert code == 0
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("element", sorted(CROSSCHECK_GOLDEN_SL2))
+def test_large_crosscheck_json_matches_golden_digest(tmp_path, monkeypatch, element):
+    write(tmp_path, "sl2.lie", render_algebra(builtin("sl2").algebra))
+    monkeypatch.chdir(tmp_path)
+    code, text = capture(["crosscheck", "sl2.lie", "--element", element, "--depth", "2",
+                          "--max-dim", "128", "--format", "json"])
+    assert code == 0
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            json.loads(text)["corpus_size"]) == CROSSCHECK_GOLDEN_SL2[element]

@@ -377,6 +377,14 @@ def test_change_of_basis_rejects_singular():
         sl2().change_of_basis([(1, 0, 0), (2, 0, 0), (0, 0, 1)])
 
 
+@pytest.mark.parametrize("basis", [
+    Matrix.identity(2), Matrix.identity(4), Matrix.zero(3, 2), Matrix.zero(2, 3),
+    [(1, 0, 0), (0, 1, 0)], []])
+def test_change_of_basis_rejects_the_wrong_shape(basis):
+    with pytest.raises(ValueError, match="for dimension 3"):
+        sl2().change_of_basis(basis)
+
+
 def test_direct_sum_structure():
     g = sl2().direct_sum(heisenberg())
     assert g.dim == 6

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import lienil.oracle as oracle
 from lienil.catalog import builtin, semidirect, sl2_irrep
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, invert
+from lienil.linalg import Matrix, invert, is_nilpotent
 from lienil.oracle import (
+    _corpus_outcomes,
     build_corpus,
     cross_validate,
     find_witness,
@@ -18,7 +20,13 @@ from lienil.oracle import (
 from lienil.reps import acts_nilpotently, validate_rep
 from lienil.semisimple import analyze
 
-from support import corpus_representation, matrix_power, seeded_elements, seeded_invertible_matrices
+from support import (
+    corpus_representation,
+    fraction_corpus_outcomes,
+    matrix_power,
+    seeded_elements,
+    seeded_invertible_matrices,
+)
 
 F = Fraction
 
@@ -222,6 +230,81 @@ def test_corpus_outcomes_match_materialized_actions():
         for m, row in zip(members, report.outcomes):
             rep = corpus_representation(members, m.index)
             assert row.nilpotent == acts_nilpotently(rep, element)
+
+
+# The integer corpus states against the Fraction evaluator they replaced: on every
+# corpus of these algebras, at every depth and cap, for basis elements, the
+# representatives of the depth-2 cross-check workload, seeded rationals and
+# (1/2, 1/3, -1/6, ...), whose denominators give the seeds eigenvalues over
+# different denominators.
+DIFFERENTIAL_CASES = (
+    ("sl2", ((1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))),
+    ("heisenberg", ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1))),
+    ("gl2", ((0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1))),
+    ("upper_triangular(3)", ()),
+    ("semidirect(sl2, V1)", ((3, -1, F(-3, 2), 3, F(-3, 2)), (-3, F(-1, 3), -4, -1, F(-2, 3)),
+                             (4, -1, 2, -1, 1), (F(-1, 3), 2, 0, F(-1, 3), 1), (1, 0, 0, 1, -1))),
+)
+
+
+def _differential_algebra(name: str) -> LieAlgebra:
+    if name == "semidirect(sl2, V1)":
+        return semidirect(builtin("sl2").algebra, sl2_irrep(1)).algebra
+    return builtin(name).algebra
+
+
+def _seed_denominators(members, av) -> set[int]:
+    """Denominators of the seeds' single eigenvalues (1 for an eigenvalue 0)."""
+    out = set()
+    for m in members:
+        if m.kind == "seed" and m.dim:
+            action = m.seed.action(av)
+            c = action.trace() / m.dim
+            if is_nilpotent(action - Matrix.identity(m.dim).scaled(c)):
+                out.add(c.denominator)
+    return out
+
+
+@pytest.mark.parametrize("name, representatives", DIFFERENTIAL_CASES,
+                         ids=[name for name, _ in DIFFERENTIAL_CASES])
+def test_integer_corpus_states_match_the_fraction_evaluator(name, representatives):
+    g = _differential_algebra(name)
+    elements = [g.basis_element(i) for i in range(g.dim)] + [g.element(a) for a in representatives]
+    elements += [g.element(a) for a in seeded_elements(g.dim, 6, seed=83)]
+    elements.append(g.element([F(1, 2), F(1, 3)] + [F(-1, 6)] * (g.dim - 2)))
+    mixed = empty = 0
+    for depth in (0, 1, 2):
+        for max_dim in (4, 12, 128):
+            members = build_corpus(g, depth, max_dim)
+            empty += any(m.dim == 0 for m in members)
+            for av in elements:
+                assert _corpus_outcomes(members, av) == fraction_corpus_outcomes(members, av)
+                mixed += len(_seed_denominators(members, av)) > 1
+    if name in ("heisenberg", "upper_triangular(3)"):  # characters, and g/rad(g) = 0
+        assert mixed and empty
+
+
+def test_report_rows_are_selected_from_two_per_member():
+    g = builtin("heisenberg").algebra
+    members = build_corpus(g, 2, 12)
+    first = cross_validate(g, (1, 0, 0), depth=2, max_dim=12).outcomes
+    second = cross_validate(g, (0, 1, 0), depth=2, max_dim=12).outcomes
+    again = cross_validate(g, (1, 0, 0), depth=2, max_dim=12).outcomes
+    assert [(r.label, r.dim) for r in first] == [(m.label, m.dim) for m in members]
+    assert all(a is b for a, b in zip(first, again))
+    assert {id(r) for r in first + second} <= {
+        id(r) for pair in analyze(g).corpora[2, 12][1] for r in pair}
+
+
+def test_cross_validate_decides_a_negative_once(monkeypatch):
+    calls = []
+    decide = oracle.nilpotent_in_all_reps
+    monkeypatch.setattr(oracle, "nilpotent_in_all_reps",
+                        lambda *args: calls.append(args) or decide(*args))
+    g = builtin("gl2").algebra
+    report = cross_validate(g, (1, 0, 0, 1), depth=1, max_dim=8)
+    assert len(calls) == 1
+    assert report.witness == find_witness(g, (1, 0, 0, 1))
 
 
 # --- cross-validation ----------------------------------------------------------------
