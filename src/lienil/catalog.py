@@ -296,9 +296,10 @@ def irreducibles_for(algebra: LieAlgebra) -> tuple[Representation, ...]:
     """Irreducible representations the catalog attaches to this exact algebra.
 
     Lookup is by exact table equality against the catalog fixtures that
-    carry attached representations; anything else gets none.
+    carry attached representations; anything else gets none.  Only a fixture
+    of the algebra's dimension is built, since equal algebras have equal dims.
     """
-    for name in ("sl2", "sl3", "so3"):
+    for name in {3: ("sl2", "so3"), 8: ("sl3",)}.get(algebra.dim, ()):
         entry = builtin(name)
         if entry.algebra == algebra:
             return entry.irreducibles

@@ -32,10 +32,8 @@ import sys
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .catalog import builtin, catalog_names
 from .liealg import LieAlgebra
 from .linalg import Vector
-from .oracle import cross_validate, find_witness, nilpotent_in_all_reps
 from .semisimple import (
     ConsistencyError,
     analyze,
@@ -366,6 +364,8 @@ def _witness_payload(witness, acts_nilpotently_flag) -> dict:
 
 
 def _cmd_oracle(args, out) -> int:
+    from .oracle import _witness, nilpotent_in_all_reps
+
     algebra = _validated(args.file)
     element = parse_element(args.element, algebra.dim)
     verdict = nilpotent_in_all_reps(algebra, element)
@@ -380,7 +380,7 @@ def _cmd_oracle(args, out) -> int:
         "derived_dim": verdict.derived_dim,
     }
     if args.witness and not verdict.answer:
-        witness = find_witness(algebra, element)
+        witness, _ = _witness(algebra, element, verdict)
         payload.update(_witness_payload(witness, False))
     _emit(payload, args.format, out)
     if args.assert_ and not verdict.answer:
@@ -389,6 +389,8 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_crosscheck(args, out) -> int:
+    from .oracle import cross_validate
+
     algebra = _validated(args.file)
     element = parse_element(args.element, algebra.dim)
     report = cross_validate(algebra, element, depth=args.depth, max_dim=args.max_dim)
@@ -414,6 +416,8 @@ def _cmd_crosscheck(args, out) -> int:
 
 
 def _cmd_catalog(args, out) -> int:
+    from .catalog import builtin, catalog_names
+
     if args.name is None:
         payload = {"command": "catalog", "names": catalog_names()}
         _emit(payload, args.format, out)

@@ -207,8 +207,10 @@ class LieAlgebra:
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ValueError("subspaces must live in the algebra")
         v_terms = list(map(_terms, v.rows))
-        return Subspace._span(self.dim, [self._int_bracket(x, y) for x in map(_terms, u.rows)
-                                         for y in v_terms])
+        # A row of u supported on central basis vectors brackets to zero: skip it.
+        active = [x for x in map(_terms, u.rows) if any(self._constants[i] for i, _ in x)]
+        products = (self._int_bracket(x, y) for x in active for y in v_terms)
+        return Subspace._span(self.dim, [p for p in products if any(p)])
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)

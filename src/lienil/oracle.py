@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import irreducibles_for
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, is_nilpotent, nilpotency_exponent
-from .reps import Representation, acts_nilpotently, adjoint_rep, one_dim_rep, pullback
+from .reps import Representation, adjoint_rep, one_dim_rep, pullback
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
@@ -114,11 +113,12 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
     verdict = nilpotent_in_all_reps(algebra, av)
     if verdict.answer:
         raise ValueError("element acts nilpotently in every representation; no witness exists")
-    return _witness(algebra, av, verdict)
+    return _witness(algebra, av, verdict)[0]
 
 
-def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> Witness:
-    """find_witness for an element already read and decided negative."""
+def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> tuple[Witness, Matrix]:
+    """find_witness for an element already read and decided negative, with the
+    element's action on the witness."""
     if not verdict.in_derived:
         for xi in analyze(algebra).functionals:
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
@@ -131,10 +131,23 @@ def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> Witness:
         q = analyze(algebra).quotient
         rep = pullback(adjoint_rep(q.target), q)
         case_tag = "adjoint_pullback"
-    nilpotent, exponent = nilpotency_exponent(rep.action(av))
+    action = rep.action(av)
+    nilpotent, exponent = nilpotency_exponent(action)
     if nilpotent:  # pragma: no cover - would falsify the construction
         raise ConsistencyError("witness construction produced a nilpotent action")
-    return Witness(rep, case_tag, exponent)
+    return Witness(rep, case_tag, exponent), action
+
+
+def _some_power_trace_nonzero(m: Matrix) -> bool:
+    """Some tr(m^k) != 0 for k <= side, by successive integer powers: in
+    characteristic zero this holds exactly when m is not nilpotent (Newton's
+    identities), a test independent of nilpotency_exponent's squaring."""
+    power = m
+    for _ in range(m.rows):
+        if sum(power.ints[i][i] for i in range(m.rows)):
+            return True
+        power = power @ m
+    return False
 
 
 # --- corpus ----------------------------------------------------------------
@@ -167,6 +180,8 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
     built from it are byte-stable.  Each is kept on the algebra's Structure,
     with every member's two report rows, (non-nilpotent, nilpotent).
     """
+    from .catalog import irreducibles_for
+
     if depth < 0:
         raise ValueError("negative closure depth")
     if max_dim < 0:
@@ -288,8 +303,8 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
     if verdict.answer:
         consistent = all(r.nilpotent for r in outcomes)
     else:
-        witness = _witness(algebra, av, verdict)
-        witness_acts = acts_nilpotently(witness.rep, av)
+        witness, action = _witness(algebra, av, verdict)
+        witness_acts = not _some_power_trace_nonzero(action)
         consistent = witness_acts is False
     return CrossCheckReport(
         verdict=verdict,

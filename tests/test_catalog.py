@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import lienil.catalog as catalog
 from lienil.catalog import (
     builtin,
     catalog_names,
@@ -128,6 +130,20 @@ def test_irreducibles_for_matches_catalog():
     reps = irreducibles_for(sl2)
     assert reps == builtin("sl2").irreducibles
     assert irreducibles_for(builtin("heisenberg").algebra) == ()
+
+
+def test_irreducibles_for_finds_every_fixture_with_representations():
+    for name in ("sl2", "sl3", "so3"):
+        entry = builtin(name)
+        assert entry.irreducibles and irreducibles_for(entry.algebra) == entry.irreducibles
+
+
+def test_irreducibles_for_builds_no_fixture_of_another_dimension(monkeypatch):
+    gl2 = builtin("gl2").algebra
+    fresh = lru_cache(maxsize=None)(builtin.__wrapped__)  # an empty cache; the shared one stays
+    monkeypatch.setattr(catalog, "builtin", fresh)
+    irreducibles_for(gl2)
+    assert fresh.cache_info().misses == 0
 
 
 # --- semidirect extensions ---------------------------------------------------------------

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lienil.cli as cli
+import lienil.oracle as oracle
 import lienil.semisimple as semisimple
 from lienil.catalog import builtin, standard_entries
 from lienil.liealg import LieAlgebra
@@ -23,6 +25,8 @@ from lienil.cli import (
     render_algebra,
     run,
 )
+
+from support import fraction_bracket, fraction_rref
 
 F = Fraction
 
@@ -237,6 +241,53 @@ def test_oracle_witness_payload(tmp_path):
     assert payload["answer"] is False
     assert payload["witness_case"] == "adjoint_pullback"
     assert payload["witness_acts_nilpotently"] is False
+
+
+def test_oracle_witness_decides_once(tmp_path, monkeypatch):
+    calls = []
+    decide = oracle.nilpotent_in_all_reps
+    counted = lambda *args: calls.append(args) or decide(*args)  # noqa: E731
+    monkeypatch.setattr(oracle, "nilpotent_in_all_reps", counted)
+    monkeypatch.setattr(cli, "nilpotent_in_all_reps", counted, raising=False)  # a module-level import binds it here
+    path = write(tmp_path, "sl2.lie", SL2_TEXT)
+    code, text = capture(["oracle", path, "--element", "0,1,0", "--witness"])
+    assert code == 0
+    assert "witness_case: adjoint_pullback" in text
+    assert len(calls) == 1
+
+
+def test_info_makes_no_bracket_on_an_abelian_algebra(tmp_path, monkeypatch):
+    calls = []
+    bracket = LieAlgebra._int_bracket
+    monkeypatch.setattr(LieAlgebra, "_int_bracket",
+                        lambda *args: calls.append(args) or bracket(*args))
+    path = write(tmp_path, "abelian.lie", render_algebra(builtin("abelian(12)").algebra))
+    payload = json.loads(capture(["info", path, "--format", "json"])[1])
+    assert (payload["derived_series_dims"], payload["lower_central_dims"]) == ([12, 0], [12, 0])
+    assert calls == []
+
+
+def _reference_series(g: LieAlgebra, lower_central: bool) -> list[int]:
+    """Series dimensions from Fraction brackets and the Fraction RREF."""
+    full = [g.basis_element(i) for i in range(g.dim)]
+    chain = [full]
+    while chain[-1]:
+        left = full if lower_central else chain[-1]
+        chain.append(list(fraction_rref(
+            [fraction_bracket(g, a, b) for a in left for b in chain[-1]], g.dim)[0]))
+        if len(chain[-1]) >= len(chain[-2]):
+            break
+    return [len(term) for term in chain]
+
+
+@pytest.mark.parametrize("entry", standard_entries(), ids=lambda entry: entry.name)
+def test_info_series_match_fraction_reference(tmp_path, entry):
+    g = entry.algebra
+    path = write(tmp_path, "g.lie", render_algebra(g))
+    payload = json.loads(capture(["info", path, "--format", "json"])[1])
+    assert payload["derived_series_dims"] == _reference_series(g, False)
+    assert payload["lower_central_dims"] == _reference_series(g, True)
+    assert payload["derived_dim"] == entry.known_derived.dim
 
 
 def test_crosscheck_command(tmp_path):

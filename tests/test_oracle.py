@@ -17,7 +17,7 @@ from lienil.oracle import (
     find_witness,
     nilpotent_in_all_reps,
 )
-from lienil.reps import acts_nilpotently, validate_rep
+from lienil.reps import acts_nilpotently, trivial_rep, validate_rep
 from lienil.semisimple import analyze
 
 from support import (
@@ -305,6 +305,24 @@ def test_cross_validate_decides_a_negative_once(monkeypatch):
     report = cross_validate(g, (1, 0, 0, 1), depth=1, max_dim=8)
     assert len(calls) == 1
     assert report.witness == find_witness(g, (1, 0, 0, 1))
+
+
+def test_a_nilpotent_witness_action_makes_the_report_inconsistent(monkeypatch):
+    g = builtin("sl2").algebra
+    zero = trivial_rep(g, 2)
+    monkeypatch.setattr(oracle, "_witness", lambda algebra, av, verdict: (
+        oracle.Witness(zero, "adjoint_pullback", 1), zero.action(av)))
+    report = cross_validate(g, (0, 1, 0), depth=1, max_dim=8)
+    assert report.witness_acts_nilpotently is True
+    assert not report.consistent
+
+
+def test_power_trace_test_agrees_with_nilpotency():
+    for name in ("sl2", "sl3", "gl2", "heisenberg", "upper_triangular(3)", "strictly_upper(4)"):
+        g = builtin(name).algebra
+        for a in seeded_elements(g.dim, 4, seed=17) + [g.basis_element(i) for i in range(g.dim)]:
+            m = g.ad(a)
+            assert oracle._some_power_trace_nonzero(m) is not is_nilpotent(m)
 
 
 # --- cross-validation ----------------------------------------------------------------
