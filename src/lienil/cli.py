@@ -9,14 +9,21 @@ The file format puts one algebra per file::
     [h,f] = -2 f
 
 Lines starting with ``#`` are comments, unlisted brackets are zero,
-rationals are ``p`` or ``p/q``, and a coefficient of one may be left off.
-``render_algebra`` is the exact inverse of ``parse_algebra``, so files can
-be regenerated from any algebra (the ``catalog`` command does exactly
-that).
+rationals are ``p`` or ``p/q`` in ASCII digits, and a coefficient of one may
+be left off.  ``render_algebra`` is the exact inverse of ``parse_algebra``, so
+files can be regenerated from any algebra (the ``catalog`` command does
+exactly that).
 
-Exit codes: 0 for a completed computation regardless of the verdict, 1 for
-any input, parse or validation problem or failed internal cross-check, and
-2 when ``--assert`` is given and the computed verdict (or consistency, for
+Every command runs through ``run``, the one command path.  For the seven
+commands that read an algebra file it reads and parses the file, checks the
+Jacobi identity (``validate`` reports the violations instead), parses
+``--element`` where the command takes one, heads the report with ``command``,
+``file`` and ``element``, and adds the fields of the command's report builder;
+``catalog`` reads no file.  ``run`` then writes the report and picks the exit
+code: 0 for a completed computation regardless of the verdict, 1 for any
+input, parse or validation problem (including a file that ``validate`` finds
+breaks the Jacobi identity) or failed internal cross-check, and 2 when
+``--assert`` is given and the computed verdict (or consistency, for
 crosscheck) is negative.
 
 Numerators and denominators have at most 4300 digits, so computed values are
@@ -57,10 +64,10 @@ class ParseError(ValueError):
 
 _NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_~.]*"
 _NAME_RE = re.compile(rf"^{_NAME_PATTERN}$")
-_DIM_RE = re.compile(r"^dim\s+(\d+)$")
+_DIM_RE = re.compile(r"^dim\s+([0-9]+)$")
 _BRACKET_RE = re.compile(
     rf"^\[\s*({_NAME_PATTERN})\s*,\s*({_NAME_PATTERN})\s*\]\s*=\s*(.+)$")
-_RATIONAL_PATTERN = r"\d+(?:/\d+)?"
+_RATIONAL_PATTERN = r"[0-9]+(?:/[0-9]+)?"  # ASCII digits: \d, int and Fraction take any script's
 _TERM_RE = re.compile(rf"\s*([+-])?\s*(?:({_RATIONAL_PATTERN})\s+)?({_NAME_PATTERN})")
 _COORDINATE_RE = re.compile(rf"[+-]?{_RATIONAL_PATTERN}")
 _MAX_DIGITS = 4300
@@ -256,45 +263,18 @@ def _matrix_strings(matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in matrix.entries]
 
 
-def _load(path: str) -> LieAlgebra:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return parse_algebra(text)
+# --- report builders: (algebra, element, args) -> (fields, positive) ---------------
 
-
-def _validated(path: str) -> LieAlgebra:
-    algebra = _load(path)
+def _validate(algebra: LieAlgebra, element, args) -> tuple[dict, bool]:
     violations = algebra.jacobi_violations()
-    if violations:
-        raise ParseError(f"{path}: " + "; ".join(violations))
-    return algebra
+    return {"dim": algebra.dim, "valid": not violations, "violations": violations}, not violations
 
 
-def _cmd_validate(args, out) -> int:
-    algebra = _load(args.file)
-    violations = algebra.jacobi_violations()
-    payload = {
-        "command": "validate",
-        "file": args.file,
-        "dim": algebra.dim,
-        "valid": not violations,
-        "violations": violations,
-    }
-    _emit(payload, args.format, out)
-    return 0 if not violations else 1
-
-
-def _cmd_info(args, out) -> int:
-    algebra = _validated(args.file)
+def _info(algebra: LieAlgebra, element, args) -> tuple[dict, bool]:
     structure = analyze(algebra)
     derived_series = algebra.derived_series()
     lower_central = algebra.lower_central_series()
-    payload = {
-        "command": "info",
-        "file": args.file,
+    return {
         "dim": algebra.dim,
         "basis": list(algebra.basis_names),
         "derived_dim": structure.derived.dim,
@@ -305,55 +285,29 @@ def _cmd_info(args, out) -> int:
         "semisimple": structure.radical.is_zero(),
         "derived_series_dims": [s.dim for s in derived_series],
         "lower_central_dims": [s.dim for s in lower_central],
-    }
-    _emit(payload, args.format, out)
-    return 0
+    }, True
 
 
-def _cmd_radical(args, out) -> int:
-    algebra = _validated(args.file)
+def _radical(algebra: LieAlgebra, element, args) -> tuple[dict, bool]:
     rad = radical(algebra)
-    payload = {
-        "command": "radical",
-        "file": args.file,
+    return {
         "dim": rad.dim,
         "basis_vectors": [_vector_strings(v) for v in rad.basis],
         "semisimple": rad.is_zero(),
-    }
-    _emit(payload, args.format, out)
-    return 0
+    }, True
 
 
-def _cmd_killing(args, out) -> int:
-    algebra = _validated(args.file)
+def _killing(algebra: LieAlgebra, element, args) -> tuple[dict, bool]:
     form = killing_matrix(algebra)
-    payload = {
-        "command": "killing",
-        "file": args.file,
-        "gram": _matrix_strings(form.gram),
-        "nondegenerate": form.is_nondegenerate(),
-    }
-    _emit(payload, args.format, out)
-    return 0
+    return {"gram": _matrix_strings(form.gram), "nondegenerate": form.is_nondegenerate()}, True
 
 
-def _cmd_nilpotent(args, out) -> int:
-    algebra = _validated(args.file)
-    element = parse_element(args.element, algebra.dim)
+def _nilpotent(algebra: LieAlgebra, element: Vector, args) -> tuple[dict, bool]:
     verdict = is_nilpotent_element_power(algebra, element)
-    payload = {
-        "command": "nilpotent",
-        "file": args.file,
-        "element": _vector_strings(element),
-        "ad_nilpotent": verdict,
-    }
-    _emit(payload, args.format, out)
-    if args.assert_ and not verdict:
-        return 2
-    return 0
+    return {"ad_nilpotent": verdict}, verdict
 
 
-def _witness_payload(witness, acts_nilpotently_flag) -> dict:
+def _witness_fields(witness, acts_nilpotently_flag) -> dict:
     return {
         "witness_case": witness.case_tag,
         "witness_label": witness.rep.label,
@@ -363,16 +317,11 @@ def _witness_payload(witness, acts_nilpotently_flag) -> dict:
     }
 
 
-def _cmd_oracle(args, out) -> int:
+def _oracle(algebra: LieAlgebra, element: Vector, args) -> tuple[dict, bool]:
     from .oracle import _witness, nilpotent_in_all_reps
 
-    algebra = _validated(args.file)
-    element = parse_element(args.element, algebra.dim)
     verdict = nilpotent_in_all_reps(algebra, element)
-    payload = {
-        "command": "oracle",
-        "file": args.file,
-        "element": _vector_strings(element),
+    fields = {
         "answer": verdict.answer,
         "in_derived": verdict.in_derived,
         "image_nilpotent": verdict.image_nilpotent,
@@ -381,23 +330,15 @@ def _cmd_oracle(args, out) -> int:
     }
     if args.witness and not verdict.answer:
         witness, _ = _witness(algebra, element, verdict)
-        payload.update(_witness_payload(witness, False))
-    _emit(payload, args.format, out)
-    if args.assert_ and not verdict.answer:
-        return 2
-    return 0
+        fields.update(_witness_fields(witness, False))
+    return fields, verdict.answer
 
 
-def _cmd_crosscheck(args, out) -> int:
+def _crosscheck(algebra: LieAlgebra, element: Vector, args) -> tuple[dict, bool]:
     from .oracle import cross_validate
 
-    algebra = _validated(args.file)
-    element = parse_element(args.element, algebra.dim)
     report = cross_validate(algebra, element, depth=args.depth, max_dim=args.max_dim)
-    payload = {
-        "command": "crosscheck",
-        "file": args.file,
-        "element": _vector_strings(element),
+    fields = {
         "depth": report.depth,
         "max_dim": report.max_dim,
         "answer": report.verdict.answer,
@@ -408,42 +349,29 @@ def _cmd_crosscheck(args, out) -> int:
             for r in report.outcomes],
     }
     if report.witness is not None:
-        payload.update(_witness_payload(report.witness, report.witness_acts_nilpotently))
-    _emit(payload, args.format, out)
-    if args.assert_ and not report.consistent:
-        return 2
-    return 0
+        fields.update(_witness_fields(report.witness, report.witness_acts_nilpotently))
+    return fields, report.consistent
 
 
-def _cmd_catalog(args, out) -> int:
+def _catalog(name: str | None) -> dict:
     from .catalog import builtin, catalog_names
 
-    if args.name is None:
-        payload = {"command": "catalog", "names": catalog_names()}
-        _emit(payload, args.format, out)
-        return 0
-    try:
-        entry = builtin(args.name)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    payload = {
-        "command": "catalog",
-        "name": entry.name,
-        "file": render_algebra(entry.algebra),
-    }
-    _emit(payload, args.format, out)
-    return 0
+    if name is None:
+        return {"names": catalog_names()}
+    entry = builtin(name)
+    return {"name": entry.name, "file": render_algebra(entry.algebra)}
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "info": _cmd_info,
-    "radical": _cmd_radical,
-    "killing": _cmd_killing,
-    "nilpotent": _cmd_nilpotent,
-    "oracle": _cmd_oracle,
-    "crosscheck": _cmd_crosscheck,
-    "catalog": _cmd_catalog,
+# Every command but catalog reads an algebra file: name -> (help, takes --element, report).
+_FILE_COMMANDS = {
+    "validate": ("check a file against the Jacobi identity", False, _validate),
+    "info": ("structural summary", False, _info),
+    "radical": ("maximal solvable ideal", False, _radical),
+    "killing": ("Killing form Gram matrix", False, _killing),
+    "nilpotent": ("is the adjoint of an element nilpotent", True, _nilpotent),
+    "oracle": ("does the element act nilpotently in every representation", True, _oracle),
+    "crosscheck": ("validate the verdict against a corpus of representations", True,
+                   _crosscheck),
 }
 
 
@@ -458,71 +386,75 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lienil",
         description="Exact tests for nilpotent action of Lie algebra elements.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", parents=[common],
-                                help="check a file against the Jacobi identity")
-    p_validate.add_argument("file")
-
-    p_info = sub.add_parser("info", parents=[common], help="structural summary")
-    p_info.add_argument("file")
-
-    p_radical = sub.add_parser("radical", parents=[common], help="maximal solvable ideal")
-    p_radical.add_argument("file")
-
-    p_killing = sub.add_parser("killing", parents=[common], help="Killing form Gram matrix")
-    p_killing.add_argument("file")
-
-    p_nilpotent = sub.add_parser("nilpotent", parents=[common],
-                                 help="is the adjoint of an element nilpotent")
-    p_nilpotent.add_argument("file")
-    p_nilpotent.add_argument("--element", required=True,
-                             help="comma-separated coordinates in basis order")
-
-    p_oracle = sub.add_parser("oracle", parents=[common],
-                              help="does the element act nilpotently in every representation")
-    p_oracle.add_argument("file")
-    p_oracle.add_argument("--element", required=True,
-                          help="comma-separated coordinates in basis order")
-    p_oracle.add_argument("--witness", action="store_true",
-                          help="on a negative answer, include the witness representation")
-
-    p_cross = sub.add_parser("crosscheck", parents=[common],
-                             help="validate the verdict against a corpus of representations")
-    p_cross.add_argument("file")
-    p_cross.add_argument("--element", required=True,
-                         help="comma-separated coordinates in basis order")
-    p_cross.add_argument("--depth", type=int, default=2,
-                         help="construction closure depth (default 2)")
-    p_cross.add_argument("--max-dim", type=int, default=128, dest="max_dim",
-                         help="drop corpus members wider than this (default 128)")
-
-    p_catalog = sub.add_parser("catalog", parents=[common],
-                               help="list built-in algebras or render one as a file")
-    p_catalog.add_argument("name", nargs="?", default=None)
-
+    commands = {}
+    for name, (help_text, takes_element, _) in _FILE_COMMANDS.items():
+        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+        commands[name].add_argument("file")
+        if takes_element:
+            commands[name].add_argument("--element", required=True,
+                                        help="comma-separated coordinates in basis order")
+    commands["oracle"].add_argument(
+        "--witness", action="store_true",
+        help="on a negative answer, include the witness representation")
+    commands["crosscheck"].add_argument("--depth", type=int, default=2,
+                                        help="construction closure depth (default 2)")
+    commands["crosscheck"].add_argument(
+        "--max-dim", type=int, default=128, dest="max_dim",
+        help="drop corpus members wider than this (default 128)")
+    sub.add_parser("catalog", parents=[common],
+                   help="list built-in algebras or render one as a file"
+                   ).add_argument("name", nargs="?", default=None)
     return parser
 
 
 def run(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
-    """Parse arguments, run one command, write one report; returns the exit code."""
+    """Parse arguments, run one command, write one report; returns the exit code.
+
+    The one command path of the module docstring: no report builder reads a file,
+    parses an element, writes a report or picks an exit code.
+    """
     stream = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        args = build_parser().parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    fmt = getattr(args, "format", "text")
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:  # Python 3.10.7 and later bound int-to-text conversion; numbers are bounded above
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args, stream)
-    except (ParseError, ValueError, ConsistencyError) as exc:
-        _emit({"command": args.command, "error": str(exc)}, fmt, stream)
-        return 1
+        try:
+            payload = {"command": args.command}
+            if args.command == "catalog":
+                payload.update(_catalog(args.name))
+                positive = True
+            else:
+                _, takes_element, report = _FILE_COMMANDS[args.command]
+                try:
+                    with open(args.file, "r", encoding="utf-8") as handle:
+                        text = handle.read()
+                except OSError as exc:
+                    raise ParseError(f"cannot read {args.file}: {exc.strerror or exc}") from None
+                algebra = parse_algebra(text)
+                violations = algebra.jacobi_violations() if args.command != "validate" else []
+                if violations:
+                    raise ParseError(f"{args.file}: " + "; ".join(violations))
+                payload["file"] = args.file
+                element = None
+                if takes_element:
+                    element = parse_element(args.element, algebra.dim)
+                    payload["element"] = _vector_strings(element)
+                fields, positive = report(algebra, element, args)
+                payload.update(fields)
+            code = 0
+            if not positive:  # an invalid file always fails, a negative verdict only under --assert
+                code = 1 if args.command == "validate" else 2 if args.assert_ else 0
+        except (ValueError, ConsistencyError) as exc:  # a ParseError is a ValueError
+            payload, code = {"command": args.command, "error": str(exc)}, 1
+        _emit(payload, args.format, stream)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    return code
 
 
 def main() -> None:

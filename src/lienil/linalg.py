@@ -185,14 +185,15 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // content for x in row] if content > 1 else row
 
 
-def _rref_rows(rows: Iterable[Sequence], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan; returns one integer row per pivot, and the pivot columns.
+def _rref_rows(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows; returns one integer row per pivot, and
+    the pivot columns.
 
-    Rows (Fractions or ints) are cleared to primitive integers; zero rows are dropped.  A
-    row with x in the pivot column becomes (a*row - b*pivot_row)/content, a/b = pivot/x in
-    lowest terms.  Each result is its RREF row times the lcm of its denominators.
+    Rows are made primitive; zero rows are dropped.  A row with x in the pivot column
+    becomes (a*row - b*pivot_row)/content, a/b = pivot/x in lowest terms.  Each result is
+    its RREF row times the lcm of its denominators.
     """
-    ints = [_primitive(_cleared(row)[0]) for row in rows if any(row)]
+    ints = [_primitive(list(row)) for row in rows if any(row)]
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
@@ -265,11 +266,11 @@ class Subspace:
             if len(vec) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(vec)} does not match ambient dimension {ambient_dim}")
-        return cls._span(ambient_dim, rows)
+        return cls._span(ambient_dim, [_cleared(vec)[0] for vec in rows])
 
     @classmethod
-    def _span(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
-        """Span of rows of the right length, Fractions or ints; no checks."""
+    def _span(cls, ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
+        """Span of integer rows of the right length; no checks."""
         return cls(ambient_dim, tuple(map(tuple, _rref_rows(rows, ambient_dim)[0])))
 
     @classmethod
@@ -369,8 +370,8 @@ class Subspace:
             raise ValueError("subspaces live in different ambient dimensions")
 
 
-def null_space(rows: Iterable[Sequence], cols: int) -> Subspace:
-    """Canonical null space of the matrix with these rows (Fractions or ints)."""
+def null_space(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
+    """Canonical null space of the matrix with these integer rows."""
     reduced, pivots = _rref_rows(rows, cols)
     kernel_vectors = []
     for free in (j for j in range(cols) if j not in pivots):

@@ -21,6 +21,7 @@ so the recorded outcomes are exact.  Report rows are selected, not built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -214,24 +215,14 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
         for m in members:
             if m.level == level - 1:
                 additions.append((f"dual({m.label})", m.dim, "dual", (m.index,)))
-        for i in range(base):
-            for j in range(i, base):
-                if max(members[i].level, members[j].level) != level - 1:
-                    continue
-                width = members[i].dim + members[j].dim
+        pairs = [(members[i], members[j]) for i in range(base) for j in range(i, base)
+                 if max(members[i].level, members[j].level) == level - 1]
+        for kind, width_of in (("sum", operator.add), ("tensor", operator.mul)):
+            for left, right in pairs:
+                width = width_of(left.dim, right.dim)
                 if width <= max_dim:
-                    additions.append((
-                        f"sum({members[i].label}, {members[j].label})",
-                        width, "sum", (i, j)))
-        for i in range(base):
-            for j in range(i, base):
-                if max(members[i].level, members[j].level) != level - 1:
-                    continue
-                width = members[i].dim * members[j].dim
-                if width <= max_dim:
-                    additions.append((
-                        f"tensor({members[i].label}, {members[j].label})",
-                        width, "tensor", (i, j)))
+                    additions.append((f"{kind}({left.label}, {right.label})",
+                                      width, kind, (left.index, right.index)))
         for label, width, kind, operands in additions:
             members.append(CorpusMember(len(members), label, width, level, kind, operands, None))
     rows = tuple((RepOutcome(m.label, m.dim, False), RepOutcome(m.label, m.dim, True))

@@ -40,16 +40,22 @@ def seeded_invertible_matrices(dim: int, count: int, seed: int) -> list[Matrix]:
     return out
 
 
+def seeded_rational_bases(dim: int, count: int, seed: int) -> list[Matrix]:
+    """Reproducible invertible matrices of small rationals: the columns of
+    seeded_elements(dim, dim, s) for each next seed s from seed on that gives one."""
+    out: list[Matrix] = []
+    attempt = 0
+    while len(out) < count:
+        p = Matrix.from_columns(seeded_elements(dim, dim, seed=seed + attempt))
+        attempt += 1
+        if kernel_image(p)[0].is_zero():
+            out.append(p)
+    return out
+
+
 def with_rational_basis_changes(g: LieAlgebra, count: int = 3, seed: int = 71) -> list[LieAlgebra]:
     """g and count copies of it moved by seeded invertible rational matrices."""
-    out = [g]
-    attempt = 0
-    while len(out) <= count:
-        columns = seeded_elements(g.dim, g.dim, seed=seed + attempt)
-        attempt += 1
-        if kernel_image(Matrix.from_columns(columns))[0].is_zero():
-            out.append(g.change_of_basis(columns))
-    return out
+    return [g] + [g.change_of_basis(p) for p in seeded_rational_bases(g.dim, count, seed)]
 
 
 def sl2_plus_sl2() -> LieAlgebra:
@@ -390,3 +396,37 @@ def fraction_invert(m: FractionMatrix) -> FractionMatrix | None:
     if pivots[:n] != list(range(n)):
         return None
     return FractionMatrix(n, n, tuple(row[n:] for row in reduced[:n]))
+
+
+# --- the decision's criterion, decided by code of its own ------------------------
+
+def _int_square(m: list[list[int]]) -> list[list[int]]:
+    return [[sum(row[k] * m[k][j] for k in range(len(m)) if row[k]) for j in range(len(m))]
+            for row in m]
+
+
+def in_derived_and_ad_nilpotent(g: LieAlgebra, a: Sequence) -> bool:
+    """a lies in [g, g] and ad_g(a) is nilpotent, which holds exactly when a acts
+    nilpotently in every representation.
+
+    Membership compares the ranks of the table's values with and without a, each by
+    fraction_rref.  ad_g(a) is filled from the public table, cleared to integers and
+    squared until the exponent reaches dim g; it is nilpotent iff that power is zero.
+    """
+    n = g.dim
+    av = [Fraction(x) for x in a]
+    values = [[expansion.get(k, _ZERO) for k in range(n)] for expansion in g.table.values()]
+    if len(fraction_rref(values + [av], n)[1]) != len(fraction_rref(values, n)[1]):
+        return False
+    ad = [[_ZERO] * n for _ in range(n)]  # ad[k][j]: e_k's coefficient in [a, e_j]
+    for (i, j), expansion in g.table.items():
+        for k, c in expansion.items():
+            ad[k][j] += av[i] * c
+            ad[k][i] -= av[j] * c
+    scale = math.lcm(*(x.denominator for row in ad for x in row))
+    power = [[int(x * scale) for x in row] for row in ad]
+    exponent = 1
+    while exponent < n:
+        power = _int_square(power)
+        exponent *= 2
+    return not any(any(row) for row in power)

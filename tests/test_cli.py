@@ -18,6 +18,7 @@ import lienil.semisimple as semisimple
 from lienil.catalog import builtin, standard_entries
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace
+from lienil.reps import trivial_rep
 from lienil.cli import (
     ParseError,
     parse_algebra,
@@ -374,6 +375,25 @@ def test_computed_values_beyond_the_text_limit_render_exactly(tmp_path):
     assert json.loads(out)["violations"][0].startswith("Jacobi identity fails on basis triple")
 
 
+@pytest.mark.parametrize("text, place", [
+    ("dim \u0663\n", "line 1: dim line must be"),  # Arabic-Indic three
+    ("dim \uff13\n", "line 1: dim line must be"),  # full-width three
+    (SL2_TEXT.replace("-2 e", "-\u0662 e"), "line 3, column 9: expected a signed term"),
+    (SL2_TEXT.replace("-2 e", "-\uff12 e"), "line 3, column 9: expected a signed term"),
+])
+def test_non_ascii_digits_in_a_file_are_located(tmp_path, text, place):
+    code, out = capture(["info", write(tmp_path, "g.lie", text)])
+    assert code == 1
+    assert place in out
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\uff13"])  # Arabic-Indic one, full-width three
+def test_non_ascii_digits_in_an_element_are_bad_rationals(tmp_path, digit):
+    code, out = capture(["oracle", write(tmp_path, "sl2.lie", SL2_TEXT), f"--element={digit},0,0"])
+    assert code == 1
+    assert f"bad rational {digit!r}" in out
+
+
 def test_exponent_element_exits_1(tmp_path):
     path = write(tmp_path, "sl2.txt", SL2_TEXT)
     code, text = capture(["oracle", path, "--element=1e10000000,0,0"])
@@ -638,3 +658,131 @@ def test_large_crosscheck_json_matches_golden_digest(tmp_path, monkeypatch, elem
     assert code == 0
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest(),
             json.loads(text)["corpus_size"]) == CROSSCHECK_GOLDEN_SL2[element]
+
+
+# Text reports on the moved gl2 file of the golden cases.  A text report lists its
+# fields in the order the report inserts them, which the sorted JSON does not pin.
+GL2_ELEMENT = GOLDEN_CASES[1][2]
+_GL2_WITNESS_TEXT = (
+    "witness_case: derived_character\n"
+    "witness_label: character(1,-1,0,1)\n"
+    "witness_dim: 1\n"
+    "witness_exponent: 1\n"
+    "witness_acts_nilpotently: false\n")
+GOLDEN_TEXT = {
+    "info": ([], (
+        "command: info\n"
+        "file: gl2.lie\n"
+        "dim: 4\n"
+        "basis: b0 b1 b2 b3\n"
+        "derived_dim: 3\n"
+        "radical_dim: 1\n"
+        "center_dim: 1\n"
+        "solvable: false\n"
+        "nilpotent: false\n"
+        "semisimple: false\n"
+        "derived_series_dims: 4 3 3\n"
+        "lower_central_dims: 4 3 3\n")),
+    "radical": ([], (
+        "command: radical\n"
+        "file: gl2.lie\n"
+        "dim: 1\n"
+        "basis_vectors:\n"
+        "  1 1/19 3/19 18/19\n"
+        "semisimple: false\n")),
+    "killing": ([], (
+        "command: killing\n"
+        "file: gl2.lie\n"
+        "gram:\n"
+        "  1/2 -1/2 0 -1/2\n"
+        "  -1/2 1/2 6 -1/2\n"
+        "  0 6 -4 1/3\n"
+        "  -1/2 -1/2 1/3 1/2\n"
+        "nondegenerate: false\n")),
+    "nilpotent": (["--element", GL2_ELEMENT], (
+        "command: nilpotent\n"
+        "file: gl2.lie\n"
+        "element: 19/9 1/9 1/3 2\n"
+        "ad_nilpotent: true\n")),
+    "oracle": (["--element", GL2_ELEMENT, "--witness"], (
+        "command: oracle\n"
+        "file: gl2.lie\n"
+        "element: 19/9 1/9 1/3 2\n"
+        "answer: false\n"
+        "in_derived: false\n"
+        "image_nilpotent: true\n"
+        "radical_dim: 1\n"
+        "derived_dim: 3\n" + _GL2_WITNESS_TEXT)),
+    "crosscheck": (["--element", GL2_ELEMENT, "--depth", "1"], (
+        "command: crosscheck\n"
+        "file: gl2.lie\n"
+        "element: 19/9 1/9 1/3 2\n"
+        "depth: 1\n"
+        "max_dim: 128\n"
+        "answer: false\n"
+        "consistent: true\n"
+        "corpus_size: 18\n"
+        "corpus (18 representations):\n" + "".join(
+            f"  {label}  dim={dim}  nilpotent={'true' if nilpotent else 'false'}\n"
+            for label, dim, nilpotent in CROSSCHECK_GOLDEN_ROWS["gl2.lie"])
+        + _GL2_WITNESS_TEXT)),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_TEXT)
+def test_text_reports_match_golden_snapshot(tmp_path, monkeypatch, command):
+    write_moved(tmp_path, "gl2", "gl2.lie")
+    monkeypatch.chdir(tmp_path)
+    extra, expected = GOLDEN_TEXT[command]
+    assert capture([command, "gl2.lie", *extra]) == (0, expected)
+
+
+# --- the exit-code policy ---------------------------------------------------------------
+
+EXIT_FILES = {
+    "sl2": SL2_TEXT,
+    "gl2": render_algebra(builtin("gl2").algebra),  # not semisimple: a nonzero radical
+    "broken": "dim 3\nbasis x y z\n[x,y] = z\n[x,z] = x\n",  # breaks the Jacobi identity
+}
+
+EXIT_CODES = (  # (command, file, extra arguments, exit code, exit code under --assert)
+    ("validate", "sl2", [], 0, 0),
+    ("validate", "broken", [], 1, 1),
+    ("info", "sl2", [], 0, 0),
+    ("info", "gl2", [], 0, 0),
+    ("info", "broken", [], 1, 1),
+    ("radical", "sl2", [], 0, 0),
+    ("radical", "gl2", [], 0, 0),
+    ("killing", "sl2", [], 0, 0),
+    ("killing", "gl2", [], 0, 0),
+    ("nilpotent", "sl2", ["--element=1,0,0"], 0, 0),
+    ("nilpotent", "sl2", ["--element=0,1,0"], 0, 2),
+    ("nilpotent", "sl2", ["--element=1,0"], 1, 1),
+    ("oracle", "sl2", ["--element=1,0,0"], 0, 0),
+    ("oracle", "sl2", ["--element=0,1,0", "--witness"], 0, 2),
+    ("oracle", "gl2", ["--element=1,0,0,1"], 0, 2),
+    ("oracle", "broken", ["--element=1,0,0"], 1, 1),
+    ("crosscheck", "sl2", ["--element=1,0,0", "--depth=1"], 0, 0),
+    ("crosscheck", "sl2", ["--element=0,1,0", "--depth=1"], 0, 0),  # negative, consistent
+    ("crosscheck", "sl2", ["--element=0,1,0", "--depth=-1"], 1, 1),
+)
+
+
+@pytest.mark.parametrize("command, name, extra, code, asserted", EXIT_CODES,
+                         ids=[f"{row[0]}-{row[1]}-{k}" for k, row in enumerate(EXIT_CODES)])
+def test_exit_codes(tmp_path, command, name, extra, code, asserted):
+    path = write(tmp_path, f"{name}.lie", EXIT_FILES[name])
+    assert capture([command, path, *extra])[0] == code
+    assert capture([command, path, *extra, "--assert"])[0] == asserted
+
+
+def test_an_inconsistent_crosscheck_exits_2_only_under_assert(tmp_path, monkeypatch):
+    g = builtin("sl2").algebra
+    zero = trivial_rep(g, 2)
+    monkeypatch.setattr(oracle, "_witness", lambda algebra, av, verdict: (
+        oracle.Witness(zero, "adjoint_pullback", 1), zero.action(av)))
+    path = write(tmp_path, "sl2.lie", SL2_TEXT)
+    argv = ["crosscheck", path, "--element=0,1,0", "--depth=1"]
+    code, text = capture(argv)
+    assert (code, "consistent: false" in text) == (0, True)
+    assert capture([*argv, "--assert"])[0] == 2

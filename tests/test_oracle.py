@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lienil.oracle as oracle
-from lienil.catalog import builtin, semidirect, sl2_irrep
+from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, invert, is_nilpotent
 from lienil.oracle import (
@@ -23,15 +23,35 @@ from lienil.semisimple import analyze
 from support import (
     corpus_representation,
     fraction_corpus_outcomes,
+    in_derived_and_ad_nilpotent,
     matrix_power,
     seeded_elements,
     seeded_invertible_matrices,
+    seeded_rational_bases,
+    sl2_plus_sl2,
 )
 
 F = Fraction
 
 
 # --- verdicts ----------------------------------------------------------------------
+
+def test_decision_matches_derived_membership_and_ad_nilpotency():
+    sl2 = builtin("sl2").algebra
+    algebras = ([entry.algebra for entry in standard_entries()]
+                + [semidirect(sl2, sl2_irrep(m)).algebra for m in (1, 2, 3)] + [sl2_plus_sl2()])
+    answers = set()
+    for g in algebras:
+        elements = [g.basis_element(i) for i in range(g.dim)] + seeded_elements(g.dim, 3, seed=7)
+        moves = [(g, Matrix.identity(g.dim))] + [
+            (g.change_of_basis(p), invert(p)) for p in seeded_rational_bases(g.dim, 2, seed=31)]
+        for moved, p_inv in moves:
+            for a in map(p_inv.apply, elements):
+                answer = nilpotent_in_all_reps(moved, a).answer
+                assert answer == in_derived_and_ad_nilpotent(moved, a), (moved, a)
+                answers.add(answer)
+    assert answers == {True, False}
+
 
 def test_verdicts_on_sl2():
     g = builtin("sl2").algebra
