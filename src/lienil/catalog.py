@@ -1,27 +1,35 @@
 """Built-in algebras with declared-and-verified structural ground truth.
 
 Each entry records the radical, derived subalgebra and semisimplicity the
-fixture is *supposed* to have; construction recomputes all three and
-refuses to hand out an entry on any mismatch, so a test that consumes the
-catalog can rely on the declared data being literally what the library
-computes.  Entries for sl2-like algebras also carry representations that
-are irreducible by construction — irreducibility itself is never decided.
+fixture is *supposed* to have (semisimple exactly when the declared radical is
+zero); construction recomputes all three and refuses to hand out an entry on
+any mismatch, so a test that consumes the catalog can rely on the declared
+data being literally what the library computes.  Each kind of fixture has one
+builder, and all of them start from integers: a bracket-table algebra is a row
+of ``_TABLES`` (basis names, the brackets [e_i, e_j] for i < j, and the basis
+indices spanning the declared radical and derived subalgebra); sl3, gl2 and the
+triangular families (one function builds both) are matrix algebras; and
+``abelian(n)`` has no brackets.  A family member of more than
+``_MAX_FAMILY_DIM`` dimensions is refused before any of it is built.  Entries
+for sl2-like algebras also carry representations that are irreducible by
+construction — irreducibility itself is never decided.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Iterable
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace, Vector, solve
 from .reps import Representation, adjoint_rep, trivial_rep, validate_rep
 from .semisimple import ConsistencyError, analyze, is_semisimple, radical
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Above this a family member is refused: upper_triangular(10), 55 dimensions, takes about
+# 1.6 s to build, verify and render, and upper_triangular(11), 66 dimensions, about 2.8 s.
+_MAX_FAMILY_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -48,48 +56,49 @@ def _verified(entry: CatalogEntry) -> CatalogEntry:
     return entry
 
 
-def _coordinate_span(dim: int, indices) -> Subspace:
-    vectors = []
-    for i in indices:
-        v = [_ZERO] * dim
-        v[i] = _ONE
-        vectors.append(v)
-    return Subspace.from_vectors(dim, vectors)
+def _units(dim: int, indices: Iterable[int]) -> list[list[int]]:
+    """The basis vectors e_i for these indices, as integer rows."""
+    return [[int(k == i) for k in range(dim)] for i in indices]
 
 
-def _flatten(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(x for row in m.entries for x in row)
+def _int_matrix(n: int, entry: Callable[[int, int], int]) -> Matrix:
+    """The n x n integer matrix with entry(r, c) in row r, column c."""
+    return Matrix(n, n, tuple(tuple(entry(r, c) for c in range(n)) for r in range(n)))
 
 
-def _algebra_from_matrices(names, mats: list[Matrix]) -> LieAlgebra:
-    """Structure constants of a matrix Lie algebra given by a linearly independent basis."""
-    span = Matrix.from_columns([_flatten(m) for m in mats]) if mats else Matrix.zero(0, 0)
-
-    def product(i: int, j: int) -> Vector:
-        coords = solve(span, _flatten(mats[i] @ mats[j] - mats[j] @ mats[i]))
-        if coords is None:
-            raise ValueError("matrix set is not closed under the commutator")
-        return coords
-
-    return LieAlgebra.from_products(names, product)
+def _entry(name: str, algebra: LieAlgebra, radical_rows: list[list[int]],
+           derived_rows: list[list[int]],
+           irreducibles: tuple[Representation, ...] = ()) -> CatalogEntry:
+    """The entry whose declared radical and derived subalgebra these integer rows span;
+    it is declared semisimple when that radical is zero."""
+    known_radical = Subspace._span(algebra.dim, radical_rows)
+    return CatalogEntry(name, algebra, known_radical, Subspace._span(algebra.dim, derived_rows),
+                        known_radical.is_zero(), irreducibles)
 
 
-def _matrix_unit(n: int, i: int, j: int) -> Matrix:
-    return Matrix.from_rows([
-        [1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
-
-
-def _unit_name(i: int, j: int, large: bool) -> str:
-    return f"E{i + 1}_{j + 1}" if large else f"E{i + 1}{j + 1}"
+_TABLES = {  # name: (basis names, [e_i, e_j] for i < j, radical indices, derived indices)
+    "sl2": ("e h f", {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}, (), (0, 1, 2)),
+    "so3": ("x y z", {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, (), (0, 1, 2)),
+    "heisenberg": ("x y z", {(0, 1): {2: 1}}, (0, 1, 2), (2,)),
+    "nonabelian2": ("a b", {(0, 1): {1: 1}}, (0, 1), (1,)),
+    "borel2": ("h e", {(0, 1): {1: 2}}, (0, 1), (1,)),
+}
 
 
 @lru_cache(maxsize=None)
-def _sl2_algebra() -> LieAlgebra:
-    return LieAlgebra(3, ("e", "h", "f"), {
-        (0, 1): {0: Fraction(-2)},
-        (0, 2): {1: Fraction(1)},
-        (1, 2): {2: Fraction(-2)},
-    })
+def _table_algebra(name: str) -> LieAlgebra:
+    names = _TABLES[name][0].split()
+    return LieAlgebra(len(names), names, _TABLES[name][1])
+
+
+def _table_entry(name: str) -> CatalogEntry:
+    algebra = _table_algebra(name)
+    _, _, radical_indices, derived_indices = _TABLES[name]
+    irreducibles = tuple(sl2_irrep(m) for m in range(5)) if name == "sl2" else ()
+    if not radical_indices:
+        irreducibles += (adjoint_rep(algebra),)
+    return _entry(name, algebra, _units(algebra.dim, radical_indices),
+                  _units(algebra.dim, derived_indices), irreducibles)
 
 
 @lru_cache(maxsize=None)
@@ -102,140 +111,95 @@ def sl2_irrep(m: int) -> Representation:
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
     n = m + 1
-    e_rows = [[_ZERO] * n for _ in range(n)]
-    f_rows = [[_ZERO] * n for _ in range(n)]
-    h_rows = [[_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        h_rows[j][j] = Fraction(m - 2 * j)
-        if j + 1 < n:
-            e_rows[j][j + 1] = Fraction(m - j)
-            f_rows[j + 1][j] = Fraction(j + 1)
-    mats = tuple(Matrix.from_rows(rows) for rows in (e_rows, h_rows, f_rows))
-    return Representation(_sl2_algebra(), n, mats, f"sl2_irrep({m})")
+    mats = (_int_matrix(n, lambda r, c: (m - r) * (c == r + 1)),
+            _int_matrix(n, lambda r, c: (m - 2 * r) * (c == r)),
+            _int_matrix(n, lambda r, c: (c + 1) * (r == c + 1)))
+    return Representation(_table_algebra("sl2"), n, mats, f"sl2_irrep({m})")
 
 
-def _entry_sl2() -> CatalogEntry:
-    algebra = _sl2_algebra()
-    irreducibles = tuple(sl2_irrep(m) for m in range(5)) + (adjoint_rep(algebra),)
-    return CatalogEntry("sl2", algebra, Subspace.zero(3), Subspace.full(3), True,
-                        irreducibles)
+def _matrix_unit(n: int, i: int, j: int) -> Matrix:
+    return _int_matrix(n, lambda r, c: int((r, c) == (i, j)))
 
 
-def _entry_sl3() -> CatalogEntry:
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    names = [_unit_name(i, j, False) for i, j in pairs]
-    mats = [_matrix_unit(3, i, j) for i, j in pairs]
-    names += ["H1", "H2"]
-    mats += [_matrix_unit(3, 0, 0) - _matrix_unit(3, 1, 1),
-             _matrix_unit(3, 1, 1) - _matrix_unit(3, 2, 2)]
-    names += [_unit_name(j, i, False) for i, j in pairs]
-    mats += [_matrix_unit(3, j, i) for i, j in pairs]
-    algebra = _algebra_from_matrices(tuple(names), mats)
-    return CatalogEntry("sl3", algebra, Subspace.zero(8), Subspace.full(8), True,
-                        (adjoint_rep(algebra),))
+def _algebra_from_matrices(names, mats: list[Matrix]) -> LieAlgebra:
+    """Structure constants of a matrix Lie algebra given by a linearly independent basis
+    of integer matrices, each flattened to its rows in turn."""
+    span = Matrix.from_columns([sum(m.ints, ()) for m in mats])
+
+    def product(i: int, j: int) -> Vector:
+        coords = solve(span, sum((mats[i] @ mats[j] - mats[j] @ mats[i]).ints, ()))
+        if coords is None:
+            raise ValueError("matrix set is not closed under the commutator")
+        return coords
+
+    return LieAlgebra.from_products(names, product)
 
 
-def _entry_gl2() -> CatalogEntry:
-    names = ("E11", "E12", "E21", "E22")
-    mats = [_matrix_unit(2, i, j) for i in range(2) for j in range(2)]
-    algebra = _algebra_from_matrices(names, mats)
-    derived = Subspace.from_vectors(4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
-    return CatalogEntry("gl2", algebra,
-                        Subspace.from_vectors(4, [[1, 0, 0, 1]]), derived, False)
+def _sl3() -> CatalogEntry:
+    unit = [[_matrix_unit(3, i, j) for j in range(3)] for i in range(3)]
+    names = ("E12", "E13", "E23", "H1", "H2", "E21", "E31", "E32")
+    algebra = _algebra_from_matrices(names, [
+        unit[0][1], unit[0][2], unit[1][2], unit[0][0] - unit[1][1], unit[1][1] - unit[2][2],
+        unit[1][0], unit[2][0], unit[2][1]])
+    return _entry("sl3", algebra, [], _units(8, range(8)), (adjoint_rep(algebra),))
 
 
-def _entry_so3() -> CatalogEntry:
-    algebra = LieAlgebra(3, ("x", "y", "z"), {
-        (0, 1): {2: Fraction(1)},
-        (1, 2): {0: Fraction(1)},
-        (0, 2): {1: Fraction(-1)},
-    })
-    return CatalogEntry("so3", algebra, Subspace.zero(3), Subspace.full(3), True,
-                        (adjoint_rep(algebra),))
+def _gl2() -> CatalogEntry:
+    units = [_matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+    algebra = _algebra_from_matrices(("E11", "E12", "E21", "E22"), units)
+    return _entry("gl2", algebra, [[1, 0, 0, 1]], [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
 
 
-def _entry_heisenberg() -> CatalogEntry:
-    algebra = LieAlgebra(3, ("x", "y", "z"), {(0, 1): {2: Fraction(1)}})
-    return CatalogEntry("heisenberg", algebra, Subspace.full(3),
-                        _coordinate_span(3, [2]), False)
+def _triangular(strict: bool, n: int) -> CatalogEntry:
+    """upper_triangular(n), or strictly_upper(n) when strict: the matrix units E_ij with
+    j - i >= strict, all in the radical; those with j - i > strict span the derived subalgebra."""
+    pairs = [(i, j) for i in range(n) for j in range(i + strict, n)]
+    names = tuple(f"E{i + 1}_{j + 1}" if n > 9 else f"E{i + 1}{j + 1}" for i, j in pairs)
+    algebra = _algebra_from_matrices(names, [_matrix_unit(n, i, j) for i, j in pairs])
+    derived = [k for k, (i, j) in enumerate(pairs) if j - i > strict]
+    name = f"{'strictly_upper' if strict else 'upper_triangular'}({n})"
+    return _entry(name, algebra, _units(len(pairs), range(len(pairs))),
+                  _units(len(pairs), derived))
 
 
-def _entry_nonabelian2() -> CatalogEntry:
-    algebra = LieAlgebra(2, ("a", "b"), {(0, 1): {1: Fraction(1)}})
-    return CatalogEntry("nonabelian2", algebra, Subspace.full(2),
-                        _coordinate_span(2, [1]), False)
-
-
-def _entry_borel2() -> CatalogEntry:
-    algebra = LieAlgebra(2, ("h", "e"), {(0, 1): {1: Fraction(2)}})
-    return CatalogEntry("borel2", algebra, Subspace.full(2),
-                        _coordinate_span(2, [1]), False)
-
-
-def _entry_abelian(n: int) -> CatalogEntry:
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+def _abelian(n: int) -> CatalogEntry:
     algebra = LieAlgebra(n, tuple(f"x{i + 1}" for i in range(n)), {})
-    return CatalogEntry(f"abelian({n})", algebra, Subspace.full(n),
-                        Subspace.zero(n), False)
+    return _entry(f"abelian({n})", algebra, _units(n, range(n)), [])
 
 
-def _entry_upper_triangular(n: int) -> CatalogEntry:
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    names = tuple(_unit_name(i, j, n > 9) for i, j in pairs)
-    algebra = _algebra_from_matrices(names, [_matrix_unit(n, i, j) for i, j in pairs])
-    strict = [k for k, (i, j) in enumerate(pairs) if i < j]
-    return CatalogEntry(f"upper_triangular({n})", algebra, Subspace.full(len(pairs)),
-                        _coordinate_span(len(pairs), strict), False)
+_PLAIN = {"sl3": _sl3, "gl2": _gl2, **{name: partial(_table_entry, name) for name in _TABLES}}
 
-
-def _entry_strictly_upper(n: int) -> CatalogEntry:
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    names = tuple(_unit_name(i, j, n > 9) for i, j in pairs)
-    algebra = _algebra_from_matrices(names, [_matrix_unit(n, i, j) for i, j in pairs])
-    wide = [k for k, (i, j) in enumerate(pairs) if j - i >= 2]
-    dim = len(pairs)
-    return CatalogEntry(f"strictly_upper({n})", algebra, Subspace.full(dim),
-                        _coordinate_span(dim, wide), dim == 0)
-
-
-_PLAIN = {
-    "sl2": _entry_sl2,
-    "sl3": _entry_sl3,
-    "gl2": _entry_gl2,
-    "so3": _entry_so3,
-    "heisenberg": _entry_heisenberg,
-    "nonabelian2": _entry_nonabelian2,
-    "borel2": _entry_borel2,
+_FAMILIES = {  # name: (what n is, the dimension of member n, its builder)
+    "abelian": ("dimension", lambda n: n, _abelian),
+    "upper_triangular": ("matrix size", lambda n: n * (n + 1) // 2, partial(_triangular, False)),
+    "strictly_upper": ("matrix size", lambda n: n * (n - 1) // 2, partial(_triangular, True)),
 }
 
-_PARAMETRIC = {
-    "abelian": _entry_abelian,
-    "upper_triangular": _entry_upper_triangular,
-    "strictly_upper": _entry_strictly_upper,
-}
-
-_NAME_RE = re.compile(r"^([a-z_0-9]+)\((\d+)\)$")
+_NAME_RE = re.compile(r"([a-z_]+)\(([0-9]+)\)")
 
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> CatalogEntry:
-    """Catalog lookup by name; parametric names look like ``abelian(3)``."""
+    """Catalog lookup by name; parametric names look like ``abelian(3)``, in ASCII digits,
+    and a member of more than ``_MAX_FAMILY_DIM`` dimensions raises before it is built."""
     if name in _PLAIN:
         return _verified(_PLAIN[name]())
-    match = _NAME_RE.match(name)
-    if match and match.group(1) in _PARAMETRIC:
-        return _verified(_PARAMETRIC[match.group(1)](int(match.group(2))))
-    raise ValueError(f"unknown catalog name: {name!r}")
+    match = _NAME_RE.fullmatch(name)
+    if match is None or match.group(1) not in _FAMILIES:
+        raise ValueError(f"unknown catalog name: {name!r}")
+    parameter, dimension, build = _FAMILIES[match.group(1)]
+    n = int(match.group(2))
+    if n < 1:
+        raise ValueError(f"{parameter} must be at least 1")
+    if dimension(n) > _MAX_FAMILY_DIM:
+        raise ValueError(f"catalog name {name!r} has dimension {dimension(n)}, "
+                         f"above the limit of {_MAX_FAMILY_DIM}")
+    return _verified(build(n))
 
 
 def catalog_names() -> list[str]:
     """Template names accepted by builtin, parametric ones shown with (n)."""
-    return sorted(_PLAIN) + sorted(f"{base}(n)" for base in _PARAMETRIC)
+    return sorted(_PLAIN) + sorted(f"{base}(n)" for base in _FAMILIES)
 
 
 def standard_entries() -> list[CatalogEntry]:
@@ -261,30 +225,24 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
         raise ValueError("representation fails the homomorphism law")
     dim_v = rep.dim_v
     dim = s.dim + dim_v
-    taken = set(s.basis_names)
-    module_names = []
+    names = list(s.basis_names)
     for k in range(dim_v):
         candidate = f"v{k + 1}"
-        while candidate in taken:
+        while candidate in names:
             candidate += "_"
-        taken.add(candidate)
-        module_names.append(candidate)
-    names = s.basis_names + tuple(module_names)
+        names.append(candidate)
     table = dict(s.table)
-    for i in range(s.dim):
-        mat = rep.matrices[i]
+    for i, mat in enumerate(rep.matrices):
         for j in range(dim_v):  # LieAlgebra drops the zero coefficients
             table[(i, s.dim + j)] = dict(enumerate(mat.column(j), s.dim))
     algebra = LieAlgebra(dim, names, table)
     algebra.validate()
     entry_name = name if name is not None else f"semidirect({rep.label})"
     if is_semisimple(s):
-        module_span = _coordinate_span(dim, range(s.dim, dim))
-        quotient = algebra.quotient(module_span).target
-        if quotient._table_key != s._table_key:
+        known_radical = Subspace._span(dim, _units(dim, range(s.dim, dim)))
+        if algebra.quotient(known_radical).target._table_key != s._table_key:
             raise ConsistencyError(
                 f"catalog entry {entry_name}: quotient by the module is not the base algebra")
-        known_radical = module_span
     else:
         known_radical = radical(algebra)
     return _verified(CatalogEntry(

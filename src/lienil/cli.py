@@ -10,9 +10,13 @@ The file format puts one algebra per file::
 
 Lines starting with ``#`` are comments, unlisted brackets are zero,
 rationals are ``p`` or ``p/q`` in ASCII digits, and a coefficient of one may
-be left off.  ``render_algebra`` is the exact inverse of ``parse_algebra``, so
-files can be regenerated from any algebra (the ``catalog`` command does
-exactly that).
+be left off.  Lines end at CR LF, CR or LF only.  Outside a comment the only
+whitespace is the space and the tab: any other character that is not printable
+(a control character, a no-break space, a line separator) is an error at its
+line and column, and printable non-ASCII characters fall outside the ASCII
+names and numbers; a comment may hold any text.  ``render_algebra`` is the
+exact inverse of ``parse_algebra``, so files can be regenerated from any
+algebra (the ``catalog`` command does exactly that).
 
 Every command runs through ``run``, the one command path.  For the seven
 commands that read an algebra file it reads and parses the file, checks the
@@ -70,6 +74,7 @@ _BRACKET_RE = re.compile(
 _RATIONAL_PATTERN = r"[0-9]+(?:/[0-9]+)?"  # ASCII digits: \d, int and Fraction take any script's
 _TERM_RE = re.compile(rf"\s*([+-])?\s*(?:({_RATIONAL_PATTERN})\s+)?({_NAME_PATTERN})")
 _COORDINATE_RE = re.compile(rf"[+-]?{_RATIONAL_PATTERN}")
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")  # str.splitlines also breaks at \f, \x1c, \u2028, ...
 _MAX_DIGITS = 4300
 
 
@@ -116,8 +121,12 @@ def parse_algebra(text: str) -> LieAlgebra:
     names: tuple[str, ...] | None = None
     index_of: dict[str, int] = {}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(_LINE_BREAK_RE.split(text), 1):
+        line = raw.split("#", 1)[0]
+        for column, char in enumerate(line, 1):  # \s, split and strip read many as spaces
+            if not (char.isprintable() or char == "\t"):
+                raise ParseError(f"character {char!r} outside a comment", line_no, column)
+        line = line.strip(" \t")
         if not line:
             continue
         if line.startswith("dim"):
@@ -177,15 +186,15 @@ def parse_algebra(text: str) -> LieAlgebra:
 
 def parse_element(text: str, dim: int) -> Vector:
     """Comma-separated exact rationals, one per basis element, each an optionally
-    signed ``p`` or ``p/q`` as in the file grammar."""
-    stripped = text.strip()
+    signed ``p`` or ``p/q`` as in the file grammar, with spaces and tabs around it."""
+    stripped = text.strip(" \t")
     if stripped == "" and dim == 0:
         return ()
     parts = stripped.split(",")
     if len(parts) != dim:
         raise ParseError(f"element has {len(parts)} coordinates, expected {dim}")
     coords = []
-    for part in map(str.strip, parts):
+    for part in (part.strip(" \t") for part in parts):
         # Checked before Fraction, which would also expand exponents like 1e10000000.
         if not _COORDINATE_RE.fullmatch(part):
             raise ParseError(f"bad rational {part!r}")

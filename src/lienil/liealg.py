@@ -278,17 +278,13 @@ class LieAlgebra:
 
     # -- constructions ------------------------------------------------------
 
-    def quotient(self, ideal: Subspace, names: Sequence[str] | None = None) -> "QuotientMap":
+    def quotient(self, ideal: Subspace) -> "QuotientMap":
+        """The quotient by an ideal, its basis the complement coordinates, each name + "~"."""
         if not self.is_ideal(ideal):
             raise ValueError("quotient requires an ideal")
         complement = ideal.complement_coordinates()
         q_dim = len(complement)
-        if names is None:
-            names = tuple(self.basis_names[j] + "~" for j in complement)
-        else:
-            names = tuple(names)
-            if len(names) != q_dim:
-                raise ValueError(f"{len(names)} names for quotient dimension {q_dim}")
+        names = tuple(self.basis_names[j] + "~" for j in complement)
         projection = ideal.projection()
         products = {(a, b): _image(projection.ints, self._constants[i][complement[b]].items())
                     for a, i in enumerate(complement) for b in range(a + 1, q_dim)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from lienil.catalog import builtin
+from lienil.catalog import builtin, semidirect, sl2_irrep
 from lienil.liealg import LieAlgebra
 from lienil.linalg import (
     Matrix, Subspace, Vector, as_vector, frac, invert, is_nilpotent, kernel_image)
@@ -64,6 +64,21 @@ def sl2_plus_sl2() -> LieAlgebra:
 
 
 SEMISIMPLE_NAMES = ("sl2", "sl3", "so3")
+
+
+def criterion_2_cases() -> list[tuple[str, LieAlgebra, list]]:
+    """The acceptance gate's cross-validation workload: (name, algebra, elements), 17
+    elements in all."""
+    ext = semidirect(builtin("sl2").algebra, sl2_irrep(1)).algebra
+    return [
+        ("sl2", builtin("sl2").algebra,
+         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)]),
+        ("heisenberg", builtin("heisenberg").algebra,
+         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]),
+        ("gl2", builtin("gl2").algebra,
+         [(0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1)]),
+        ("semidirect(sl2, V1)", ext, seeded_elements(5, 5, seed=103)),
+    ]
 
 
 # --- references that no library path calls --------------------------------------

@@ -44,6 +44,7 @@ from lienil.semisimple import (
 from support import (
     SEMISIMPLE_NAMES,
     _restrict_to_subalgebra,
+    criterion_2_cases,
     seeded_elements,
     seeded_invertible_matrices,
     sl2_plus_sl2,
@@ -77,23 +78,10 @@ def test_criterion_1_power_equals_image():
 
 # --- 2/3. corpus cross-validation and witness soundness ------------------------------
 
-def _criterion_2_cases():
-    ext = semidirect(builtin("sl2").algebra, sl2_irrep(1)).algebra
-    return [
-        ("sl2", builtin("sl2").algebra,
-         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)]),
-        ("heisenberg", builtin("heisenberg").algebra,
-         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]),
-        ("gl2", builtin("gl2").algebra,
-         [(0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1)]),
-        ("semidirect(sl2, V1)", ext, seeded_elements(5, 5, seed=103)),
-    ]
-
-
 @functools.lru_cache(maxsize=1)
 def _criterion_2_reports():
     reports = []
-    for _, algebra, elements in _criterion_2_cases():
+    for _, algebra, elements in criterion_2_cases():
         for a in elements:
             reports.append((algebra, a, cross_validate(algebra, a, depth=2, max_dim=128)))
     return reports

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,6 +18,7 @@ from lienil.catalog import (
     sl2_irrep,
     standard_entries,
 )
+from lienil.cli import render_algebra, run
 from lienil.linalg import Matrix, Subspace
 from lienil.reps import adjoint_rep, one_dim_rep, trivial_rep, validate_rep
 from lienil.semisimple import is_semisimple, radical
@@ -37,6 +40,41 @@ def test_bad_parameter_raises():
         builtin("upper_triangular(zero)")
 
 
+@pytest.mark.parametrize("name", ["abelian(\u0663)", "abelian(\uff13)", "abelian(3)\n"])
+def test_names_outside_the_ascii_grammar_are_unknown(name):
+    with pytest.raises(ValueError, match="unknown catalog name"):
+        builtin(name)
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("abelian(65)", 65), ("upper_triangular(11)", 66), ("strictly_upper(12)", 66),
+    ("upper_triangular(1000)", 500500), ("strictly_upper(10000000000)", 49999999995000000000)])
+def test_oversized_family_members_are_refused_before_anything_is_built(monkeypatch, name, dim):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError(f"{name} started to build")
+
+    for builder in ("LieAlgebra", "Matrix", "Subspace", "_verified"):
+        monkeypatch.setattr(catalog, builder, unbuilt)
+    with pytest.raises(ValueError) as refusal:
+        builtin(name)
+    assert str(refusal.value) == f"catalog name {name!r} has dimension {dim}, above the limit of 64"
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["upper_triangular(10)", "strictly_upper(11)"])
+def test_the_largest_family_members_pass_the_size_check(monkeypatch, name):
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(catalog, "_matrix_unit", started)  # stop as building begins
+    with pytest.raises(_Started):
+        builtin(name)
+    assert builtin("abelian(64)").algebra.dim == 64
+
+
 def test_catalog_names_cover_standard_entries():
     names = catalog_names()
     for entry in standard_entries():
@@ -46,6 +84,69 @@ def test_catalog_names_cover_standard_entries():
 
 def test_builtin_is_cached():
     assert builtin("sl2") is builtin("sl2")
+
+
+# --- pinned fixtures ------------------------------------------------------------------
+
+def _catalog_stdout(*argv: str) -> str:
+    out = io.StringIO()
+    assert run(["catalog", *argv], out=out) == 0
+    return out.getvalue()
+
+
+def _fixture_digest(name: str) -> str:
+    """Everything the catalog hands out for one name: the rendered file, the declared
+    rows and flag, each attached representation, and `lienil catalog` in both formats."""
+    entry = builtin(name)
+    parts = [entry.name, render_algebra(entry.algebra), repr(entry.known_radical.rows),
+             repr(entry.known_derived.rows), repr(entry.known_semisimple)]
+    for rep in entry.irreducibles:
+        parts += [rep.label, repr([(m.ints, m.scale) for m in rep.matrices])]
+    parts += [_catalog_stdout(name), _catalog_stdout(name, "--format", "json")]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+PINNED = {
+    "sl2": "9fd3ab18b746a103",
+    "sl3": "e780d587ba336220",
+    "gl2": "da9b3cd17480833d",
+    "so3": "c01b662a8a58d493",
+    "heisenberg": "806ba937774a227f",
+    "nonabelian2": "1c3e1e4243f26aa1",
+    "borel2": "7469c8234b76f78a",
+    "abelian(1)": "11e2a742309d304b",
+    "abelian(2)": "945a1c8e06ca7e82",
+    "abelian(3)": "b8d2764bdf69481f",
+    "abelian(4)": "99535f5af210642b",
+    "abelian(5)": "1942b2f9db7ab0f8",
+    "abelian(6)": "3c91fb13a985bb29",
+    "upper_triangular(1)": "47b834469c7b54d6",
+    "upper_triangular(2)": "0c1193dbe2276b17",
+    "upper_triangular(3)": "b37d48942ee43b37",
+    "upper_triangular(4)": "100e5960cd820412",
+    "upper_triangular(5)": "87a2e5699dcf124a",
+    "upper_triangular(6)": "f3772917d76bda12",
+    "strictly_upper(1)": "79b2f9e020628551",
+    "strictly_upper(2)": "08cd3100e8af5aab",
+    "strictly_upper(3)": "da1f0b6ba988451e",
+    "strictly_upper(4)": "50c89a37204b7804",
+    "strictly_upper(5)": "dd648845a9e12742",
+    "strictly_upper(6)": "3554bcd9f11aee98",
+}
+
+
+def test_fixtures_match_their_pinned_digests():
+    assert {name: _fixture_digest(name) for name in PINNED} == PINNED
+
+
+def test_catalog_listing_is_pinned():
+    assert _catalog_stdout() == (
+        "command: catalog\nnames: borel2 gl2 heisenberg nonabelian2 sl2 sl3 so3 "
+        "abelian(n) strictly_upper(n) upper_triangular(n)\n")
+    assert _catalog_stdout("--format", "json") == (
+        '{\n  "command": "catalog",\n  "names": [\n    "borel2",\n    "gl2",\n'
+        '    "heisenberg",\n    "nonabelian2",\n    "sl2",\n    "sl3",\n    "so3",\n'
+        '    "abelian(n)",\n    "strictly_upper(n)",\n    "upper_triangular(n)"\n  ]\n}\n')
 
 
 # --- ground truth on each entry ------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lienil.cli as cli
 import lienil.oracle as oracle
 import lienil.semisimple as semisimple
 from lienil.catalog import builtin, standard_entries
@@ -249,7 +248,6 @@ def test_oracle_witness_decides_once(tmp_path, monkeypatch):
     decide = oracle.nilpotent_in_all_reps
     counted = lambda *args: calls.append(args) or decide(*args)  # noqa: E731
     monkeypatch.setattr(oracle, "nilpotent_in_all_reps", counted)
-    monkeypatch.setattr(cli, "nilpotent_in_all_reps", counted, raising=False)  # a module-level import binds it here
     path = write(tmp_path, "sl2.lie", SL2_TEXT)
     code, text = capture(["oracle", path, "--element", "0,1,0", "--witness"])
     assert code == 0
@@ -394,6 +392,33 @@ def test_non_ascii_digits_in_an_element_are_bad_rationals(tmp_path, digit):
     assert f"bad rational {digit!r}" in out
 
 
+@pytest.mark.parametrize("text, place", [
+    (SL2_TEXT.replace("= -2 e", "=\u3000-2 e"), "line 3, column 8: character '\\u3000'"),
+    ("dim\u00a03\n", "line 1, column 4: character '\\xa0'"),  # a no-break space
+    (SL2_TEXT.replace("-2 e\n", "-2 e\x1c\n"), "line 3, column 13: character '\\x1c'"),
+])
+def test_whitespace_other_than_space_and_tab_is_located(tmp_path, text, place):
+    code, out = capture(["info", write(tmp_path, "g.lie", text)])
+    assert code == 1
+    assert f"error: {place} outside a comment\n" in out
+
+
+@pytest.mark.parametrize("separator", ["\f", "\u2028", "\x1c", "\x85"])
+def test_a_comment_is_one_line_whatever_it_holds(tmp_path, separator):
+    text = SL2_TEXT.replace("basis", f"# a comment{separator}with a separator\nbasis")
+    assert parse_algebra(text) == parse_algebra(SL2_TEXT)
+    code, out = capture(["info", write(tmp_path, "g.lie", text)])
+    assert (code, "dim: 3\n" in out) == (0, True)
+
+
+def test_an_element_is_stripped_of_spaces_and_tabs_only(tmp_path):
+    path = write(tmp_path, "sl2.lie", SL2_TEXT)
+    assert capture(["oracle", path, "--element= 1,\t0 ,0\t"])[0] == 0
+    code, out = capture(["oracle", path, "--element= 1,0,0\u3000"])
+    assert code == 1
+    assert "bad rational '0\\u3000'" in out
+
+
 def test_exponent_element_exits_1(tmp_path):
     path = write(tmp_path, "sl2.txt", SL2_TEXT)
     code, text = capture(["oracle", path, "--element=1e10000000,0,0"])
@@ -420,6 +445,15 @@ def test_unknown_catalog_name_exit_code():
     code, text = capture(["catalog", "sp4"])
     assert code == 1
     assert "error" in text
+
+
+@pytest.mark.parametrize("name, error", [
+    ("abelian(\u0663)", "unknown catalog name: 'abelian(\u0663)'"),
+    ("upper_triangular(1000)",
+     "catalog name 'upper_triangular(1000)' has dimension 500500, above the limit of 64"),
+])
+def test_catalog_names_outside_the_grammar_or_the_size_limit_exit_1(name, error):
+    assert capture(["catalog", name]) == (1, f"command: catalog\nerror: {error}\n")
 
 
 def test_help_exits_cleanly():

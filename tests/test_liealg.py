@@ -480,8 +480,6 @@ def test_integer_table_with_common_factor_equals_its_fractions():
 def test_integer_form_rejects_repeated_names():
     with pytest.raises(ValueError, match="distinct"):
         sl2().change_of_basis(Matrix.identity(3), ("a", "a", "b"))
-    with pytest.raises(ValueError, match="distinct"):
-        heisenberg().quotient(Subspace.from_vectors(3, [[0, 0, 1]]), ("p", "p"))
 
 
 def test_is_derivation_matches_pairwise_fraction_check():

@@ -22,6 +22,7 @@ from lienil.semisimple import analyze
 
 from support import (
     corpus_representation,
+    criterion_2_cases,
     fraction_corpus_outcomes,
     in_derived_and_ad_nilpotent,
     matrix_power,
@@ -51,6 +52,26 @@ def test_decision_matches_derived_membership_and_ad_nilpotency():
                 assert answer == in_derived_and_ad_nilpotent(moved, a), (moved, a)
                 answers.add(answer)
     assert answers == {True, False}
+
+
+def test_decision_matches_the_criterion_on_the_acceptance_workloads():
+    """Criterion 2's cases and criterion 8's elements (each standard entry's basis and three
+    seeded elements), on the catalog basis and on the first two of criterion 8's bases."""
+    cases = [(g, elements) for _, g, elements in criterion_2_cases()]
+    for entry in standard_entries():
+        g = entry.algebra
+        cases.append((g, [g.basis_element(i) for i in range(g.dim)]
+                      + seeded_elements(g.dim, 3, seed=109)))
+    answers = []
+    for g, elements in cases:
+        for p in [Matrix.identity(g.dim)] + seeded_invertible_matrices(g.dim, 2, seed=113):
+            moved, p_inv = g.change_of_basis(p), invert(p)
+            for a in map(p_inv.apply, map(g.element, elements)):
+                answer = nilpotent_in_all_reps(moved, a).answer
+                assert answer == in_derived_and_ad_nilpotent(moved, a), (moved, a)
+                answers.append(answer)
+    assert len(answers) == 3 * (17 + 3 * 13 + sum(e.algebra.dim for e in standard_entries()))
+    assert set(answers) == {True, False}
 
 
 def test_verdicts_on_sl2():
