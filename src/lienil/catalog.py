@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from .liealg import LieAlgebra
-from .linalg import Matrix, Subspace, Vector, solve
+from .linalg import Matrix, Subspace
 from .reps import Representation, adjoint_rep, trivial_rep, validate_rep
 from .semisimple import ConsistencyError, analyze, is_semisimple, radical
 
@@ -123,16 +124,20 @@ def _matrix_unit(n: int, i: int, j: int) -> Matrix:
 
 def _algebra_from_matrices(names, mats: list[Matrix]) -> LieAlgebra:
     """Structure constants of a matrix Lie algebra given by a linearly independent basis
-    of integer matrices, each flattened to its rows in turn."""
-    span = Matrix.from_columns([sum(m.ints, ()) for m in mats])
-
-    def product(i: int, j: int) -> Vector:
-        coords = solve(span, sum((mats[i] @ mats[j] - mats[j] @ mats[i]).ints, ()))
-        if coords is None:
-            raise ValueError("matrix set is not closed under the commutator")
-        return coords
-
-    return LieAlgebra.from_products(names, product)
+    of integer matrices, each flattened to its rows in turn.  The rows (m_i flattened, e_i)
+    are eliminated once, so eliminating (v, 0) leaves (0, -x) iff v = sum x_i m_i."""
+    dim, entries = len(mats), mats[0].rows * mats[0].cols if mats else 0
+    span = Subspace._span(entries + dim, [
+        (*sum(m.ints, ()), *unit) for m, unit in zip(mats, _units(dim, range(dim)))])
+    table = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            commutator = sum((mats[i] @ mats[j] - mats[j] @ mats[i]).ints, ())
+            rest, scale = span._eliminate([*commutator, *(0,) * dim])
+            if any(rest[:entries]):
+                raise ValueError("matrix set is not closed under the commutator")
+            table[i, j] = {k: Fraction(-x, scale) for k, x in enumerate(rest[entries:]) if x}
+    return LieAlgebra(dim, names, table)
 
 
 def _sl3() -> CatalogEntry:
@@ -194,7 +199,8 @@ def builtin(name: str) -> CatalogEntry:
     if dimension(n) > _MAX_FAMILY_DIM:
         raise ValueError(f"catalog name {name!r} has dimension {dimension(n)}, "
                          f"above the limit of {_MAX_FAMILY_DIM}")
-    return _verified(build(n))
+    canonical = f"{match.group(1)}({n})"  # no leading zeros: one entry per algebra
+    return _verified(build(n)) if name == canonical else builtin(canonical)
 
 
 def catalog_names() -> list[str]:

@@ -9,13 +9,13 @@ non-nilpotently; a positive verdict can be stress-tested against a corpus
 of representations generated from a handful of seeds by duals, direct sums
 and tensor products.
 
-Corpus members are kept as construction expressions and never materialized
-wholesale: the nilpotency outcome of an expression is decided by whether the
-element's action on it has a single eigenvalue, and which one.  Eigenvalues
-are negated by duals, united by direct sums and added pairwise by tensor
-products, all as integer numerators over one denominator, and in
-characteristic zero an operator is nilpotent iff 0 is its only eigenvalue,
-so the recorded outcomes are exact.  Report rows are selected, not built.
+A corpus is enumerated once, over dimensions alone, as integer (kind, left,
+right) steps over its seeds, and never materialized: a member's nilpotency
+outcome is decided by whether the element's action on it has a single
+eigenvalue, and which one.  Eigenvalues are negated by duals, united by
+direct sums and added pairwise by tensor products, all as integer numerators
+over one denominator, and in characteristic zero an operator is nilpotent iff
+0 is its only eigenvalue, so the outcomes are exact.  Report rows are selected.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
 _EMPTY = object()  # corpus state of a 0-dimensional member
+_DUAL, _SUM, _TENSOR = range(3)  # a corpus step's kind, indexing _KINDS
+_KINDS = ("dual", "sum", "tensor")
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,26 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
     previous level (swapping operands yields a permutation-equivalent
     representation, so only i <= j is enumerated).  Results wider than
     max_dim are dropped.  The enumeration is deterministic, so reports
-    built from it are byte-stable.  Each is kept on the algebra's Structure,
-    with every member's two report rows, (non-nilpotent, nilpotent).
+    built from it are byte-stable.  It runs over dimensions alone, to the integer
+    steps of _corpus kept on the algebra's Structure; members are made from them once.
     """
+    made = analyze(algebra).corpus_members
+    if (depth, max_dim) not in made:
+        seeds, steps, dims, labels, _ = _corpus(algebra, depth, max_dim)
+        members = [CorpusMember(i, rep.label, rep.dim_v, 0, "seed", (), rep)
+                   for i, rep in enumerate(seeds)]
+        for index, (kind, left, right) in enumerate(steps, len(seeds)):
+            level = 1 + max(members[left].level, members[right].level)
+            members.append(CorpusMember(index, labels[index], dims[index], level, _KINDS[kind],
+                                        (left,) if kind == _DUAL else (left, right), None))
+        made[depth, max_dim] = tuple(members)
+    return made[depth, max_dim]
+
+
+def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
+    """(seeds, steps, dims, labels, rows): member i < len(seeds) is seeds[i], and member
+    len(seeds) + k is steps[k], an integer (kind, left, right) over earlier members (left ==
+    right for a dual); dims, labels and report rows (non-nilpotent, nilpotent) are per member."""
     from .catalog import irreducibles_for
 
     if depth < 0:
@@ -189,88 +208,77 @@ def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusM
         raise ValueError("negative dimension bound")
     structure = analyze(algebra)
     if (depth, max_dim) in structure.corpora:
-        return structure.corpora[depth, max_dim][0]
+        return structure.corpora[depth, max_dim]
     seeds: list[Representation] = []
-
-    def add_seed(rep: Representation) -> None:
-        if rep.dim_v > max_dim:
-            return
-        for existing in seeds:
-            if existing.dim_v == rep.dim_v and existing.matrices == rep.matrices:
-                return
-        seeds.append(rep)
-
-    add_seed(adjoint_rep(algebra))
-    add_seed(pullback(adjoint_rep(structure.quotient.target), structure.quotient))
-    for rep in irreducibles_for(algebra):
-        add_seed(rep)
-    for xi in structure.functionals:
-        add_seed(one_dim_rep(algebra, xi))
-
-    members = [CorpusMember(i, rep.label, rep.dim_v, 0, "seed", (), rep)
-               for i, rep in enumerate(seeds)]
-    for level in range(1, depth + 1):
-        base = len(members)
-        additions: list[tuple[str, int, str, tuple[int, ...]]] = []
-        for m in members:
-            if m.level == level - 1:
-                additions.append((f"dual({m.label})", m.dim, "dual", (m.index,)))
-        pairs = [(members[i], members[j]) for i in range(base) for j in range(i, base)
-                 if max(members[i].level, members[j].level) == level - 1]
-        for kind, width_of in (("sum", operator.add), ("tensor", operator.mul)):
-            for left, right in pairs:
-                width = width_of(left.dim, right.dim)
-                if width <= max_dim:
-                    additions.append((f"{kind}({left.label}, {right.label})",
-                                      width, kind, (left.index, right.index)))
-        for label, width, kind, operands in additions:
-            members.append(CorpusMember(len(members), label, width, level, kind, operands, None))
-    rows = tuple((RepOutcome(m.label, m.dim, False), RepOutcome(m.label, m.dim, True))
-                 for m in members)
-    return structure.corpora.setdefault((depth, max_dim), (tuple(members), rows))[0]
+    for rep in (adjoint_rep(algebra),
+                pullback(adjoint_rep(structure.quotient.target), structure.quotient),
+                *irreducibles_for(algebra),
+                *(one_dim_rep(algebra, xi) for xi in structure.functionals)):
+        if rep.dim_v <= max_dim and all(  # deduplicated by exact matrix equality
+                seed.dim_v != rep.dim_v or seed.matrices != rep.matrices for seed in seeds):
+            seeds.append(rep)
+    steps: list[tuple[int, int, int]] = []
+    dims = [rep.dim_v for rep in seeds]
+    labels = [rep.label for rep in seeds]
+    start = 0  # the previous level: members start, ..., base - 1
+    for _ in range(depth):
+        base = len(dims)
+        for i in range(start, base):
+            steps.append((_DUAL, i, i))
+            dims.append(dims[i])
+            labels.append(f"dual({labels[i]})")
+        for kind, width_of in ((_SUM, operator.add), (_TENSOR, operator.mul)):
+            for i in range(base):
+                for j in range(max(i, start), base):
+                    width = width_of(dims[i], dims[j])
+                    if width <= max_dim:
+                        steps.append((kind, i, j))
+                        dims.append(width)
+                        labels.append(f"{_KINDS[kind]}({labels[i]}, {labels[j]})")
+        start = base
+    rows = tuple((RepOutcome(label, dim, False), RepOutcome(label, dim, True))
+                 for label, dim in zip(labels, dims))
+    corpus = (tuple(seeds), tuple(steps), tuple(dims), tuple(labels), rows)
+    return structure.corpora.setdefault((depth, max_dim), corpus)
 
 
-def _corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:
+def _corpus_outcomes(seeds: Sequence[Representation], steps: Sequence[tuple[int, int, int]],
+                     dims: Sequence[int], av: Vector) -> list[bool]:
     """acts_nilpotently for every member, from one integer state per member.
 
     A member's state is _EMPTY (dimension 0), None when the element has more
     than one eigenvalue on it, or its single eigenvalue's numerator over D,
-    the lcm of the seeds' denominators.  The seeds come first; a seed's
-    eigenvalue is c = trace/dim, single iff action - c*I is nilpotent.  The
-    rest follow in one forward pass: a dual negates its state, a tensor adds
-    two, and a sum keeps a state only when its two agree, _EMPTY agreeing
-    with anything.  A member is nilpotent iff it is _EMPTY or 0, exactly,
-    since every state is over the one D.  A 0-dimensional space has no
-    eigenvalue at all, so it must be a wildcard rather than eigenvalue 0:
-    sum(x, empty) has exactly the eigenvalues of x, and tensor(x, empty) is
-    again 0-dimensional, whatever x is.
+    the lcm of n*scale over the seeds' n x n actions ints/scale.  The seeds
+    come first: on one of trace t/scale, c = t/(n*scale) is the eigenvalue,
+    single iff n*ints - t*I is nilpotent.  The steps follow in one forward
+    pass: a dual negates its state, a tensor adds two, and a sum keeps a
+    state only when its two agree, _EMPTY agreeing with anything.  A member
+    is nilpotent iff it is _EMPTY or 0, exactly, since every state is over
+    the one D.  A 0-dimensional space has no eigenvalue at all, so it must be
+    a wildcard rather than eigenvalue 0: sum(x, empty) has exactly the
+    eigenvalues of x, and tensor(x, empty) is again 0-dimensional, whatever x is.
     """
-    seeds: list = []  # _EMPTY, None or a Fraction, per seed
-    for m in members:
-        if m.kind != "seed":
-            break
-        if m.dim == 0:
-            seeds.append(_EMPTY)
-            continue
-        action = m.seed.action(av)
-        c = action.trace() / m.dim
-        seeds.append(c if is_nilpotent(action - Matrix.identity(m.dim).scaled(c)) else None)
-    d = math.lcm(*(c.denominator for c in seeds if isinstance(c, Fraction)))
-    states = [c.numerator * (d // c.denominator) if isinstance(c, Fraction) else c for c in seeds]
-    for m in members[len(states):]:
-        x = states[m.operands[0]]
-        if m.dim == 0:
+    actions = [rep.action(av) for rep in seeds]
+    d = math.lcm(*(rep.dim_v * action.scale for rep, action in zip(seeds, actions) if rep.dim_v))
+    states: list = []
+    for rep, action in zip(seeds, actions):
+        n, ints = rep.dim_v, action.ints
+        t = sum(ints[i][i] for i in range(n))
+        single = is_nilpotent(Matrix(n, n, tuple(
+            tuple(n * x - t * (i == k) for k, x in enumerate(row)) for i, row in enumerate(ints))))
+        states.append(_EMPTY if n == 0 else t * (d // (n * action.scale)) if single else None)
+    for (kind, i, j), dim in zip(steps, dims[len(states):]):
+        x, y = states[i], states[j]
+        if not dim:
             state = _EMPTY
-        elif m.kind == "dual":
-            state = None if x is None else -x
-        else:
-            y = states[m.operands[1]]
-            if x is None or y is None:
-                state = None
-            elif m.kind == "tensor":  # neither is _EMPTY: the member is not 0-dimensional
-                state = x + y
-            else:  # sum
-                state = y if x is _EMPTY else (x if y is _EMPTY or x == y else None)
+        elif x is None or y is None:
+            state = None
+        elif kind == _DUAL:
+            state = -x
+        elif kind == _TENSOR:  # neither is _EMPTY: the member is not 0-dimensional
+            state = x + y
+        else:  # sum
+            state = y if x is _EMPTY else (x if y is _EMPTY or x == y else None)
         states.append(state)
     return [s is _EMPTY or s == 0 for s in states]
 
@@ -286,13 +294,13 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
     """
     av = algebra.element(a)
     verdict = nilpotent_in_all_reps(algebra, av)
-    members = build_corpus(algebra, depth, max_dim)
-    rows = analyze(algebra).corpora[depth, max_dim][1]
-    outcomes = tuple(pair[out] for pair, out in zip(rows, _corpus_outcomes(members, av)))
+    seeds, steps, dims, _, rows = _corpus(algebra, depth, max_dim)
+    nilpotent = _corpus_outcomes(seeds, steps, dims, av)
+    outcomes = tuple(map(operator.getitem, rows, nilpotent))
     witness: Witness | None = None
     witness_acts: bool | None = None
     if verdict.answer:
-        consistent = all(r.nilpotent for r in outcomes)
+        consistent = all(nilpotent)
     else:
         witness, action = _witness(algebra, av, verdict)
         witness_acts = not _some_power_trace_nonzero(action)

@@ -10,6 +10,8 @@ from outside can be screened.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,13 +46,16 @@ class Representation:
                 raise ValueError(f"representation matrices must be {self.dim_v}x{self.dim_v}")
 
     def action(self, a: Sequence) -> Matrix:
-        """Matrix of the element a = sum a_i b_i, i.e. sum a_i rho(b_i)."""
-        coords = self.algebra.element(a)
-        out = Matrix.zero(self.dim_v, self.dim_v)
-        for c, m in zip(coords, self.matrices):
-            if c:
-                out = out + m.scaled(c)
-        return out
+        """Matrix of the element a = sum a_i b_i, i.e. sum a_i rho(b_i): one integer
+        combination of the matrices' rows over a common scale, put in lowest terms once."""
+        terms = [(c, m) for c, m in zip(self.algebra.element(a), self.matrices) if c]
+        if not terms:
+            return Matrix.zero(self.dim_v, self.dim_v)
+        scale = math.lcm(*(c.denominator * m.scale for c, m in terms))
+        weights = [c.numerator * (scale // (c.denominator * m.scale)) for c, m in terms]
+        return Matrix(self.dim_v, self.dim_v, tuple(
+            tuple(sum(map(operator.mul, weights, entries)) for entries in zip(*rows))
+            for rows in zip(*(m.ints for _, m in terms))), scale)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ class Structure:
     """One algebra's structure for the decision, each part computed on first use."""
 
     algebra: LieAlgebra
-    corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> members, rows
+    corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> oracle._corpus tuple
+    corpus_members: dict = field(default_factory=dict)  # (depth, max_dim) -> CorpusMembers
 
     @cached_property
     def derived(self) -> Subspace:

@@ -46,6 +46,12 @@ def test_names_outside_the_ascii_grammar_are_unknown(name):
         builtin(name)
 
 
+def test_leading_zeros_name_the_same_entry():
+    assert builtin("abelian(07)") is builtin("abelian(7)")
+    assert builtin("strictly_upper(003)") is builtin("strictly_upper(3)")
+    assert builtin("abelian(07)").name == "abelian(7)"
+
+
 @pytest.mark.parametrize("name, dim", [
     ("abelian(65)", 65), ("upper_triangular(11)", 66), ("strictly_upper(12)", 66),
     ("upper_triangular(1000)", 500500), ("strictly_upper(10000000000)", 49999999995000000000)])
@@ -199,6 +205,14 @@ def test_abelian_family():
     g = builtin("abelian(5)").algebra
     assert g.dim == 5
     assert g.table == {}
+
+
+def test_matrix_algebras_read_coordinates_and_refuse_an_open_set():
+    e, h, f = (Matrix.from_rows(r) for r in ([[0, 2], [0, 0]], [[3, 0], [0, -3]], [[0, 0], [2, 0]]))
+    g = catalog._algebra_from_matrices(("e", "h", "f"), [e, h, f])
+    assert g.table == {(0, 1): {0: -6}, (0, 2): {1: F(4, 3)}, (1, 2): {2: -6}}
+    with pytest.raises(ValueError, match="not closed under the commutator"):
+        catalog._algebra_from_matrices(("e", "f"), [e, f])
 
 
 # --- irreducible representations of sl2 ------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, invert, is_nilpotent
 from lienil.oracle import (
+    _corpus,
     _corpus_outcomes,
     build_corpus,
     cross_validate,
@@ -317,12 +319,36 @@ def test_integer_corpus_states_match_the_fraction_evaluator(name, representative
     for depth in (0, 1, 2):
         for max_dim in (4, 12, 128):
             members = build_corpus(g, depth, max_dim)
+            seeds, steps, dims, _, _ = _corpus(g, depth, max_dim)
             empty += any(m.dim == 0 for m in members)
             for av in elements:
-                assert _corpus_outcomes(members, av) == fraction_corpus_outcomes(members, av)
+                assert (_corpus_outcomes(seeds, steps, dims, av)
+                        == fraction_corpus_outcomes(members, av))
                 mixed += len(_seed_denominators(members, av)) > 1
     if name in ("heisenberg", "upper_triangular(3)"):  # characters, and g/rad(g) = 0
         assert mixed and empty
+
+
+# sha256 of the repr of (index, label, dim, level, kind, operands) of every build_corpus
+# member at depths 0-2 and caps 4, 12 and 128 in turn, recorded from the CorpusMember
+# enumeration before corpora were kept as integer steps.
+CORPUS_DIGESTS = {
+    "gl2": "d4c73a58da64f9d6ca215fa5c6e002e8e2648efef84afd58f69b25a82b34d105",
+    "heisenberg": "9f31d15531e7e55a5079ef7b61ea252ed6207c1ac5ebaae50e2e58a34aa82fbc",
+    "semidirect(sl2, V1)": "d10a8a46e67c0a508b664ba4f781bbee20375558a7ccfddee1a952c0f92994b8",
+    "sl2": "c0457b0fbff945cf7e7cb5d603e767510eb20d8e53c00a6d611a30ac4ac7fd96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
+def test_corpus_members_are_pinned(name):
+    g = _differential_algebra(name)
+    digest = hashlib.sha256()
+    for depth in (0, 1, 2):
+        for max_dim in (4, 12, 128):
+            for m in build_corpus(g, depth, max_dim):
+                digest.update(repr((m.index, m.label, m.dim, m.level, m.kind, m.operands)).encode())
+    assert digest.hexdigest() == CORPUS_DIGESTS[name]
 
 
 def test_report_rows_are_selected_from_two_per_member():
@@ -334,7 +360,20 @@ def test_report_rows_are_selected_from_two_per_member():
     assert [(r.label, r.dim) for r in first] == [(m.label, m.dim) for m in members]
     assert all(a is b for a, b in zip(first, again))
     assert {id(r) for r in first + second} <= {
-        id(r) for pair in analyze(g).corpora[2, 12][1] for r in pair}
+        id(r) for pair in analyze(g).corpora[2, 12][4] for r in pair}
+
+
+def test_cross_validate_makes_no_corpus_members(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cross_validate made a CorpusMember")
+
+    monkeypatch.setattr(oracle, "CorpusMember", refuse)
+    sl2 = builtin("sl2").algebra
+    g = LieAlgebra(sl2.dim, sl2.basis_names, sl2.table)  # a Structure with no corpus yet
+    for element in ((1, 0, 0), (0, 1, 0)):
+        assert cross_validate(g, element, depth=2, max_dim=128).consistent
+    with pytest.raises(AssertionError, match="CorpusMember"):
+        build_corpus(g, 2, 128)
 
 
 def test_cross_validate_decides_a_negative_once(monkeypatch):

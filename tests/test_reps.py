@@ -23,9 +23,10 @@ from lienil.reps import (
     validate_rep,
     weight_space,
 )
+from lienil.oracle import build_corpus
 from lienil.semisimple import semisimple_quotient
 
-from support import seeded_elements
+from support import criterion_2_cases, seeded_elements
 
 F = Fraction
 
@@ -72,6 +73,21 @@ def test_action_is_linear():
     a, b = (1, 2, 3), (F(1, 2), 0, -1)
     summed = tuple(x + y for x, y in zip(a, b))
     assert rep.action(summed) == rep.action(a) + rep.action(b)
+
+
+def test_action_is_the_fraction_sum_of_the_basis_matrices():
+    """Sum c_i rho(b_i) entry by entry in Fractions, on every seed of the cross-check
+    corpora and a 0-dimensional representation, at seeded, zero and basis elements."""
+    for _, g, _ in criterion_2_cases():
+        seeds = [m.seed for m in build_corpus(g, 2, 128) if m.kind == "seed"]
+        elements = [g.zero()] + [g.basis_element(i) for i in range(g.dim)]
+        elements += seeded_elements(g.dim, 6, seed=89)
+        for rep in seeds + [trivial_rep(g, 0)]:
+            for a in elements:
+                expected = Matrix.from_rows([
+                    [sum((c * m.entry(r, k) for c, m in zip(a, rep.matrices)), F(0))
+                     for k in range(rep.dim_v)] for r in range(rep.dim_v)])
+                assert rep.action(a) == expected
 
 
 # --- constructors ----------------------------------------------------------------
