@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -105,15 +105,6 @@ class LieAlgebra:
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         scale, pairs = self._table_key
         return {key: {k: Fraction(c, scale) for k, c in expansion} for key, expansion in pairs}
-
-    @classmethod
-    def from_products(cls, names: Sequence[str],
-                      product: Callable[[int, int], Sequence]) -> "LieAlgebra":
-        """The algebra on these basis names where product(i, j) gives the coordinates
-        of [e_i, e_j] for i < j."""
-        n = len(names)
-        return cls(n, names, {(i, j): dict(enumerate(product(i, j)))
-                              for i in range(n) for j in range(i + 1, n)})
 
     # -- elements ---------------------------------------------------------
 

@@ -4,10 +4,10 @@ representation of its algebra, and back the verdict with evidence.
 The decision itself is two membership tests: the element must lie in the
 derived subalgebra, and its image in the semisimple quotient must be a
 nilpotent element there.  A negative verdict is always accompanied by a
-constructed witness representation in which the element demonstrably acts
-non-nilpotently; a positive verdict can be stress-tested against a corpus
-of representations generated from a handful of seeds by duals, direct sums
-and tensor products.
+witness: one of the algebra's own representations, kept on its Structure,
+in which the element demonstrably acts non-nilpotently.  A positive verdict
+can be stress-tested against a corpus generated from those representations
+and the catalog's irreducibles by duals, direct sums and tensor products.
 
 A corpus is enumerated once, over dimensions alone, as integer (kind, left,
 right) steps over its seeds, and never materialized: a member's nilpotency
@@ -28,13 +28,14 @@ from typing import Sequence
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, is_nilpotent, nilpotency_exponent
-from .reps import Representation, adjoint_rep, one_dim_rep, pullback
+from .reps import Representation
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
 _EMPTY = object()  # corpus state of a 0-dimensional member
 _DUAL, _SUM, _TENSOR = range(3)  # a corpus step's kind, indexing _KINDS
 _KINDS = ("dual", "sum", "tensor")
+_MAX_PAIR_VISITS = 250_000  # operand pairs one corpus closure may visit, over all its levels
 
 
 @dataclass(frozen=True)
@@ -121,18 +122,17 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
 
 def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> tuple[Witness, Matrix]:
     """find_witness for an element already read and decided negative, with the
-    element's action on the witness."""
+    element's action on the witness: one of the Structure's own representations."""
+    structure = analyze(algebra)
     if not verdict.in_derived:
-        for xi in analyze(algebra).functionals:
+        for xi, rep in zip(structure.functionals, structure.representations[2:]):
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
-                rep = one_dim_rep(algebra, xi)
                 case_tag = "derived_character"
                 break
         else:  # pragma: no cover - contradicts in_derived False
             raise ConsistencyError("no canonical functional separates the element")
     else:
-        q = analyze(algebra).quotient
-        rep = pullback(adjoint_rep(q.target), q)
+        rep = structure.representations[1]
         case_tag = "adjoint_pullback"
     action = rep.action(av)
     nilpotent, exponent = nilpotency_exponent(action)
@@ -155,51 +155,26 @@ def _some_power_trace_nonzero(m: Matrix) -> bool:
 
 # --- corpus ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusMember:
-    """A representation given as a construction expression over the seeds."""
-
-    index: int
-    label: str
-    dim: int
-    level: int
-    kind: str  # "seed" | "dual" | "sum" | "tensor"
-    operands: tuple[int, ...]
-    seed: Representation | None
-
-
-def build_corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple[CorpusMember, ...]:
-    """Seeds closed under dual, direct sum and tensor, in a fixed order.
-
-    Seeds (deduplicated by exact matrix equality): the adjoint, the pullback
-    of the adjoint of the semisimple quotient, the catalog's attached
-    irreducibles, and one one-dimensional character per canonical
-    functional.  Each closure level applies the operators in the order
-    dual, sum, tensor; binary operators run over unordered index pairs in
-    ascending lexicographic order, restricted to pairs that involve the
-    previous level (swapping operands yields a permutation-equivalent
-    representation, so only i <= j is enumerated).  Results wider than
-    max_dim are dropped.  The enumeration is deterministic, so reports
-    built from it are byte-stable.  It runs over dimensions alone, to the integer
-    steps of _corpus kept on the algebra's Structure; members are made from them once.
-    """
-    made = analyze(algebra).corpus_members
-    if (depth, max_dim) not in made:
-        seeds, steps, dims, labels, _ = _corpus(algebra, depth, max_dim)
-        members = [CorpusMember(i, rep.label, rep.dim_v, 0, "seed", (), rep)
-                   for i, rep in enumerate(seeds)]
-        for index, (kind, left, right) in enumerate(steps, len(seeds)):
-            level = 1 + max(members[left].level, members[right].level)
-            members.append(CorpusMember(index, labels[index], dims[index], level, _KINDS[kind],
-                                        (left,) if kind == _DUAL else (left, right), None))
-        made[depth, max_dim] = tuple(members)
-    return made[depth, max_dim]
-
-
 def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
-    """(seeds, steps, dims, labels, rows): member i < len(seeds) is seeds[i], and member
-    len(seeds) + k is steps[k], an integer (kind, left, right) over earlier members (left ==
-    right for a dual); dims, labels and report rows (non-nilpotent, nilpotent) are per member."""
+    """(seeds, steps, dims, rows): the seeds closed under dual, direct sum and tensor, in a
+    fixed order, kept on the algebra's Structure.
+
+    Member i < len(seeds) is seeds[i], and member len(seeds) + k is steps[k], an integer
+    (kind, left, right) over earlier members (left == right for a dual); dims and the
+    report rows (non-nilpotent, nilpotent) are per member.  Seeds (deduplicated by exact
+    matrix equality): the adjoint, the pullback of the adjoint of the semisimple
+    quotient, the catalog's attached irreducibles, and one one-dimensional character per
+    canonical functional, all but the irreducibles the Structure's own representations.
+    Each closure level applies the operators in the order dual, sum, tensor; binary
+    operators run over unordered index pairs in ascending lexicographic order, restricted
+    to pairs that involve the previous level (swapping operands yields a
+    permutation-equivalent representation, so only i <= j is enumerated).  Results wider
+    than max_dim are dropped, and the closure stops at the first empty level.  The
+    enumeration runs over dimensions alone and is deterministic, so reports built from
+    it are byte-stable.  Before each level its pair visits are counted from the level
+    bounds alone, and a closure that would visit more than _MAX_PAIR_VISITS pairs in all
+    raises ValueError before that level is built.
+    """
     from .catalog import irreducibles_for
 
     if depth < 0:
@@ -209,20 +184,25 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     structure = analyze(algebra)
     if (depth, max_dim) in structure.corpora:
         return structure.corpora[depth, max_dim]
+    own = structure.representations
     seeds: list[Representation] = []
-    for rep in (adjoint_rep(algebra),
-                pullback(adjoint_rep(structure.quotient.target), structure.quotient),
-                *irreducibles_for(algebra),
-                *(one_dim_rep(algebra, xi) for xi in structure.functionals)):
+    for rep in (*own[:2], *irreducibles_for(algebra), *own[2:]):
         if rep.dim_v <= max_dim and all(  # deduplicated by exact matrix equality
                 seed.dim_v != rep.dim_v or seed.matrices != rep.matrices for seed in seeds):
             seeds.append(rep)
     steps: list[tuple[int, int, int]] = []
     dims = [rep.dim_v for rep in seeds]
     labels = [rep.label for rep in seeds]
-    start = 0  # the previous level: members start, ..., base - 1
-    for _ in range(depth):
+    start = visits = 0  # the previous level: members start, ..., base - 1
+    for level in range(1, depth + 1):
         base = len(dims)
+        if start == base:  # an empty level adds nothing to the next
+            break
+        fresh = base - start  # sum and tensor each visit start*fresh + fresh(fresh+1)/2 pairs
+        visits += 2 * start * fresh + fresh * (fresh + 1)
+        if visits > _MAX_PAIR_VISITS:
+            raise ValueError(f"corpus closure to depth {depth} would visit {visits} member "
+                             f"pairs by level {level}, more than {_MAX_PAIR_VISITS}")
         for i in range(start, base):
             steps.append((_DUAL, i, i))
             dims.append(dims[i])
@@ -238,7 +218,7 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
         start = base
     rows = tuple((RepOutcome(label, dim, False), RepOutcome(label, dim, True))
                  for label, dim in zip(labels, dims))
-    corpus = (tuple(seeds), tuple(steps), tuple(dims), tuple(labels), rows)
+    corpus = (tuple(seeds), tuple(steps), tuple(dims), rows)
     return structure.corpora.setdefault((depth, max_dim), corpus)
 
 
@@ -294,7 +274,7 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
     """
     av = algebra.element(a)
     verdict = nilpotent_in_all_reps(algebra, av)
-    seeds, steps, dims, _, rows = _corpus(algebra, depth, max_dim)
+    seeds, steps, dims, rows = _corpus(algebra, depth, max_dim)
     nilpotent = _corpus_outcomes(seeds, steps, dims, av)
     outcomes = tuple(map(operator.getitem, rows, nilpotent))
     witness: Witness | None = None

@@ -1,10 +1,10 @@
 """Killing form, radical, and nilpotency tests for single elements.
 
 ``analyze`` gives each algebra one ``Structure``, which computes its derived
-subalgebra, Killing form, radical, semisimple quotient and canonical
-functionals lazily, each once, and keeps its corpora; the public readers
-below read from it.  Semisimplicity is Cartan's criterion: the Killing form
-is nondegenerate, ranked once per algebra.  The image test gates on it.
+subalgebra, Killing form, radical, semisimple quotient, canonical functionals
+and own representations lazily, each once, and keeps its corpora; the public
+readers below read from it.  Semisimplicity is Cartan's criterion: the Killing
+form is nondegenerate, ranked once per algebra.  The image test gates on it.
 
 The radical is the set of x whose Killing pairing with the whole derived
 subalgebra vanishes.  The quotient map that needs it checks it four times, in
@@ -152,11 +152,10 @@ def semisimple_quotient(algebra: LieAlgebra) -> QuotientMap:
 
 @dataclass(eq=False)
 class Structure:
-    """One algebra's structure for the decision, each part computed on first use."""
+    """One algebra's structure and own representations, each computed on first use."""
 
     algebra: LieAlgebra
     corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> oracle._corpus tuple
-    corpus_members: dict = field(default_factory=dict)  # (depth, max_dim) -> CorpusMembers
 
     @cached_property
     def derived(self) -> Subspace:
@@ -199,6 +198,16 @@ class Structure:
         the rows of the projection along [g, g] onto the free coordinates.
         """
         return self.derived.projection().entries
+
+    @cached_property
+    def representations(self) -> tuple:
+        """The adjoint, the adjoint of g/rad(g) pulled back to g, and one character per
+        functional: the corpus seeds and the witnesses are these objects, built once."""
+        from .reps import adjoint_rep, one_dim_rep, pullback  # reps imports this module
+
+        q = self.quotient
+        return (adjoint_rep(self.algebra), pullback(adjoint_rep(q.target), q),
+                *(one_dim_rep(self.algebra, xi) for xi in self.functionals))
 
 
 def analyze(algebra: LieAlgebra) -> Structure:

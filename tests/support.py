@@ -13,7 +13,7 @@ from lienil.catalog import builtin, semidirect, sl2_irrep
 from lienil.liealg import LieAlgebra
 from lienil.linalg import (
     Matrix, Subspace, Vector, as_vector, frac, invert, is_nilpotent, kernel_image)
-from lienil.oracle import CorpusMember
+from lienil.oracle import _KINDS, _corpus
 from lienil.reps import Representation, direct_sum, dual, tensor
 
 
@@ -83,6 +83,33 @@ def criterion_2_cases() -> list[tuple[str, LieAlgebra, list]]:
 
 # --- references that no library path calls --------------------------------------
 
+@dataclass(frozen=True)
+class Member:
+    """One corpus member read off the integer steps: the expression it stands for."""
+
+    index: int
+    label: str
+    dim: int
+    level: int
+    kind: str  # "seed" | "dual" | "sum" | "tensor"
+    operands: tuple[int, ...]
+    seed: Representation | None
+
+
+def corpus_members(algebra: LieAlgebra, depth: int, max_dim: int) -> list[Member]:
+    """The corpus of oracle._corpus as one Member per seed and step, each level one above
+    its operands' and each label built from its operands' labels."""
+    seeds, steps, dims, _ = _corpus(algebra, depth, max_dim)
+    members = [Member(i, rep.label, rep.dim_v, 0, "seed", (), rep) for i, rep in enumerate(seeds)]
+    for index, (step_kind, left, right) in enumerate(steps, len(seeds)):
+        kind = _KINDS[step_kind]
+        operands = (left,) if kind == "dual" else (left, right)
+        label = f"{kind}({', '.join(members[o].label for o in operands)})"
+        level = 1 + max(members[o].level for o in operands)
+        members.append(Member(index, label, dims[index], level, kind, operands, None))
+    return members
+
+
 def corpus_representation(members, index: int) -> Representation:
     """Materialize one corpus expression as an actual Representation."""
     member = members[index]
@@ -101,7 +128,7 @@ def corpus_representation(members, index: int) -> Representation:
 _EMPTY = object()  # corpus state of a 0-dimensional member
 
 
-def fraction_corpus_outcomes(members: Sequence[CorpusMember], av: Vector) -> list[bool]:
+def fraction_corpus_outcomes(members: Sequence[Member], av: Vector) -> list[bool]:
     """acts_nilpotently for every member, from one Fraction state per member: the
     evaluator the integer corpus states replaced.
 
@@ -165,7 +192,9 @@ def _restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> LieAlgebra:
             raise ValueError("subspace is not closed under the bracket")
         return coords
 
-    return LieAlgebra.from_products(tuple(f"s{i}" for i in range(space.dim)), product)
+    n = space.dim
+    return LieAlgebra(n, tuple(f"s{i}" for i in range(n)), {
+        (i, j): dict(enumerate(product(i, j))) for i in range(n) for j in range(i + 1, n)})
 
 
 # --- Fraction references for the integer structure kernels ------------------------
@@ -272,8 +301,10 @@ def fraction_null_space(rows, cols: int) -> list[Vector]:
 def fraction_change_of_basis(g: LieAlgebra, columns, names: Sequence[str]) -> LieAlgebra:
     """g on the basis of these columns, each P^-1 [P e_i, P e_j] applied in Fractions."""
     p_inv = invert(Matrix.from_columns(columns))
-    return LieAlgebra.from_products(
-        names, lambda i, j: p_inv.apply(g.bracket(columns[i], columns[j])))
+    n = len(names)
+    return LieAlgebra(n, names, {
+        (i, j): dict(enumerate(p_inv.apply(g.bracket(columns[i], columns[j]))))
+        for i in range(n) for j in range(i + 1, n)})
 
 
 def fraction_is_derivation(g: LieAlgebra, d: Matrix) -> bool:

@@ -810,6 +810,16 @@ def test_exit_codes(tmp_path, command, name, extra, code, asserted):
     assert capture([command, path, *extra, "--assert"])[0] == asserted
 
 
+def test_crosscheck_refuses_an_oversized_corpus_and_ends_an_empty_one(tmp_path):
+    path = write(tmp_path, "sl2.lie", SL2_TEXT)
+    code, text = capture(["crosscheck", path, "--element=1,0,0", "--depth=3"])
+    assert code == 1
+    assert text.startswith("command: crosscheck\nerror: corpus closure to depth 3 would visit ")
+    code, text = capture(["crosscheck", path, "--element=1,0,0", "--depth=1000000000000",
+                          "--max-dim=0", "--format=json"])
+    assert (code, json.loads(text)["corpus_size"]) == (0, 0)
+
+
 def test_an_inconsistent_crosscheck_exits_2_only_under_assert(tmp_path, monkeypatch):
     g = builtin("sl2").algebra
     zero = trivial_rep(g, 2)

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import lienil.oracle as oracle
-from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
+import lienil.reps as reps
+from lienil.catalog import builtin, irreducibles_for, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, invert, is_nilpotent
 from lienil.oracle import (
     _corpus,
     _corpus_outcomes,
-    build_corpus,
     cross_validate,
     find_witness,
     nilpotent_in_all_reps,
@@ -23,6 +25,7 @@ from lienil.reps import acts_nilpotently, trivial_rep, validate_rep
 from lienil.semisimple import analyze
 
 from support import (
+    corpus_members,
     corpus_representation,
     criterion_2_cases,
     fraction_corpus_outcomes,
@@ -233,16 +236,15 @@ def test_canonical_functionals_count():
 
 def test_corpus_is_deterministic():
     g = builtin("sl2").algebra
-    first = build_corpus(g, 2, 32)
-    second = build_corpus(g, 2, 32)
-    assert first is second  # cached
-    third = build_corpus(LieAlgebra(g.dim, g.basis_names, g.table), 2, 32)
+    assert _corpus(g, 2, 32) is _corpus(g, 2, 32)  # cached
+    first = corpus_members(g, 2, 32)
+    third = corpus_members(LieAlgebra(g.dim, g.basis_names, g.table), 2, 32)
     assert [m.label for m in first] == [m.label for m in third]
 
 
 def test_corpus_levels_and_dedup():
     g = builtin("sl2").algebra
-    members = build_corpus(g, 1, 32)
+    members = corpus_members(g, 1, 32)
     assert all(m.level <= 1 for m in members)
     seeds = [m for m in members if m.kind == "seed"]
     assert len({m.label for m in members}) == len(members)
@@ -251,13 +253,53 @@ def test_corpus_levels_and_dedup():
 
 def test_corpus_respects_dimension_cap():
     g = builtin("sl2").algebra
-    members = build_corpus(g, 2, 16)
+    members = corpus_members(g, 2, 16)
     assert all(m.dim <= 16 for m in members)
+
+
+def test_corpus_bound_counts_every_pair_visit(monkeypatch):
+    """The bound counts exactly the pairs the sum and tensor loops visit: sl2's
+    depth-2 corpus visits 2,970, so a bound of 2,970 admits it and 2,969 refuses it
+    after visiting level 1's pairs only."""
+    visited = []
+
+    def counting(op):
+        return lambda x, y: visited.append(None) or op(x, y)
+
+    monkeypatch.setattr(oracle, "operator", SimpleNamespace(
+        add=counting(operator.add), mul=counting(operator.mul)))
+    sl2 = builtin("sl2").algebra
+    monkeypatch.setattr(oracle, "_MAX_PAIR_VISITS", 2970)
+    assert len(_corpus(LieAlgebra(sl2.dim, sl2.basis_names, sl2.table), 2, 128)[2]) == 2951
+    assert len(visited) == 2970
+    visited.clear()
+    monkeypatch.setattr(oracle, "_MAX_PAIR_VISITS", 2969)
+    g = LieAlgebra(sl2.dim, sl2.basis_names, sl2.table)  # a Structure with no corpus yet
+    with pytest.raises(ValueError, match="depth 2 would visit 2970 member pairs by level 2"):
+        _corpus(g, 2, 128)
+    assert len(visited) == 42  # level 1 only: 6 seeds, pairs i <= j, for sum and for tensor
+    assert (2, 128) not in analyze(g).corpora
+
+
+def test_corpus_bound_refuses_before_a_level_is_built():
+    sl2, so3 = builtin("sl2").algebra, builtin("so3").algebra
+    with pytest.raises(ValueError, match=r"depth 3 would visit \d+ member pairs by level 3, "
+                                         r"more than 250000"):
+        _corpus(sl2, 3, 128)  # 5,435,597 members if built
+    with pytest.raises(ValueError, match="depth 3 would visit 713180 member pairs by level 3"):
+        _corpus(builtin("heisenberg").algebra, 3, 128)
+    with pytest.raises(ValueError, match="depth 1000000000000 "):
+        _corpus(so3, 10**12, 3)  # duals never leave the cap, so no level is empty
+
+
+def test_corpus_stops_at_the_first_empty_level():
+    """Duals keep every nonempty level nonempty, so only a corpus with no seeds ends early."""
+    assert _corpus(builtin("sl2").algebra, 10**12, 0)[:3] == ((), (), ())
 
 
 def test_corpus_members_materialize_and_validate():
     g = builtin("heisenberg").algebra
-    members = build_corpus(g, 2, 8)
+    members = corpus_members(g, 2, 8)
     for m in members:
         rep = corpus_representation(members, m.index)
         assert rep.dim_v == m.dim
@@ -269,7 +311,7 @@ def test_corpus_outcomes_match_materialized_actions():
                           ("heisenberg", (1, 0, 0))):
         g = builtin(name).algebra
         report = cross_validate(g, element, depth=2, max_dim=12)
-        members = build_corpus(g, 2, 12)
+        members = corpus_members(g, 2, 12)
         for m, row in zip(members, report.outcomes):
             rep = corpus_representation(members, m.index)
             assert row.nilpotent == acts_nilpotently(rep, element)
@@ -318,8 +360,8 @@ def test_integer_corpus_states_match_the_fraction_evaluator(name, representative
     mixed = empty = 0
     for depth in (0, 1, 2):
         for max_dim in (4, 12, 128):
-            members = build_corpus(g, depth, max_dim)
-            seeds, steps, dims, _, _ = _corpus(g, depth, max_dim)
+            members = corpus_members(g, depth, max_dim)
+            seeds, steps, dims, _ = _corpus(g, depth, max_dim)
             empty += any(m.dim == 0 for m in members)
             for av in elements:
                 assert (_corpus_outcomes(seeds, steps, dims, av)
@@ -329,9 +371,9 @@ def test_integer_corpus_states_match_the_fraction_evaluator(name, representative
         assert mixed and empty
 
 
-# sha256 of the repr of (index, label, dim, level, kind, operands) of every build_corpus
-# member at depths 0-2 and caps 4, 12 and 128 in turn, recorded from the CorpusMember
-# enumeration before corpora were kept as integer steps.
+# sha256 of the repr of (index, label, dim, level, kind, operands) of every corpus
+# member at depths 0-2 and caps 4, 12 and 128 in turn, recorded from the enumeration
+# into member objects before corpora were kept as integer steps.
 CORPUS_DIGESTS = {
     "gl2": "d4c73a58da64f9d6ca215fa5c6e002e8e2648efef84afd58f69b25a82b34d105",
     "heisenberg": "9f31d15531e7e55a5079ef7b61ea252ed6207c1ac5ebaae50e2e58a34aa82fbc",
@@ -346,34 +388,48 @@ def test_corpus_members_are_pinned(name):
     digest = hashlib.sha256()
     for depth in (0, 1, 2):
         for max_dim in (4, 12, 128):
-            for m in build_corpus(g, depth, max_dim):
+            for m in corpus_members(g, depth, max_dim):
                 digest.update(repr((m.index, m.label, m.dim, m.level, m.kind, m.operands)).encode())
     assert digest.hexdigest() == CORPUS_DIGESTS[name]
 
 
 def test_report_rows_are_selected_from_two_per_member():
     g = builtin("heisenberg").algebra
-    members = build_corpus(g, 2, 12)
+    members = corpus_members(g, 2, 12)
     first = cross_validate(g, (1, 0, 0), depth=2, max_dim=12).outcomes
     second = cross_validate(g, (0, 1, 0), depth=2, max_dim=12).outcomes
     again = cross_validate(g, (1, 0, 0), depth=2, max_dim=12).outcomes
     assert [(r.label, r.dim) for r in first] == [(m.label, m.dim) for m in members]
     assert all(a is b for a, b in zip(first, again))
     assert {id(r) for r in first + second} <= {
-        id(r) for pair in analyze(g).corpora[2, 12][4] for r in pair}
+        id(r) for pair in analyze(g).corpora[2, 12][3] for r in pair}
 
 
-def test_cross_validate_makes_no_corpus_members(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("cross_validate made a CorpusMember")
+def test_witnesses_and_seeds_are_the_structures_own_representations(monkeypatch):
+    """On fresh algebras, the criterion-2 cross-checks pull back one adjoint per algebra,
+    and every witness and seed is the Structure's own object or a catalog irreducible."""
+    calls = []
+    build = reps.pullback
 
-    monkeypatch.setattr(oracle, "CorpusMember", refuse)
-    sl2 = builtin("sl2").algebra
-    g = LieAlgebra(sl2.dim, sl2.basis_names, sl2.table)  # a Structure with no corpus yet
-    for element in ((1, 0, 0), (0, 1, 0)):
-        assert cross_validate(g, element, depth=2, max_dim=128).consistent
-    with pytest.raises(AssertionError, match="CorpusMember"):
-        build_corpus(g, 2, 128)
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(reps, "pullback", counted)
+    monkeypatch.setattr(oracle, "pullback", counted, raising=False)  # also if bound here
+    for _, catalog_algebra, elements in criterion_2_cases():
+        g = LieAlgebra(catalog_algebra.dim, catalog_algebra.basis_names, catalog_algebra.table)
+        for element in elements:
+            report = cross_validate(g, element, depth=2, max_dim=128)
+            assert report.consistent
+            own = analyze(g).representations
+            if report.witness is not None:
+                mine = own[1:2] if report.witness.case_tag == "adjoint_pullback" else own[2:]
+                assert any(report.witness.rep is rep for rep in mine)
+        seeds = _corpus(g, 2, 128)[0]
+        assert seeds[0] is own[0]
+        assert all(any(seed is rep for rep in (*own, *irreducibles_for(g))) for seed in seeds)
+    assert len(calls) == 4  # one adjoint of g/rad(g) pulled back per algebra
 
 
 def test_cross_validate_decides_a_negative_once(monkeypatch):

@@ -23,10 +23,9 @@ from lienil.reps import (
     validate_rep,
     weight_space,
 )
-from lienil.oracle import build_corpus
 from lienil.semisimple import semisimple_quotient
 
-from support import criterion_2_cases, seeded_elements
+from support import corpus_members, criterion_2_cases, seeded_elements
 
 F = Fraction
 
@@ -79,7 +78,7 @@ def test_action_is_the_fraction_sum_of_the_basis_matrices():
     """Sum c_i rho(b_i) entry by entry in Fractions, on every seed of the cross-check
     corpora and a 0-dimensional representation, at seeded, zero and basis elements."""
     for _, g, _ in criterion_2_cases():
-        seeds = [m.seed for m in build_corpus(g, 2, 128) if m.kind == "seed"]
+        seeds = [m.seed for m in corpus_members(g, 2, 128) if m.kind == "seed"]
         elements = [g.zero()] + [g.basis_element(i) for i in range(g.dim)]
         elements += seeded_elements(g.dim, 6, seed=89)
         for rep in seeds + [trivial_rep(g, 0)]:
