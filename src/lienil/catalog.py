@@ -18,10 +18,9 @@ construction — irreducibility itself is never decided.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace
@@ -33,8 +32,7 @@ from .semisimple import ConsistencyError, analyze, is_semisimple, radical
 _MAX_FAMILY_DIM = 64
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     algebra: LieAlgebra
     known_radical: Subspace

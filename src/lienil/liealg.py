@@ -13,16 +13,17 @@ adjoints, the Jacobi check and the Killing form run on them; ``table`` is a view
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _Frozen,
     _cleared,
+    _exact,
     _fractions,
     as_vector,
     frac,
@@ -42,8 +43,7 @@ def _image(rows: Sequence[Sequence[int]], terms: Collection[tuple[int, int]]) ->
     return {t: sum(row[k] * c for k, c in terms) for t, row in enumerate(rows)}
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(_Frozen):
     """A Lie algebra presented by basis names and structure constants, stored once as
     integers over one positive scale s in lowest terms: ``_constants[i][j][k]`` is s times
     the coefficient of e_k in [e_i, e_j], and ``_table_key``, s with the upper triangle,
@@ -51,9 +51,10 @@ class LieAlgebra:
 
     dim: int
     basis_names: tuple[str, ...]
-    _table_key: tuple = field(repr=False)
-    _scale: int = field(compare=False, repr=False)
-    _constants: tuple[dict[int, dict[int, int]], ...] = field(compare=False, repr=False)
+    _table_key: tuple
+    _scale: int
+    _constants: tuple[dict[int, dict[int, int]], ...]
+    _fields = ("dim", "basis_names", "_table_key")
 
     def __init__(self, dim: int, basis_names: Sequence[str],
                  table: Mapping[tuple[int, int], Mapping[int, object]]):
@@ -109,7 +110,12 @@ class LieAlgebra:
     # -- elements ---------------------------------------------------------
 
     def element(self, coords: Iterable) -> Vector:
-        vec = as_vector(coords)
+        return as_vector(self._coordinates(coords))
+
+    def _coordinates(self, coords: Iterable) -> list[int | Fraction]:
+        """The coordinates, their number checked; ints and Fractions are kept as they are, so
+        clearing integer coordinates makes no Fraction."""
+        vec = [_exact(c) for c in coords]
         if len(vec) != self.dim:
             raise ValueError(f"element has {len(vec)} coordinates, expected {self.dim}")
         return vec
@@ -131,8 +137,8 @@ class LieAlgebra:
     # -- multiplication ---------------------------------------------------
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        xs, x_scale = _cleared(self.element(x))
-        ys, y_scale = _cleared(self.element(y))
+        xs, x_scale = _cleared(self._coordinates(x))
+        ys, y_scale = _cleared(self._coordinates(y))
         return _fractions(self._int_bracket(_terms(xs), _terms(ys)),
                           x_scale * y_scale * self._scale)
 
@@ -151,14 +157,19 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y] in the defining basis, filled from the constants."""
-        xs, x_scale = _cleared(self.element(x))
+        xs, x_scale = _cleared(self._coordinates(x))
+        return Matrix(self.dim, self.dim, tuple(map(tuple, self._int_ad(xs))),
+                      x_scale * self._scale)
+
+    def _int_ad(self, xs: Sequence[int]) -> list[list[int]]:
+        """s times ad of the integer vector xs, as rows."""
         acc = [[0] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(xs):
             if a:
                 for j, expansion in self._constants[i].items():  # column j gains a [e_i, e_j]
                     for k, c in expansion.items():
                         acc[k][j] += a * c
-        return Matrix(self.dim, self.dim, tuple(map(tuple, acc)), x_scale * self._scale)
+        return acc
 
     # -- validation -------------------------------------------------------
 
@@ -255,7 +266,15 @@ class LieAlgebra:
         return null_space(rows.values(), self.dim)
 
     def is_ideal(self, h: Subspace) -> bool:
-        return h.contains_subspace(self.product_space(self.full_space(), h))
+        """[e_i, r] in h for each basis element e_i and row r of h, reduced one bracket at a
+        time against h's rows until one is left over; a full h is an ideal at once."""
+        if h.ambient_dim != self.dim:
+            raise ValueError("subspaces must live in the algebra")
+        if h.is_full():
+            return True
+        rows = list(map(_terms, h.rows))
+        return not any(any(h._eliminate(self._int_bracket([(i, 1)], r))[0])
+                       for i in range(self.dim) if self._constants[i] for r in rows)
 
     # -- derivations --------------------------------------------------------
 
@@ -318,8 +337,7 @@ class LieAlgebra:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """A surjection onto a quotient algebra plus a linear section of it.
 
     ``projection`` maps source coordinates to quotient coordinates and is a

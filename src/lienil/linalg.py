@@ -14,7 +14,6 @@ matrices and subspaces are canonical, so equality is a plain ``==``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -43,33 +42,59 @@ def _exact(value) -> int | Fraction:
     return value if isinstance(value, (int, Fraction)) else frac(value)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Frozen:
+    """Base of the immutable values: each ``__init__`` sets the ``_fields`` once with
+    ``object.__setattr__``; ``==`` and ``hash`` run over them within one class, the repr shows
+    those without a leading underscore, and ``cached_property`` writes ``__dict__`` directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Matrix(_Frozen):
     """Immutable dense matrix of exact rationals: integer rows ``ints`` over one positive
     ``scale``, put in lowest terms on construction (the gcd of the scale and every entry
     is 1, so a zero matrix has scale 1), so ``==`` and ``hash`` are exact.  Every
     operation works on the integers; ``entries`` is the Fraction view, made on read.
     """
 
-    rows: int
-    cols: int
-    ints: tuple[tuple[int, ...], ...]
-    scale: int = 1
+    _fields = ("rows", "cols", "ints", "scale")
 
-    def __post_init__(self):
-        if len(self.ints) != self.rows:
+    def __init__(self, rows: int, cols: int, ints: tuple[tuple[int, ...], ...], scale: int = 1):
+        if len(ints) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.ints:
-            if len(row) != self.cols:
+        for row in ints:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
-        if self.scale <= 0:
+        if scale <= 0:
             raise ValueError("matrix scale must be positive")
-        if self.scale != 1:
-            content = math.gcd(self.scale, *(math.gcd(*row) for row in self.ints))
+        if scale != 1:
+            content = math.gcd(scale, *(math.gcd(*row) for row in ints))
             if content != 1:
-                object.__setattr__(self, "ints", tuple(
-                    tuple(x // content for x in row) for row in self.ints))
-                object.__setattr__(self, "scale", self.scale // content)
+                ints = tuple(tuple(x // content for x in row) for row in ints)
+                scale //= content
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -247,8 +272,7 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
     return tuple(x)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """A linear subspace stored by its reduced-echelon basis, as primitive integer rows.
 
     Each of ``rows`` is an RREF row times the lcm of its denominators, so pivots rise, are
@@ -256,8 +280,11 @@ class Subspace:
     subspace iff they compare equal.  ``basis`` is the Fraction RREF (pivot 1), made on read.
     """
 
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

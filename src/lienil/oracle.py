@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra
-from .linalg import Matrix, Vector, is_nilpotent, nilpotency_exponent
+from .linalg import Matrix, Vector, _cleared, is_nilpotent, nilpotency_exponent
 from .reps import Representation
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
@@ -38,8 +38,7 @@ _KINDS = ("dual", "sum", "tensor")
 _MAX_PAIR_VISITS = 250_000  # operand pairs one corpus closure may visit, over all its levels
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the two-part membership test.
 
     answer is the conjunction: the element is nilpotent in every
@@ -54,8 +53,7 @@ class Verdict:
     derived_dim: int
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A representation certifying a negative verdict.
 
     case_tag records which construction applied: "derived_character" (a
@@ -70,15 +68,13 @@ class Witness:
     exponent_checked: int
 
 
-@dataclass(frozen=True)
-class RepOutcome:
+class RepOutcome(NamedTuple):
     label: str
     dim: int
     nilpotent: bool
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     verdict: Verdict
     outcomes: tuple[RepOutcome, ...]
     witness: Witness | None
@@ -90,14 +86,12 @@ class CrossCheckReport:
 
 def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
     """The main decision: nilpotent action in every representation, yes or no."""
-    av = algebra.element(a)
+    xs = _cleared(algebra._coordinates(a))[0]  # a positive multiple of a: the tests are homogeneous
     structure = analyze(algebra)
-    in_derived = structure.derived.contains(av)
+    in_derived = not any(structure.derived._eliminate(xs)[0])
     q = structure.quotient
-    if q.target.dim == 0:
-        image_nilpotent = True
-    else:
-        image_nilpotent = is_nilpotent_element_image(q.target, q.project(av))
+    ys = [sum(map(operator.mul, row, xs)) for row in q.projection.ints]
+    image_nilpotent = not q.target.dim or is_nilpotent_element_image(q.target, ys)
     return Verdict(
         answer=in_derived and image_nilpotent,
         in_derived=in_derived,
@@ -216,8 +210,8 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
                         dims.append(width)
                         labels.append(f"{_KINDS[kind]}({labels[i]}, {labels[j]})")
         start = base
-    rows = tuple((RepOutcome(label, dim, False), RepOutcome(label, dim, True))
-                 for label, dim in zip(labels, dims))
+    rows = tuple(zip(*(map(RepOutcome._make, zip(labels, dims, repeat(flag)))
+                       for flag in (False, True))))
     corpus = (tuple(seeds), tuple(steps), tuple(dims), rows)
     return structure.corpora.setdefault((depth, max_dim), corpus)
 

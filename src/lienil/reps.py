@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .liealg import LieAlgebra, QuotientMap
 from .linalg import (
     Matrix,
     Subspace,
+    _Frozen,
     as_vector,
     is_nilpotent,
     kron,
@@ -31,19 +31,19 @@ from .semisimple import analyze
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Representation:
-    algebra: LieAlgebra
-    dim_v: int
-    matrices: tuple[Matrix, ...]
-    label: str
+class Representation(_Frozen):
+    _fields = ("algebra", "dim_v", "matrices", "label")
 
-    def __post_init__(self):
-        if len(self.matrices) != self.algebra.dim:
+    def __init__(self, algebra: LieAlgebra, dim_v: int, matrices: tuple[Matrix, ...], label: str):
+        if len(matrices) != algebra.dim:
             raise ValueError("one matrix per algebra basis element is required")
-        for m in self.matrices:
-            if m.rows != self.dim_v or m.cols != self.dim_v:
-                raise ValueError(f"representation matrices must be {self.dim_v}x{self.dim_v}")
+        for m in matrices:
+            if m.rows != dim_v or m.cols != dim_v:
+                raise ValueError(f"representation matrices must be {dim_v}x{dim_v}")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "label", label)
 
     def action(self, a: Sequence) -> Matrix:
         """Matrix of the element a = sum a_i b_i, i.e. sum a_i rho(b_i): one integer
@@ -58,16 +58,16 @@ class Representation:
             for rows in zip(*(m.ints for _, m in terms))), scale)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Frozen):
     """A linear function on a subalgebra, recorded on its canonical basis."""
 
-    subalgebra: Subspace
-    values: tuple[Fraction, ...]
+    _fields = ("subalgebra", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.subalgebra.dim:
+    def __init__(self, subalgebra: Subspace, values: tuple[Fraction, ...]):
+        if len(values) != subalgebra.dim:
             raise ValueError("one value per subalgebra basis vector is required")
+        object.__setattr__(self, "subalgebra", subalgebra)
+        object.__setattr__(self, "values", values)
 
     def value_on(self, v: Sequence) -> Fraction:
         coords = self.subalgebra.coordinates(v)

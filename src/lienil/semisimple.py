@@ -17,21 +17,22 @@ reported as ``ConsistencyError`` rather than ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .liealg import LieAlgebra, QuotientMap
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _cleared,
+    _rref_rows,
     frac,
     generalized_eigenspace,
     is_nilpotent,
     null_space,
     rref,
-    solve,
     trace_product,
 )
 
@@ -42,8 +43,7 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; results cannot be trusted."""
 
 
-@dataclass(frozen=True)
-class KillingForm:
+class KillingForm(NamedTuple):
     """The bilinear form trace(ad x . ad y) on a fixed algebra."""
 
     algebra: LieAlgebra
@@ -120,8 +120,11 @@ def is_nilpotent_element_image(algebra: LieAlgebra, x) -> bool:
     """
     if not analyze(algebra).semisimple:
         raise ValueError("image-membership nilpotency test requires a semisimple algebra")
-    xv = algebra.element(x)
-    return solve(algebra.ad(xv), xv) is not None
+    # ad(x) z = x is consistent iff no pivot of [ad(x) | x] falls in its last column; the
+    # test is homogeneous in x, so it runs on x cleared to integers and s * ad of those.
+    xs = _cleared(algebra._coordinates(x))[0]
+    rows = [[*row, y] for row, y in zip(algebra._int_ad(xs), xs)]
+    return algebra.dim not in _rref_rows(rows, algebra.dim + 1)[1]
 
 
 def shift_nilpotence_check(algebra: LieAlgebra, d: Matrix, lam, a) -> bool:
@@ -150,12 +153,12 @@ def semisimple_quotient(algebra: LieAlgebra) -> QuotientMap:
     return analyze(algebra).quotient
 
 
-@dataclass(eq=False)
 class Structure:
     """One algebra's structure and own representations, each computed on first use."""
 
-    algebra: LieAlgebra
-    corpora: dict = field(default_factory=dict)  # (depth, max_dim) -> oracle._corpus tuple
+    def __init__(self, algebra: LieAlgebra):
+        self.algebra = algebra
+        self.corpora: dict = {}  # (depth, max_dim) -> oracle._corpus tuple
 
     @cached_property
     def derived(self) -> Subspace:
