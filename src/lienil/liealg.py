@@ -211,16 +211,17 @@ class LieAlgebra(_Frozen):
         v_terms = list(map(_terms, v.rows))
         # A row of u supported on central basis vectors brackets to zero: skip it.
         active = [x for x in map(_terms, u.rows) if any(self._constants[i] for i, _ in x)]
+        # Brackets are made as the elimination reads them, so none is made once the span is full.
         products = (self._int_bracket(x, y) for x in active for y in v_terms)
-        return Subspace._span(self.dim, [p for p in products if any(p)])
+        return Subspace._span(self.dim, filter(any, products))
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the table's values, the brackets of basis pairs."""
-        return Subspace._span(self.dim, [[self._constants[i][j].get(k, 0) for k in range(self.dim)]
-                                         for (i, j), _ in self._table_key[1]])
+        return Subspace._span(self.dim, ([self._constants[i][j].get(k, 0) for k in range(self.dim)]
+                                         for (i, j), _ in self._table_key[1]))
 
     def derived_series(self, start: Subspace | None = None) -> list[Subspace]:
         """The chain s >= [s,s] >= ... from the subalgebra s = start (default g),

@@ -9,6 +9,12 @@ intersections and kernels stay in integers.  Elimination, reduction and nilpoten
 fraction-free on integer rows; ``rref``, ``solve``, ``invert`` and ``Subspace.basis``
 divide by the pivots.  Nothing is floating point, so ranks and kernels are exact, and
 matrices and subspaces are canonical, so equality is a plain ``==``.
+
+Elimination reads its rows one at a time (``_echelon``): each is cleared at the pivots
+found so far and made primitive once, when kept, and no row is read once the rank is
+full, so rows passed lazily are never made.  A rank, or whether some column is a pivot,
+is read off that forward pass; the reduced form (``_rref_rows``) adds one
+back-substitution.  Every row combination is ``_combine``.
 """
 
 from __future__ import annotations
@@ -205,37 +211,56 @@ def _fractions(ints: Sequence[int], scale: int) -> Vector:
     return tuple(Fraction(x, scale) if x else _ZERO for x in ints)
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _primitive(row: Sequence[int]) -> Sequence[int]:
     content = math.gcd(*row)
     return [x // content for x in row] if content > 1 else row
 
 
-def _rref_rows(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on integer rows; returns one integer row per pivot, and
-    the pivot columns.
+def _combine(row: Sequence[int], prow: Sequence[int], c: int) -> tuple[list[int], int]:
+    """a*row - b*prow, which is 0 in column c, with a/b = prow[c]/row[c] in lowest terms;
+    and a."""
+    g = math.gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    return [a * u - b * v for u, v in zip(row, prow)], a
 
-    Rows are made primitive; zero rows are dropped.  A row with x in the pivot column
-    becomes (a*row - b*pivot_row)/content, a/b = pivot/x in lowest terms.  Each result is
-    its RREF row times the lcm of its denominators.
+
+def _echelon(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
+    """Row-by-row fraction-free elimination: the kept rows and their pivot columns.
+
+    Each incoming row is cleared at the pivots found so far, in the order they were found;
+    if anything is left, it is made primitive and kept, its pivot its first nonzero column.
+    Zero rows are dropped, and no row is read once the rank is cols.  The pivots come in
+    the order found; as a set they are the RREF's.
     """
-    ints = [_primitive(list(row)) for row in rows if any(row)]
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
-        if pivot_row is None:
-            continue
-        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
-        prow = ints[r]
-        p = prow[c]
-        for i, row in enumerate(ints):
-            x = row[c]
-            if x and i != r:
-                g = math.gcd(p, x)
-                a, b = p // g, x // g
-                ints[i] = _primitive([a * u - b * v for u, v in zip(row, prow)])
-        pivots.append(c)
-    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(ints, pivots)], pivots
+    kept, pivots = [], []
+    for row in rows:
+        for prow, p in zip(kept, pivots):
+            if row[p]:
+                row = _combine(row, prow, p)[0]
+        if any(row):
+            kept.append(_primitive(row))
+            pivots.append(next(j for j, x in enumerate(row) if x))
+            if len(pivots) == cols:
+                break
+    return kept, pivots
+
+
+def _rref_rows(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows: one integer row per pivot, and the
+    pivot columns, rising.
+
+    ``_echelon``, then one back-substitution from the last pivot up: each row is cleared
+    at the later pivots by the rows already reduced there, made primitive, and given a
+    positive pivot.  Each result is its RREF row times the lcm of its denominators.
+    """
+    kept, pivots = _echelon(rows, cols)
+    reduced: list[tuple[int, Sequence[int]]] = []  # (pivot, row), pivots falling
+    for c, row in sorted(zip(pivots, kept), reverse=True):
+        for q, qrow in reduced:
+            if row[q]:
+                row = _primitive(_combine(row, qrow, q)[0])
+        reduced.append((c, row if row[c] > 0 else [-x for x in row]))
+    return [row for _, row in reversed(reduced)], sorted(pivots)
 
 
 def _over_pivots(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple[tuple, int]:
@@ -288,12 +313,8 @@ class Subspace(_Frozen):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [as_vector(v) for v in vectors]
-        for vec in rows:
-            if len(vec) != ambient_dim:
-                raise ValueError(
-                    f"vector length {len(vec)} does not match ambient dimension {ambient_dim}")
-        return cls._span(ambient_dim, [_cleared(vec)[0] for vec in rows])
+        zero = cls.zero(ambient_dim)  # a list, so every vector is checked, even past full rank
+        return cls._span(ambient_dim, [zero._as_ints(v)[0] for v in vectors])
 
     @classmethod
     def _span(cls, ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -306,8 +327,7 @@ class Subspace(_Frozen):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(
-            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
+        return cls(ambient_dim, Matrix.identity(ambient_dim).ints)
 
     @property
     def dim(self) -> int:
@@ -331,11 +351,8 @@ class Subspace(_Frozen):
     def _eliminate(self, ints: list[int], scale: int = 1) -> tuple[list[int], int]:
         """Clear the pivot coordinates of the vector ints/scale; the remainder, and its scale."""
         for row, p in zip(self.rows, self.pivots):
-            x = ints[p]
-            if x:
-                g = math.gcd(row[p], x)
-                a, b = row[p] // g, x // g
-                ints = [a * u - b * w for u, w in zip(ints, row)]
+            if ints[p]:
+                ints, a = _combine(ints, row, p)
                 scale *= a
         return ints, scale
 
@@ -421,8 +438,7 @@ def invert(m: Matrix) -> Matrix | None:
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows, pivots = _rref_rows([(*r, *(int(i == j) for j in range(n)))
-                               for i, r in enumerate(m.ints)], 2 * n)
+    rows, pivots = _rref_rows([(*r, *e) for r, e in zip(m.ints, Matrix.identity(n).ints)], 2 * n)
     if pivots[:n] != list(range(n)):
         return None
     # [ints | I] reduces to [I | ints**-1], and (ints/scale)**-1 = scale * ints**-1.

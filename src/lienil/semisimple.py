@@ -17,6 +17,7 @@ reported as ``ConsistencyError`` rather than ``ValueError``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -27,12 +28,11 @@ from .linalg import (
     Subspace,
     Vector,
     _cleared,
-    _rref_rows,
+    _echelon,
     frac,
     generalized_eigenspace,
     is_nilpotent,
     null_space,
-    rref,
     trace_product,
 )
 
@@ -55,7 +55,7 @@ class KillingForm(NamedTuple):
         return sum((a * b for a, b in zip(xv, self.gram.apply(yv)) if a and b), _ZERO)
 
     def is_nondegenerate(self) -> bool:
-        return rref(self.gram)[1] == self.algebra.dim
+        return len(_echelon(self.gram.ints, self.gram.cols)[1]) == self.algebra.dim
 
 
 def killing_form(algebra: LieAlgebra, x, y) -> Fraction:
@@ -88,7 +88,7 @@ def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace must live in the algebra")
     gram = killing_matrix(algebra).gram.ints  # symmetric, so rows serve as columns
-    return null_space([[sum(x * y for x, y in zip(column, v) if y) for column in gram]
+    return null_space([[sum(map(operator.mul, column, v)) for column in gram]
                        for v in space.rows], algebra.dim)
 
 
@@ -120,11 +120,12 @@ def is_nilpotent_element_image(algebra: LieAlgebra, x) -> bool:
     """
     if not analyze(algebra).semisimple:
         raise ValueError("image-membership nilpotency test requires a semisimple algebra")
-    # ad(x) z = x is consistent iff no pivot of [ad(x) | x] falls in its last column; the
-    # test is homogeneous in x, so it runs on x cleared to integers and s * ad of those.
+    # ad(x) z = x is consistent iff no pivot of [ad(x) | x] falls in its last column, which
+    # the forward elimination's pivots already tell; the test is homogeneous in x, so it
+    # runs on x cleared to integers and s * ad of those.
     xs = _cleared(algebra._coordinates(x))[0]
     rows = [[*row, y] for row, y in zip(algebra._int_ad(xs), xs)]
-    return algebra.dim not in _rref_rows(rows, algebra.dim + 1)[1]
+    return algebra.dim not in _echelon(rows, algebra.dim + 1)[1]
 
 
 def shift_nilpotence_check(algebra: LieAlgebra, d: Matrix, lam, a) -> bool:

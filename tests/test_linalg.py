@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lienil import linalg
@@ -388,6 +388,86 @@ def test_rank_and_nullspace_match_sympy():
         assert rref(m)[1] == image.dim == theirs.rank()
         assert kernel == Subspace.from_vectors(m.cols, [
             [F(int(x.p), int(x.q)) for x in v] for v in theirs.nullspace()])
+
+
+# --- row-by-row elimination: forms of input, pivots, the full-rank stop --------
+
+_ENTRY = 10**8
+
+
+def _row(draw, cols: int, bound: int) -> list[int]:
+    """Integers up to bound in absolute value; some rows share a factor, so their
+    content is above 1."""
+    factor = draw(st.sampled_from((1, 1, 6, 1000)))
+    values = st.integers(-(bound // factor), bound // factor)
+    return [factor * x for x in draw(st.lists(values, min_size=cols, max_size=cols))]
+
+
+@st.composite
+def _integer_rows(draw):
+    """(rows, cols): a tall, wide, rank-deficient or zero-row integer matrix, entries up
+    to 10**8 in absolute value."""
+    cols = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("tall", "wide", "deficient", "zero rows")))
+    if kind == "deficient":  # integer combinations of fewer rows than columns
+        rank = draw(st.integers(0, cols - 1))
+        basis = [_row(draw, cols, _ENTRY // (2 * rank)) for _ in range(rank)]
+        weights = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+        return [[sum(w * row[j] for w, row in zip(ws, basis)) for j in range(cols)]
+                for ws in draw(st.lists(weights, min_size=rank + 1, max_size=rank + 4))], cols
+    count = {"tall": st.integers(cols + 1, cols + 4), "wide": st.integers(0, cols - 1),
+             "zero rows": st.integers(0, cols + 2)}[kind]
+    rows = [_row(draw, cols, _ENTRY) for _ in range(draw(count))]
+    if kind == "zero rows":
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    return rows, cols
+
+
+def _as(form, rows):
+    """The rows as a tuple of tuples, a list of lists or a one-shot generator."""
+    return {"tuple": lambda: tuple(map(tuple, rows)), "list": lambda: [list(r) for r in rows],
+            "generator": lambda: (tuple(r) for r in rows)}[form]()
+
+
+_FORMS = st.sampled_from(("tuple", "list", "generator"))
+
+
+@seed(19)
+@settings(max_examples=150, deadline=None)
+@given(_integer_rows(), _FORMS)
+def test_elimination_matches_fraction_reference(matrix, form):
+    rows, cols = matrix
+    reduced, pivots = linalg._rref_rows(_as(form, rows), cols)
+    assert ([list(row) for row in reduced], pivots) == _primitive_fraction_rref_rows(rows, cols)
+    forward, found = linalg._echelon(_as(form, rows), cols)
+    assert sorted(found) == pivots and len(forward) == len(found)
+    assert all(math.gcd(*row) == 1 and row[c] and not any(row[:c])
+               for row, c in zip(forward, found))
+
+
+def _read_until_full_rank(rows, cols):
+    """A one-shot generator of the rows that raises if it is read past the row that
+    brings the rank to cols; the rank of each prefix comes from the reference."""
+    ranks = [len(_primitive_fraction_rref_rows(rows[:i], cols)[1]) for i in range(len(rows) + 1)]
+    stop = ranks.index(cols) if cols in ranks else len(rows)
+    yield from map(tuple, rows[:stop])
+    if stop < len(rows):
+        raise AssertionError(f"row {stop} read after full rank")
+
+
+@seed(19)
+@settings(max_examples=150, deadline=None)
+@given(_integer_rows())
+@example(([[0, 5], [0, -10], [3, 0], [1, 1], [2, 2]], 2))
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 7], [0, 0, 0]], 3))
+def test_elimination_reads_no_row_after_full_rank(matrix):
+    rows, cols = matrix
+    expected = _primitive_fraction_rref_rows(rows, cols)
+    forward, found = linalg._echelon(_read_until_full_rank(rows, cols), cols)
+    assert sorted(found) == expected[1]
+    reduced, pivots = linalg._rref_rows(_read_until_full_rank(rows, cols), cols)
+    assert ([list(row) for row in reduced], pivots) == expected
 
 
 # --- integer Matrix against the Fraction reference ---------------------------

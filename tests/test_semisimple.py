@@ -11,7 +11,7 @@ import pytest
 from lienil import semisimple
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, Subspace, is_nilpotent, kernel_image
+from lienil.linalg import Matrix, Subspace, invert, is_nilpotent, kernel_image, rref, solve
 from lienil.oracle import nilpotent_in_all_reps
 from lienil.semisimple import (
     ConsistencyError,
@@ -37,6 +37,7 @@ from support import (
     fraction_killing_gram,
     fraction_reduce,
     seeded_elements,
+    seeded_rational_bases,
     with_rational_basis_changes,
 )
 
@@ -291,6 +292,59 @@ def test_image_and_power_agree_on_semisimple():
         g = builtin(name).algebra
         for a in seeded_elements(g.dim, 12, seed=41):
             assert is_nilpotent_element_image(g, a) == is_nilpotent_element_power(g, a)
+
+
+_EXTENSION = semidirect(builtin("sl2").algebra, sl2_irrep(1))
+_ENTRIES_AND_EXTENSION = standard_entries() + [_EXTENSION]
+
+
+def _moved(seed: int):
+    """Each standard entry and semidirect(sl2, V1) under two seeded basis changes, with
+    the entry's basis elements and seeded elements carried to the new coordinates."""
+    for entry in _ENTRIES_AND_EXTENSION:
+        g = entry.algebra
+        elements = [g.basis_element(i) for i in range(g.dim)] + seeded_elements(g.dim, 3, seed)
+        for p in seeded_rational_bases(g.dim, 2, seed):
+            p_inv = invert(p)
+            yield entry.name, g.change_of_basis(p), [p_inv.apply(a) for a in elements]
+
+
+def test_image_test_matches_solving_on_moved_entries():
+    """The image test reads the forward elimination's pivots; it must agree with asking
+    solve for a z with ad(y) z = y, on g/rad(g) of every moved entry."""
+    seen = set()
+    for name, g, elements in _moved(seed=89):
+        q = analyze(g).quotient
+        for a in elements:
+            y = q.project(a)
+            expected = solve(q.target.ad(y), y) is not None
+            assert is_nilpotent_element_image(q.target, y) == expected, (name, a)
+            seen.add((name, expected))
+    levi = {"sl2", "sl3", "gl2", _EXTENSION.name}  # so3 has no nonzero nilpotent over Q
+    assert {name for name, expected in seen if not expected} == levi | {"so3"}
+    assert levi <= {name for name, expected in seen if expected}
+
+
+def test_killing_rank_matches_reduced_gram_on_moved_entries():
+    """is_nondegenerate reads the forward elimination's rank; it must agree with the rank
+    of the fully reduced gram, on every moved entry and its g/rad(g)."""
+    verdicts = []
+    for _, g, _ in _moved(seed=89):
+        for h in (g, analyze(g).quotient.target):
+            form = killing_matrix(h)
+            verdicts.append(form.is_nondegenerate())
+            assert verdicts[-1] == (rref(form.gram)[1] == h.dim)
+    assert True in verdicts and False in verdicts
+
+
+def test_product_space_makes_only_the_brackets_the_elimination_reads(monkeypatch):
+    g = builtin("sl3").algebra
+    calls = []
+    bracket = LieAlgebra._int_bracket
+    monkeypatch.setattr(LieAlgebra, "_int_bracket",
+                        lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    assert g.product_space(g.full_space(), g.full_space()) == g.full_space()
+    assert len(calls) < 64  # 8 x 8 pairs; the span is full after 31 of them
 
 
 # --- the eigenvalue-shift argument ----------------------------------------------
