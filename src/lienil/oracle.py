@@ -10,12 +10,13 @@ can be stress-tested against a corpus generated from those representations
 and the catalog's irreducibles by duals, direct sums and tensor products.
 
 A corpus is enumerated once, over dimensions alone, as integer (kind, left,
-right) steps over its seeds, and never materialized: a member's nilpotency
-outcome is decided by whether the element's action on it has a single
-eigenvalue, and which one.  Eigenvalues are negated by duals, united by
-direct sums and added pairwise by tensor products, all as integer numerators
-over one denominator, and in characteristic zero an operator is nilpotent iff
-0 is its only eigenvalue, so the outcomes are exact.  Report rows are selected.
+right) steps over seeds of positive dimension, and never materialized: a
+member's nilpotency outcome is decided by whether the element's action on it
+has a single eigenvalue, and which one.  Eigenvalues are negated by duals,
+united by direct sums and added pairwise by tensor products, all as integer
+numerators over one denominator, and in characteristic zero an operator is
+nilpotent iff 0 is its only eigenvalue, so the outcomes are exact.  Report
+rows are selected.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .reps import Representation
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
-_EMPTY = object()  # corpus state of a 0-dimensional member
 _DUAL, _SUM, _TENSOR = range(3)  # a corpus step's kind, indexing _KINDS
 _KINDS = ("dual", "sum", "tensor")
 _MAX_PAIR_VISITS = 250_000  # operand pairs one corpus closure may visit, over all its levels
@@ -158,7 +158,8 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     report rows (non-nilpotent, nilpotent) are per member.  Seeds (deduplicated by exact
     matrix equality): the adjoint, the pullback of the adjoint of the semisimple
     quotient, the catalog's attached irreducibles, and one one-dimensional character per
-    canonical functional, all but the irreducibles the Structure's own representations.
+    canonical functional, all but the irreducibles the Structure's own representations,
+    each of dimension 1 to max_dim (sum(x, 0) = x, and a 0-dimensional member tests nothing).
     Each closure level applies the operators in the order dual, sum, tensor; binary
     operators run over unordered index pairs in ascending lexicographic order, restricted
     to pairs that involve the previous level (swapping operands yields a
@@ -181,7 +182,7 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     own = structure.representations
     seeds: list[Representation] = []
     for rep in (*own[:2], *irreducibles_for(algebra), *own[2:]):
-        if rep.dim_v <= max_dim and all(  # deduplicated by exact matrix equality
+        if 0 < rep.dim_v <= max_dim and all(  # deduplicated by exact matrix equality
                 seed.dim_v != rep.dim_v or seed.matrices != rep.matrices for seed in seeds):
             seeds.append(rep)
     steps: list[tuple[int, int, int]] = []
@@ -217,44 +218,40 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
 
 
 def _corpus_outcomes(seeds: Sequence[Representation], steps: Sequence[tuple[int, int, int]],
-                     dims: Sequence[int], av: Vector) -> list[bool]:
+                     av: Vector) -> list[bool]:
     """acts_nilpotently for every member, from one integer state per member.
 
-    A member's state is _EMPTY (dimension 0), None when the element has more
-    than one eigenvalue on it, or its single eigenvalue's numerator over D,
-    the lcm of n*scale over the seeds' n x n actions ints/scale.  The seeds
-    come first: on one of trace t/scale, c = t/(n*scale) is the eigenvalue,
-    single iff n*ints - t*I is nilpotent.  The steps follow in one forward
-    pass: a dual negates its state, a tensor adds two, and a sum keeps a
-    state only when its two agree, _EMPTY agreeing with anything.  A member
-    is nilpotent iff it is _EMPTY or 0, exactly, since every state is over
-    the one D.  A 0-dimensional space has no eigenvalue at all, so it must be
-    a wildcard rather than eigenvalue 0: sum(x, empty) has exactly the
-    eigenvalues of x, and tensor(x, empty) is again 0-dimensional, whatever x is.
+    A member's state is None when the element has more than one eigenvalue
+    on it, or its single eigenvalue's numerator over D, the lcm of n*scale
+    over the seeds' n x n actions ints/scale.  The seeds come first: on one
+    of trace t/scale, c = t/(n*scale) is the eigenvalue, single iff
+    n*ints - t*I is nilpotent.  The steps follow in one forward pass: a dual
+    negates its state, a tensor adds two, and a sum keeps a state only when
+    its two agree.  Every member has positive dimension, so it has an
+    eigenvalue, and it is nilpotent iff its state is 0, exactly, since every
+    state is over the one D.
     """
     actions = [rep.action(av) for rep in seeds]
-    d = math.lcm(*(rep.dim_v * action.scale for rep, action in zip(seeds, actions) if rep.dim_v))
+    d = math.lcm(*(rep.dim_v * action.scale for rep, action in zip(seeds, actions)))
     states: list = []
     for rep, action in zip(seeds, actions):
         n, ints = rep.dim_v, action.ints
         t = sum(ints[i][i] for i in range(n))
         single = is_nilpotent(Matrix(n, n, tuple(
             tuple(n * x - t * (i == k) for k, x in enumerate(row)) for i, row in enumerate(ints))))
-        states.append(_EMPTY if n == 0 else t * (d // (n * action.scale)) if single else None)
-    for (kind, i, j), dim in zip(steps, dims[len(states):]):
+        states.append(t * (d // (n * action.scale)) if single else None)
+    for kind, i, j in steps:
         x, y = states[i], states[j]
-        if not dim:
-            state = _EMPTY
-        elif x is None or y is None:
+        if x is None or y is None:
             state = None
         elif kind == _DUAL:
             state = -x
-        elif kind == _TENSOR:  # neither is _EMPTY: the member is not 0-dimensional
+        elif kind == _TENSOR:
             state = x + y
         else:  # sum
-            state = y if x is _EMPTY else (x if y is _EMPTY or x == y else None)
+            state = x if x == y else None
         states.append(state)
-    return [s is _EMPTY or s == 0 for s in states]
+    return [s == 0 for s in states]
 
 
 def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
@@ -268,8 +265,8 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
     """
     av = algebra.element(a)
     verdict = nilpotent_in_all_reps(algebra, av)
-    seeds, steps, dims, rows = _corpus(algebra, depth, max_dim)
-    nilpotent = _corpus_outcomes(seeds, steps, dims, av)
+    seeds, steps, _, rows = _corpus(algebra, depth, max_dim)
+    nilpotent = _corpus_outcomes(seeds, steps, av)
     outcomes = tuple(map(operator.getitem, rows, nilpotent))
     witness: Witness | None = None
     witness_acts: bool | None = None

@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _Frozen,
+    _cleared,
     as_vector,
     is_nilpotent,
     kron,
@@ -143,10 +144,10 @@ def one_dim_rep(algebra: LieAlgebra, xi: Sequence) -> Representation:
     values = as_vector(xi)
     if len(values) != algebra.dim:
         raise ValueError(f"functional has {len(values)} coordinates, expected {algebra.dim}")
-    for v in analyze(algebra).derived.basis:
-        if sum((a * b for a, b in zip(values, v)), _ZERO) != 0:
-            raise ValueError("functional does not vanish on the derived subalgebra")
-    matrices = tuple(Matrix.from_rows([[c]]) for c in values)
+    ints = _cleared(values)[0]  # a positive multiple of xi: vanishing is homogeneous
+    if any(sum(map(operator.mul, ints, row)) for row in analyze(algebra).derived.rows):
+        raise ValueError("functional does not vanish on the derived subalgebra")
+    matrices = tuple(Matrix(1, 1, ((c.numerator,),), c.denominator) for c in values)
     csv = ",".join(str(c) for c in values)
     return Representation(algebra, 1, matrices, f"character({csv})")
 

@@ -563,7 +563,8 @@ GOLDEN = {
 
 # crosscheck --depth 1 on the same files and elements, recorded from the Fraction
 # corpus evaluator: each corpus row as (label, dim, nilpotent); the verdict and
-# witness fields are the oracle report's.
+# witness fields are the oracle report's.  ut3's rows are those recorded there minus
+# the rows built from its 0-dimensional seed, pullback(adjoint), which no corpus keeps.
 CROSSCHECK_GOLDEN_ROWS = {
     "sl3.lie": (
         ("adjoint", 8, False),
@@ -593,24 +594,17 @@ CROSSCHECK_GOLDEN_ROWS = {
     ),
     "ut3.lie": (
         ("adjoint", 6, False),
-        ("pullback(adjoint)", 0, True),
         ("character(-1,1,0,0,0,0)", 1, False),
         ("character(0,0,0,-5/2,1,0)", 1, True),
         ("character(0,0,0,0,0,1)", 1, True),
         ("dual(adjoint)", 6, False),
-        ("dual(pullback(adjoint))", 0, True),
         ("dual(character(-1,1,0,0,0,0))", 1, False),
         ("dual(character(0,0,0,-5/2,1,0))", 1, True),
         ("dual(character(0,0,0,0,0,1))", 1, True),
         ("sum(adjoint, adjoint)", 12, False),
-        ("sum(adjoint, pullback(adjoint))", 6, False),
         ("sum(adjoint, character(-1,1,0,0,0,0))", 7, False),
         ("sum(adjoint, character(0,0,0,-5/2,1,0))", 7, False),
         ("sum(adjoint, character(0,0,0,0,0,1))", 7, False),
-        ("sum(pullback(adjoint), pullback(adjoint))", 0, True),
-        ("sum(pullback(adjoint), character(-1,1,0,0,0,0))", 1, False),
-        ("sum(pullback(adjoint), character(0,0,0,-5/2,1,0))", 1, True),
-        ("sum(pullback(adjoint), character(0,0,0,0,0,1))", 1, True),
         ("sum(character(-1,1,0,0,0,0), character(-1,1,0,0,0,0))", 2, False),
         ("sum(character(-1,1,0,0,0,0), character(0,0,0,-5/2,1,0))", 2, False),
         ("sum(character(-1,1,0,0,0,0), character(0,0,0,0,0,1))", 2, False),
@@ -618,14 +612,9 @@ CROSSCHECK_GOLDEN_ROWS = {
         ("sum(character(0,0,0,-5/2,1,0), character(0,0,0,0,0,1))", 2, True),
         ("sum(character(0,0,0,0,0,1), character(0,0,0,0,0,1))", 2, True),
         ("tensor(adjoint, adjoint)", 36, False),
-        ("tensor(adjoint, pullback(adjoint))", 0, True),
         ("tensor(adjoint, character(-1,1,0,0,0,0))", 6, False),
         ("tensor(adjoint, character(0,0,0,-5/2,1,0))", 6, False),
         ("tensor(adjoint, character(0,0,0,0,0,1))", 6, False),
-        ("tensor(pullback(adjoint), pullback(adjoint))", 0, True),
-        ("tensor(pullback(adjoint), character(-1,1,0,0,0,0))", 0, True),
-        ("tensor(pullback(adjoint), character(0,0,0,-5/2,1,0))", 0, True),
-        ("tensor(pullback(adjoint), character(0,0,0,0,0,1))", 0, True),
         ("tensor(character(-1,1,0,0,0,0), character(-1,1,0,0,0,0))", 1, False),
         ("tensor(character(-1,1,0,0,0,0), character(0,0,0,-5/2,1,0))", 1, False),
         ("tensor(character(-1,1,0,0,0,0), character(0,0,0,0,0,1))", 1, False),

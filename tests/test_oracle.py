@@ -286,8 +286,8 @@ def test_corpus_bound_refuses_before_a_level_is_built():
     with pytest.raises(ValueError, match=r"depth 3 would visit \d+ member pairs by level 3, "
                                          r"more than 250000"):
         _corpus(sl2, 3, 128)  # 5,435,597 members if built
-    with pytest.raises(ValueError, match="depth 3 would visit 713180 member pairs by level 3"):
-        _corpus(builtin("heisenberg").algebra, 3, 128)
+    with pytest.raises(ValueError, match="depth 3 would visit 694722 member pairs by level 3"):
+        _corpus(builtin("upper_triangular(3)").algebra, 3, 128)
     with pytest.raises(ValueError, match="depth 1000000000000 "):
         _corpus(so3, 10**12, 3)  # duals never leave the cap, so no level is empty
 
@@ -295,6 +295,25 @@ def test_corpus_bound_refuses_before_a_level_is_built():
 def test_corpus_stops_at_the_first_empty_level():
     """Duals keep every nonempty level nonempty, so only a corpus with no seeds ends early."""
     assert _corpus(builtin("sl2").algebra, 10**12, 0)[:3] == ((), (), ())
+
+
+def test_a_corpus_without_positive_dimensional_seeds_is_empty_at_any_depth():
+    """The zero algebra's only seeds are 0-dimensional, and heisenberg at cap 0 keeps
+    none of its seeds: neither corpus closes 0-dimensional members level after level."""
+    assert _corpus(LieAlgebra(0, (), {}), 10**12, 128)[:3] == ((), (), ())
+    assert _corpus(builtin("heisenberg").algebra, 10**12, 0)[:3] == ((), (), ())
+
+
+def test_every_corpus_member_has_positive_dimension():
+    sl2 = builtin("sl2").algebra
+    algebras = [entry.algebra for entry in standard_entries()]
+    algebras += [semidirect(sl2, sl2_irrep(1)).algebra, LieAlgebra(0, (), {})]
+    for g in algebras:
+        for depth in (0, 1, 2):
+            for max_dim in (4, 12, 128):
+                seeds, steps, dims, _ = _corpus(g, depth, max_dim)
+                assert len(dims) == len(seeds) + len(steps)
+                assert all(dims), (g.basis_names, depth, max_dim)
 
 
 def test_corpus_members_materialize_and_validate():
@@ -357,26 +376,26 @@ def test_integer_corpus_states_match_the_fraction_evaluator(name, representative
     elements = [g.basis_element(i) for i in range(g.dim)] + [g.element(a) for a in representatives]
     elements += [g.element(a) for a in seeded_elements(g.dim, 6, seed=83)]
     elements.append(g.element([F(1, 2), F(1, 3)] + [F(-1, 6)] * (g.dim - 2)))
-    mixed = empty = 0
+    mixed = 0
     for depth in (0, 1, 2):
         for max_dim in (4, 12, 128):
             members = corpus_members(g, depth, max_dim)
-            seeds, steps, dims, _ = _corpus(g, depth, max_dim)
-            empty += any(m.dim == 0 for m in members)
+            seeds, steps, _, _ = _corpus(g, depth, max_dim)
             for av in elements:
-                assert (_corpus_outcomes(seeds, steps, dims, av)
-                        == fraction_corpus_outcomes(members, av))
+                assert _corpus_outcomes(seeds, steps, av) == fraction_corpus_outcomes(members, av)
                 mixed += len(_seed_denominators(members, av)) > 1
-    if name in ("heisenberg", "upper_triangular(3)"):  # characters, and g/rad(g) = 0
-        assert mixed and empty
+    if name in ("heisenberg", "upper_triangular(3)"):  # characters
+        assert mixed
 
 
 # sha256 of the repr of (index, label, dim, level, kind, operands) of every corpus
 # member at depths 0-2 and caps 4, 12 and 128 in turn, recorded from the enumeration
-# into member objects before corpora were kept as integer steps.
+# into member objects before corpora were kept as integer steps.  heisenberg's was
+# re-recorded once its 0-dimensional seed was dropped: the members recorded there minus
+# that seed and the members built from it, in order, with operands renumbered.
 CORPUS_DIGESTS = {
     "gl2": "d4c73a58da64f9d6ca215fa5c6e002e8e2648efef84afd58f69b25a82b34d105",
-    "heisenberg": "9f31d15531e7e55a5079ef7b61ea252ed6207c1ac5ebaae50e2e58a34aa82fbc",
+    "heisenberg": "e40e63705320096156fa17b067a42a567b3742a7523cac100085575ac79df574",
     "semidirect(sl2, V1)": "d10a8a46e67c0a508b664ba4f781bbee20375558a7ccfddee1a952c0f92994b8",
     "sl2": "c0457b0fbff945cf7e7cb5d603e767510eb20d8e53c00a6d611a30ac4ac7fd96",
 }

@@ -23,7 +23,7 @@ from lienil.reps import (
     validate_rep,
     weight_space,
 )
-from lienil.semisimple import semisimple_quotient
+from lienil.semisimple import analyze, semisimple_quotient
 
 from support import corpus_members, criterion_2_cases, seeded_elements
 
@@ -149,6 +149,23 @@ def test_one_dim_rep_requires_vanishing_on_brackets():
     assert rep.action((1, 0)) == Matrix.from_rows([[1]])
     with pytest.raises(ValueError):
         one_dim_rep(g, (0, 1))  # does not kill [g, g] = span(b)
+
+
+def test_one_dim_rep_matrices_and_label_are_the_values():
+    """Each 1x1 matrix is the functional's value, in lowest terms, and the label prints
+    the values; a fractional functional is tested against [g, g] exactly."""
+    g = builtin("upper_triangular(3)").algebra
+    structure = analyze(g)
+    weights = (F(1, 2), F(-2, 3), 3)
+    xi = tuple(sum((c * x for c, x in zip(weights, column)), F(0))
+               for column in zip(*structure.functionals))
+    rep = one_dim_rep(g, xi)
+    assert rep.matrices == tuple(Matrix.from_rows([[c]]) for c in xi)
+    assert rep.label == f"character({','.join(map(str, xi))})"
+    assert validate_rep(rep) == []
+    outside = tuple(c + F(x, 3) for c, x in zip(xi, structure.derived.rows[0]))
+    with pytest.raises(ValueError, match="^functional does not vanish on the derived subalgebra$"):
+        one_dim_rep(g, outside)
 
 
 def test_one_dim_rep_on_sl2_must_be_zero():
