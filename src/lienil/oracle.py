@@ -4,10 +4,11 @@ representation of its algebra, and back the verdict with evidence.
 The decision itself is two membership tests: the element must lie in the
 derived subalgebra, and its image in the semisimple quotient must be a
 nilpotent element there.  A negative verdict is always accompanied by a
-witness: one of the algebra's own representations, kept on its Structure,
-in which the element demonstrably acts non-nilpotently.  A positive verdict
-can be stress-tested against a corpus generated from those representations
-and the catalog's irreducibles by duals, direct sums and tensor products.
+witness, the one representation built for it: a character, or the pulled-back
+adjoint of the semisimple quotient, in which the element demonstrably acts
+non-nilpotently.  A positive verdict can be stress-tested against a corpus
+generated by duals, direct sums and tensor products from seeds, each built
+only if it fits the corpus's dimension bound.
 
 A corpus is enumerated once, over dimensions alone, as integer (kind, left,
 right) steps over seeds of positive dimension, and never materialized: a
@@ -29,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, _cleared, is_nilpotent, nilpotency_exponent
-from .reps import Representation
+from .reps import Representation, adjoint_rep, one_dim_rep
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
@@ -115,19 +116,18 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
 
 
 def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> tuple[Witness, Matrix]:
-    """find_witness for an element already read and decided negative, with the
-    element's action on the witness: one of the Structure's own representations."""
+    """find_witness for an element already read and decided negative, with the element's
+    action on the witness, the one representation built (the Structure keeps the pullback)."""
     structure = analyze(algebra)
     if not verdict.in_derived:
-        for xi, rep in zip(structure.functionals, structure.representations[2:]):
+        for xi in structure.functionals:
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
-                case_tag = "derived_character"
+                rep, case_tag = one_dim_rep(algebra, xi), "derived_character"
                 break
         else:  # pragma: no cover - contradicts in_derived False
             raise ConsistencyError("no canonical functional separates the element")
     else:
-        rep = structure.representations[1]
-        case_tag = "adjoint_pullback"
+        rep, case_tag = structure.quotient_adjoint, "adjoint_pullback"
     action = rep.action(av)
     nilpotent, exponent = nilpotency_exponent(action)
     if nilpotent:  # pragma: no cover - would falsify the construction
@@ -150,16 +150,15 @@ def _some_power_trace_nonzero(m: Matrix) -> bool:
 # --- corpus ----------------------------------------------------------------
 
 def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
-    """(seeds, steps, dims, rows): the seeds closed under dual, direct sum and tensor, in a
+    """(seeds, steps, rows): the seeds closed under dual, direct sum and tensor, in a
     fixed order, kept on the algebra's Structure.
 
     Member i < len(seeds) is seeds[i], and member len(seeds) + k is steps[k], an integer
-    (kind, left, right) over earlier members (left == right for a dual); dims and the
-    report rows (non-nilpotent, nilpotent) are per member.  Seeds (deduplicated by exact
-    matrix equality): the adjoint, the pullback of the adjoint of the semisimple
-    quotient, the catalog's attached irreducibles, and one one-dimensional character per
-    canonical functional, all but the irreducibles the Structure's own representations,
-    each of dimension 1 to max_dim (sum(x, 0) = x, and a 0-dimensional member tests nothing).
+    (kind, left, right) over earlier members (left == right for a dual); the report rows
+    (non-nilpotent, nilpotent), which carry the dimensions, are per member.  Seeds: the
+    adjoint, the Structure's pulled-back adjoint of g/rad(g), the catalog's irreducibles
+    and one character per canonical functional, each built only if 1 to max_dim wide
+    (sum(x, 0) = x; 0-wide tests nothing), the first of those with equal matrices kept.
     Each closure level applies the operators in the order dual, sum, tensor; binary
     operators run over unordered index pairs in ascending lexicographic order, restricted
     to pairs that involve the previous level (swapping operands yields a
@@ -179,12 +178,14 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     structure = analyze(algebra)
     if (depth, max_dim) in structure.corpora:
         return structure.corpora[depth, max_dim]
-    own = structure.representations
-    seeds: list[Representation] = []
-    for rep in (*own[:2], *irreducibles_for(algebra), *own[2:]):
-        if 0 < rep.dim_v <= max_dim and all(  # deduplicated by exact matrix equality
-                seed.dim_v != rep.dim_v or seed.matrices != rep.matrices for seed in seeds):
-            seeds.append(rep)
+    widths = range(1, max_dim + 1)
+    unique: dict = {}  # (dim_v, matrices) -> the first seed with them, in one pass
+    for rep in (*([adjoint_rep(algebra)] if algebra.dim in widths else ()),
+                *([structure.quotient_adjoint] if structure.quotient.target.dim in widths else ()),
+                *(rep for rep in irreducibles_for(algebra) if rep.dim_v in widths),
+                *(one_dim_rep(algebra, xi) for xi in structure.functionals if 1 in widths)):
+        unique.setdefault((rep.dim_v, rep.matrices), rep)
+    seeds = tuple(unique.values())
     steps: list[tuple[int, int, int]] = []
     dims = [rep.dim_v for rep in seeds]
     labels = [rep.label for rep in seeds]
@@ -213,7 +214,7 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
         start = base
     rows = tuple(zip(*(map(RepOutcome._make, zip(labels, dims, repeat(flag)))
                        for flag in (False, True))))
-    corpus = (tuple(seeds), tuple(steps), tuple(dims), rows)
+    corpus = (seeds, tuple(steps), rows)
     return structure.corpora.setdefault((depth, max_dim), corpus)
 
 
@@ -258,14 +259,15 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
                    max_dim: int = 128) -> CrossCheckReport:
     """Check the verdict for one element against the whole corpus.
 
-    On a positive verdict, consistency means every corpus member reports a
-    nilpotent action.  On a negative verdict, a witness is constructed and
-    consistency means the element demonstrably acts non-nilpotently in it.
+    On a positive verdict, consistency means every corpus member reports a nilpotent
+    action; duals, sums and tensors of nilpotent operators stay nilpotent, so it reads only
+    the seeds, and depth adds report rows but no checking power.  On a negative verdict,
+    it reads only the witness: the element must demonstrably act non-nilpotently in it.
     An inconsistent report is a falsification event, never expected.
     """
     av = algebra.element(a)
     verdict = nilpotent_in_all_reps(algebra, av)
-    seeds, steps, _, rows = _corpus(algebra, depth, max_dim)
+    seeds, steps, rows = _corpus(algebra, depth, max_dim)
     nilpotent = _corpus_outcomes(seeds, steps, av)
     outcomes = tuple(map(operator.getitem, rows, nilpotent))
     witness: Witness | None = None

@@ -1,9 +1,9 @@
 """Killing form, radical, and nilpotency tests for single elements.
 
 ``analyze`` gives each algebra one ``Structure``, which computes its derived
-subalgebra, Killing form, radical, semisimple quotient, canonical functionals
-and own representations lazily, each once, and keeps its corpora; the public
-readers below read from it.  Semisimplicity is Cartan's criterion: the Killing
+subalgebra, Killing form, radical, semisimple quotient, canonical functionals and
+that quotient's pulled-back adjoint lazily, each once, and keeps its corpora; the
+public readers below read from it.  Semisimplicity is Cartan's criterion: the Killing
 form is nondegenerate, ranked once per algebra.  The image test gates on it.
 
 The radical is the set of x whose Killing pairing with the whole derived
@@ -155,7 +155,7 @@ def semisimple_quotient(algebra: LieAlgebra) -> QuotientMap:
 
 
 class Structure:
-    """One algebra's structure and own representations, each computed on first use."""
+    """One algebra's structure, each part computed on first use and kept."""
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
@@ -204,14 +204,12 @@ class Structure:
         return self.derived.projection().entries
 
     @cached_property
-    def representations(self) -> tuple:
-        """The adjoint, the adjoint of g/rad(g) pulled back to g, and one character per
-        functional: the corpus seeds and the witnesses are these objects, built once."""
-        from .reps import adjoint_rep, one_dim_rep, pullback  # reps imports this module
+    def quotient_adjoint(self):
+        """The adjoint of g/rad(g) pulled back to g, built once: a corpus seed and the
+        witness of every negative element inside [g, g]."""
+        from .reps import adjoint_rep, pullback  # reps imports this module
 
-        q = self.quotient
-        return (adjoint_rep(self.algebra), pullback(adjoint_rep(q.target), q),
-                *(one_dim_rep(self.algebra, xi) for xi in self.functionals))
+        return pullback(adjoint_rep(self.quotient.target), self.quotient)
 
 
 def analyze(algebra: LieAlgebra) -> Structure:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import operator
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,7 +13,8 @@ import pytest
 
 import lienil.oracle as oracle
 import lienil.reps as reps
-from lienil.catalog import builtin, irreducibles_for, semidirect, sl2_irrep, standard_entries
+from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
+from lienil.cli import render_algebra, run
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, invert, is_nilpotent
 from lienil.oracle import (
@@ -294,14 +297,14 @@ def test_corpus_bound_refuses_before_a_level_is_built():
 
 def test_corpus_stops_at_the_first_empty_level():
     """Duals keep every nonempty level nonempty, so only a corpus with no seeds ends early."""
-    assert _corpus(builtin("sl2").algebra, 10**12, 0)[:3] == ((), (), ())
+    assert _corpus(builtin("sl2").algebra, 10**12, 0) == ((), (), ())
 
 
 def test_a_corpus_without_positive_dimensional_seeds_is_empty_at_any_depth():
     """The zero algebra's only seeds are 0-dimensional, and heisenberg at cap 0 keeps
     none of its seeds: neither corpus closes 0-dimensional members level after level."""
-    assert _corpus(LieAlgebra(0, (), {}), 10**12, 128)[:3] == ((), (), ())
-    assert _corpus(builtin("heisenberg").algebra, 10**12, 0)[:3] == ((), (), ())
+    assert _corpus(LieAlgebra(0, (), {}), 10**12, 128) == ((), (), ())
+    assert _corpus(builtin("heisenberg").algebra, 10**12, 0) == ((), (), ())
 
 
 def test_every_corpus_member_has_positive_dimension():
@@ -311,9 +314,9 @@ def test_every_corpus_member_has_positive_dimension():
     for g in algebras:
         for depth in (0, 1, 2):
             for max_dim in (4, 12, 128):
-                seeds, steps, dims, _ = _corpus(g, depth, max_dim)
-                assert len(dims) == len(seeds) + len(steps)
-                assert all(dims), (g.basis_names, depth, max_dim)
+                seeds, steps, rows = _corpus(g, depth, max_dim)
+                assert len(rows) == len(seeds) + len(steps)
+                assert all(row.dim for row, _ in rows), (g.basis_names, depth, max_dim)
 
 
 def test_corpus_members_materialize_and_validate():
@@ -380,7 +383,7 @@ def test_integer_corpus_states_match_the_fraction_evaluator(name, representative
     for depth in (0, 1, 2):
         for max_dim in (4, 12, 128):
             members = corpus_members(g, depth, max_dim)
-            seeds, steps, _, _ = _corpus(g, depth, max_dim)
+            seeds, steps, _ = _corpus(g, depth, max_dim)
             for av in elements:
                 assert _corpus_outcomes(seeds, steps, av) == fraction_corpus_outcomes(members, av)
                 mixed += len(_seed_denominators(members, av)) > 1
@@ -421,34 +424,95 @@ def test_report_rows_are_selected_from_two_per_member():
     assert [(r.label, r.dim) for r in first] == [(m.label, m.dim) for m in members]
     assert all(a is b for a, b in zip(first, again))
     assert {id(r) for r in first + second} <= {
-        id(r) for pair in analyze(g).corpora[2, 12][3] for r in pair}
+        id(r) for pair in analyze(g).corpora[2, 12][2] for r in pair}
 
 
-def test_witnesses_and_seeds_are_the_structures_own_representations(monkeypatch):
-    """On fresh algebras, the criterion-2 cross-checks pull back one adjoint per algebra,
-    and every witness and seed is the Structure's own object or a catalog irreducible."""
+def _counting(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to module.name, also where oracle binds it."""
     calls = []
-    build = reps.pullback
+    build = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(reps, "pullback", counted)
-    monkeypatch.setattr(oracle, "pullback", counted, raising=False)  # also if bound here
+    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(oracle, name, counted, raising=False)
+    return calls
+
+
+def test_one_pullback_per_algebra_and_every_witness_is_a_seed(monkeypatch):
+    """On fresh algebras, the criterion-2 cross-checks pull back one adjoint per algebra
+    with a nonzero g/rad(g) (heisenberg's is 0, a seed never built): every adjoint_pullback
+    witness is the Structure's own pullback, and every character witness, built alone,
+    equals a seed of the depth-0 corpus."""
+    calls = _counting(monkeypatch, reps, "pullback")
+    tags, fresh = [], []
     for _, catalog_algebra, elements in criterion_2_cases():
         g = LieAlgebra(catalog_algebra.dim, catalog_algebra.basis_names, catalog_algebra.table)
+        fresh.append(g)
         for element in elements:
             report = cross_validate(g, element, depth=2, max_dim=128)
             assert report.consistent
-            own = analyze(g).representations
             if report.witness is not None:
-                mine = own[1:2] if report.witness.case_tag == "adjoint_pullback" else own[2:]
-                assert any(report.witness.rep is rep for rep in mine)
-        seeds = _corpus(g, 2, 128)[0]
-        assert seeds[0] is own[0]
-        assert all(any(seed is rep for rep in (*own, *irreducibles_for(g))) for seed in seeds)
-    assert len(calls) == 4  # one adjoint of g/rad(g) pulled back per algebra
+                tags.append(report.witness.case_tag)
+                if report.witness.case_tag == "adjoint_pullback":
+                    assert report.witness.rep is analyze(g).quotient_adjoint
+                else:
+                    assert report.witness.rep in _corpus(g, 0, 128)[0]
+    assert set(tags) == {"adjoint_pullback", "derived_character"}
+    assert [id(q.source) for _, q in calls] == [
+        id(g) for g in fresh if analyze(g).quotient.target.dim]  # sl2, gl2, semidirect
+
+
+def _heisenberg(n: int) -> LieAlgebra:
+    """The Heisenberg algebra of dimension 2n + 1: [x_i, y_i] = z."""
+    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)] + ["z"]
+    return LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
+
+
+def test_oracle_witness_builds_only_the_witness(monkeypatch, tmp_path):
+    """At x0 of a dim-201 Heisenberg algebra the witness is one character: no other
+    character and no adjoint is built."""
+    characters = _counting(monkeypatch, reps, "one_dim_rep")
+    adjoints = _counting(monkeypatch, reps, "adjoint_rep")
+    path = tmp_path / "heisenberg201.txt"
+    path.write_text(render_algebra(_heisenberg(100)))
+    out = io.StringIO()
+    assert run(["oracle", "--witness", "--format", "json",
+                "--element=1" + ",0" * 200, str(path)], out) == 0
+    assert json.loads(out.getvalue())["witness_label"] == "character(1" + ",0" * 200 + ")"
+    assert (len(characters), len(adjoints)) == (1, 0)
+
+
+def test_a_seed_wider_than_the_cap_is_never_built(monkeypatch):
+    g = _heisenberg(100)
+    adjoints = _counting(monkeypatch, reps, "adjoint_rep")
+    seeds = _corpus(g, 0, 128)[0]
+    assert [rep.dim_v for rep in seeds] == [1] * 200
+    assert not any(args[0] is g for args in adjoints)
+
+
+def test_seeds_are_deduplicated_in_one_pass(monkeypatch):
+    """A depth-0 corpus of a dim-41 Heisenberg algebra (the adjoint and 40 characters,
+    all distinct) compares seed matrices at most once per seed."""
+    compared = []
+    equal = Matrix.__eq__
+    monkeypatch.setattr(Matrix, "__eq__", lambda m, other: compared.append(m) or equal(m, other))
+    assert len(_corpus(_heisenberg(20), 0, 128)[0]) == 41
+    assert len(compared) <= 41
+
+
+def test_depth_adds_report_rows_but_no_checking_power():
+    """Duals, sums and tensors of nilpotent operators are nilpotent, so whether every
+    member acts nilpotently, and so consistency, is decided by the seeds alone."""
+    for _, g, elements in criterion_2_cases():
+        for element in elements:
+            deep, shallow = (cross_validate(g, element, depth, 128) for depth in (2, 0))
+            assert len(deep.outcomes) > len(shallow.outcomes)
+            assert deep.consistent == shallow.consistent
+            assert (all(row.nilpotent for row in deep.outcomes)
+                    == all(row.nilpotent for row in shallow.outcomes))
 
 
 def test_cross_validate_decides_a_negative_once(monkeypatch):
