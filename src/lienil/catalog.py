@@ -217,11 +217,11 @@ def standard_entries() -> list[CatalogEntry]:
 
 @lru_cache(maxsize=None)
 def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> CatalogEntry:
-    """Extend s by an abelian ideal: [x, v] = rep(x)v for x in s, v in the module.
+    """Extend s by an abelian ideal: [x, v] = rep(x)v for x in s, v in the module V.
 
-    When s is semisimple the module summand is declared as the radical and
-    the construction additionally checks that the quotient by it reproduces
-    the structure constants of s.
+    The construction checks that the quotient by V reproduces the structure constants
+    of s, and declares the radical rad(s) + V (the quotient is s), the derived algebra
+    [s, s] + rep(s)V (V is abelian), and semisimplicity exactly when that radical is 0.
     """
     if rep.algebra != s:
         raise ValueError("representation must be of the extended algebra")
@@ -242,16 +242,15 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
     algebra = LieAlgebra(dim, names, table)
     algebra.validate()
     entry_name = name if name is not None else f"semidirect({rep.label})"
-    if is_semisimple(s):
-        known_radical = Subspace._span(dim, _units(dim, range(s.dim, dim)))
-        if algebra.quotient(known_radical).target._table_key != s._table_key:
-            raise ConsistencyError(
-                f"catalog entry {entry_name}: quotient by the module is not the base algebra")
-    else:
-        known_radical = radical(algebra)
-    return _verified(CatalogEntry(
-        entry_name, algebra, known_radical,
-        analyze(algebra).derived, is_semisimple(algebra)))
+    module = _units(dim, range(s.dim, dim))
+    if algebra.quotient(Subspace._span(dim, module)).target._table_key != s._table_key:
+        raise ConsistencyError(
+            f"catalog entry {entry_name}: quotient by the module is not the base algebra")
+    pad = [0] * dim_v  # extends a row of s by zero on V
+    image = [[0] * s.dim + list(column) for mat in rep.matrices for column in zip(*mat.ints)]
+    return _verified(_entry(entry_name, algebra,
+                            [[*r, *pad] for r in radical(s).rows] + module,
+                            [[*r, *pad] for r in analyze(s).derived.rows] + image))
 
 
 def irreducibles_for(algebra: LieAlgebra) -> tuple[Representation, ...]:

@@ -23,7 +23,7 @@ commands that read an algebra file it reads and parses the file, checks the
 Jacobi identity (``validate`` reports the violations instead), parses
 ``--element`` where the command takes one, heads the report with ``command``,
 ``file`` and ``element``, and adds the fields of the command's report builder;
-``catalog`` reads no file.  ``run`` then writes the report and picks the exit
+``catalog`` reads no file.  ``run`` then streams the report and picks the exit
 code: 0 for a completed computation regardless of the verdict, 1 for any
 input, parse or validation problem (including a file that ``validate`` finds
 breaks the Jacobi identity) or failed internal cross-check, and 2 when
@@ -41,7 +41,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import IO, Sequence
+from itertools import chain, islice
+from typing import IO, Iterator, Sequence
 
 from .liealg import LieAlgebra
 from .linalg import Vector
@@ -76,6 +77,7 @@ _TERM_RE = re.compile(rf"\s*([+-])?\s*(?:({_RATIONAL_PATTERN})\s+)?({_NAME_PATTE
 _COORDINATE_RE = re.compile(rf"[+-]?{_RATIONAL_PATTERN}")
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")  # str.splitlines also breaks at \f, \x1c, \u2028, ...
 _MAX_DIGITS = 4300
+_WRITE_BATCH = 4096  # report pieces per write: one write per piece is slow on unbuffered stdout
 
 
 def _rational(text: str, line_no: int | None = None, column: int | None = None) -> Fraction:
@@ -229,39 +231,35 @@ def render_algebra(algebra: LieAlgebra) -> str:
 # --- reports -----------------------------------------------------------------
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    return ("true" if value else "false") if isinstance(value, bool) else value
 
 
-def _payload_text(payload: dict) -> str:
-    lines = []
+def _text_lines(payload: dict) -> Iterator[str]:
     for key, value in payload.items():
         if key == "outcomes":
-            lines.append(f"corpus ({len(value)} representations):")
+            yield f"corpus ({len(value)} representations):\n"
             for row in value:
-                lines.append(
-                    f"  {row['label']}  dim={row['dim']}  nilpotent={_fmt(row['nilpotent'])}")
+                yield f"  {row['label']}  dim={row['dim']}  nilpotent={_fmt(row['nilpotent'])}\n"
         elif isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"{key}:")
+            yield f"{key}:\n"
             for row in value:
-                lines.append("  " + " ".join(str(_fmt(x)) for x in row))
+                yield "  " + " ".join(str(_fmt(x)) for x in row) + "\n"
         elif isinstance(value, list):
-            lines.append(f"{key}: " + " ".join(str(_fmt(x)) for x in value))
+            yield f"{key}: " + " ".join(str(_fmt(x)) for x in value) + "\n"
         else:
-            lines.append(f"{key}: {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+            yield f"{key}: {_fmt(value)}\n"
 
 
 def _emit(payload: dict, fmt: str, out: IO[str]) -> None:
+    """Write the report as it renders, _WRITE_BATCH pieces a write, never holding it whole."""
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        pieces = chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n")
     elif payload.get("command") == "catalog" and "file" in payload:
-        out.write(payload["file"])
+        pieces = iter([payload["file"]])
     else:
-        out.write(_payload_text(payload))
+        pieces = _text_lines(payload)
+    for batch in iter(lambda: list(islice(pieces, _WRITE_BATCH)), []):
+        out.write("".join(batch))
 
 
 def _vector_strings(vector) -> list[str]:

@@ -239,10 +239,12 @@ class LieAlgebra(_Frozen):
 
     def _series(self, first: Subspace, outer: Subspace | None) -> list[Subspace]:
         """first, then [outer or term, term] of each last term until one is zero or no
-        smaller than the term before; the dimension test ends it even for an open first."""
+        smaller than the term before; the dimension test ends it even for an open first.
+        A full term's successor is [g, g], read from the table."""
         chain = [first]
         while not chain[-1].is_zero():
-            chain.append(self.product_space(chain[-1] if outer is None else outer, chain[-1]))
+            chain.append(self.derived_subalgebra() if chain[-1].is_full() else
+                         self.product_space(chain[-1] if outer is None else outer, chain[-1]))
             if chain[-1].dim >= chain[-2].dim:
                 break
         return chain

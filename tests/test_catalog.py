@@ -314,9 +314,9 @@ def test_semidirect_reproduces_nonabelian2():
 
 
 def test_semidirect_name_collisions_resolved():
-    s = builtin("sl2").algebra
-    g = semidirect(s, sl2_irrep(1)).algebra
-    assert len(set(g.basis_names)) == g.dim
+    s = builtin("sl2").algebra.change_of_basis(Matrix.identity(3), ["v1", "v2", "v1_"])
+    g = semidirect(s, trivial_rep(s, 2)).algebra
+    assert g.basis_names == ("v1", "v2", "v1_", "v1__", "v2_")
 
 
 def test_semidirect_rejects_foreign_representation():

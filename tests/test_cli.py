@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lienil.cli as cli
 import lienil.oracle as oracle
 import lienil.semisimple as semisimple
 from lienil.catalog import builtin, standard_entries
@@ -264,6 +265,24 @@ def test_info_makes_no_bracket_on_an_abelian_algebra(tmp_path, monkeypatch):
     payload = json.loads(capture(["info", path, "--format", "json"])[1])
     assert (payload["derived_series_dims"], payload["lower_central_dims"]) == ([12, 0], [12, 0])
     assert calls == []
+
+
+def test_a_series_step_from_the_whole_algebra_reads_the_table(tmp_path, monkeypatch):
+    n = 20  # the Heisenberg algebra of dim 41: [x_i, y_i] = z
+    names = [*(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)), "z"]
+    heisenberg = LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
+    calls = []
+    bracket = LieAlgebra._int_bracket
+    monkeypatch.setattr(LieAlgebra, "_int_bracket",
+                        lambda *args: calls.append(args) or bracket(*args))
+    semisimple.analyze(heisenberg).quotient  # rad g = g: its derived series starts at g
+    counts = [len(calls)]
+    for g in (heisenberg, builtin("sl3").algebra):
+        path = write(tmp_path, "g.lie", render_algebra(g))
+        calls.clear()
+        assert capture(["info", path])[0] == 0
+        counts.append(len(calls))
+    assert counts == [0, 40, 0]  # 40: [g, [g, g]] brackets the 40 noncentral x_i, y_i with z
 
 
 def _reference_series(g: LieAlgebra, lower_central: bool) -> list[int]:
@@ -683,6 +702,29 @@ def test_large_crosscheck_json_matches_golden_digest(tmp_path, monkeypatch, elem
             json.loads(text)["corpus_size"]) == CROSSCHECK_GOLDEN_SL2[element]
 
 
+class _Writes(list):
+    """A stream that keeps each write as one item."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", CROSSCHECK_GOLDEN_SL2["1,0,0"][0]),
+    ("text", "312fb65d73038f1f9eac906d68dd1fc942c60d60900f034175f0c5aa5d740d44"),
+], ids=["json", "text"])
+def test_reports_are_written_as_they_render(tmp_path, monkeypatch, fmt, digest):
+    write(tmp_path, "sl2.lie", render_algebra(builtin("sl2").algebra))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_WRITE_BATCH", 16)
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: pytest.fail("json.dumps called"))
+    writes = _Writes()
+    assert run(["crosscheck", "sl2.lie", "--element=1,0,0", "--depth=2", f"--format={fmt}"],
+               out=writes) == 0
+    report = "".join(writes)
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+    assert len(writes) > 100 and max(map(len, writes)) < len(report) / 100
+
+
 # Text reports on the moved gl2 file of the golden cases.  A text report lists its
 # fields in the order the report inserts them, which the sorted JSON does not pin.
 GL2_ELEMENT = GOLDEN_CASES[1][2]
@@ -797,6 +839,23 @@ def test_exit_codes(tmp_path, command, name, extra, code, asserted):
     path = write(tmp_path, f"{name}.lie", EXIT_FILES[name])
     assert capture([command, path, *extra])[0] == code
     assert capture([command, path, *extra, "--assert"])[0] == asserted
+
+
+@pytest.mark.parametrize("command, text, extra, code, line", [
+    ("validate", "dim 1\nbasis 1x\n", [], 1, "error: line 2: bad basis name '1x'"),
+    ("validate", "dim 2\nbasis a a\n", [], 1, "error: line 2: duplicate basis name 'a'"),
+    ("validate", "dim 2\nbasis a b\n[a b] = a\n", [], 1,
+     "error: line 3: bracket line must be `[a,b] = <terms>`"),
+    ("validate", "dim 2\nbasis a b\n[a,c] = b\n", [], 1, "error: line 3: unknown basis name 'c'"),
+    ("crosscheck", SL2_TEXT, ["--element=1,0,0", "--max-dim=-1"], 1,
+     "error: negative dimension bound"),
+    ("oracle", "dim 0\n", ["--element="], 0, "answer: true"),
+], ids=["bad-name", "duplicate-name", "bracket-shape", "unknown-name", "negative-bound",
+        "empty-element"])
+def test_rejected_lines_and_bounds_and_the_empty_element(tmp_path, command, text, extra, code,
+                                                        line):
+    exit_code, report = capture([command, write(tmp_path, "g.lie", text), *extra])
+    assert (exit_code, line in report.splitlines()) == (code, True)
 
 
 def test_crosscheck_refuses_an_oversized_corpus_and_ends_an_empty_one(tmp_path):
