@@ -219,7 +219,12 @@ class LieAlgebra(_Frozen):
         return Subspace.full(self.dim)
 
     def derived_subalgebra(self) -> Subspace:
-        """[g, g]: the span of the table's values, the brackets of basis pairs."""
+        """[g, g]: the span of the table's values, the brackets of basis pairs, spanned once
+        and kept; the algebra's Structure and its series read the same object."""
+        return self._derived
+
+    @cached_property
+    def _derived(self) -> Subspace:
         return Subspace._span(self.dim, ([self._constants[i][j].get(k, 0) for k in range(self.dim)]
                                          for (i, j), _ in self._table_key[1]))
 
@@ -240,7 +245,7 @@ class LieAlgebra(_Frozen):
     def _series(self, first: Subspace, outer: Subspace | None) -> list[Subspace]:
         """first, then [outer or term, term] of each last term until one is zero or no
         smaller than the term before; the dimension test ends it even for an open first.
-        A full term's successor is [g, g], read from the table."""
+        A full term's successor is [g, g], the algebra's one kept span of the table."""
         chain = [first]
         while not chain[-1].is_zero():
             chain.append(self.derived_subalgebra() if chain[-1].is_full() else
@@ -299,9 +304,17 @@ class LieAlgebra(_Frozen):
         q_dim = len(complement)
         names = tuple(self.basis_names[j] + "~" for j in complement)
         projection = ideal.projection()
-        products = {(a, b): _image(projection.ints, self._constants[i][complement[b]].items())
-                    for a, i in enumerate(complement) for b in range(a + 1, q_dim)
-                    if complement[b] in self._constants[i]}  # the projection of s [e_i, e_j]
+        # Column k of the projection by its nonzeros: one term for e_k off the pivots.
+        columns = [[(t, x) for t, x in enumerate(column) if x] for column in zip(*projection.ints)]
+        products = {}  # the projection of s [e_i, e_j], summed over the nonzeros only
+        for a, i in enumerate(complement):
+            for b in range(a + 1, q_dim):
+                expansion = self._constants[i].get(complement[b])
+                if expansion:
+                    image = products[a, b] = {}
+                    for k, c in expansion.items():
+                        for t, x in columns[k]:
+                            image[t] = image.get(t, 0) + c * x
         target = LieAlgebra._from_ints(names, products, self._scale * projection.scale)
         section = Matrix(self.dim, q_dim, tuple(
             tuple(int(k == j) for j in complement) for k in range(self.dim)))

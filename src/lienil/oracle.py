@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, _cleared, is_nilpotent, nilpotency_exponent
-from .reps import Representation, adjoint_rep, one_dim_rep
+from .reps import Representation, _character_label, adjoint_rep, one_dim_rep
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
@@ -117,12 +117,16 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
 
 def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> tuple[Witness, Matrix]:
     """find_witness for an element already read and decided negative, with the element's
-    action on the witness, the one representation built (the Structure keeps the pullback)."""
+    action on the witness, the one representation built (the Structure keeps the pullback).
+    A character that is already a seed of a kept corpus is that seed, not built again."""
     structure = analyze(algebra)
     if not verdict.in_derived:
         for xi in structure.functionals:
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
-                rep, case_tag = one_dim_rep(algebra, xi), "derived_character"
+                label = _character_label(xi)  # one algebra: equal labels, equal characters
+                kept = (seed for seeds, _, _ in structure.corpora.values() for seed in seeds
+                        if seed.label == label)
+                rep, case_tag = next(kept, None) or one_dim_rep(algebra, xi), "derived_character"
                 break
         else:  # pragma: no cover - contradicts in_derived False
             raise ConsistencyError("no canonical functional separates the element")

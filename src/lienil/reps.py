@@ -148,8 +148,12 @@ def one_dim_rep(algebra: LieAlgebra, xi: Sequence) -> Representation:
     if any(sum(map(operator.mul, ints, row)) for row in analyze(algebra).derived.rows):
         raise ValueError("functional does not vanish on the derived subalgebra")
     matrices = tuple(Matrix(1, 1, ((c.numerator,),), c.denominator) for c in values)
-    csv = ",".join(str(c) for c in values)
-    return Representation(algebra, 1, matrices, f"character({csv})")
+    return Representation(algebra, 1, matrices, _character_label(values))
+
+
+def _character_label(values: Sequence[Fraction]) -> str:
+    """one_dim_rep's label for the character with these values."""
+    return f"character({','.join(map(str, values))})"
 
 
 def acts_nilpotently(rep: Representation, a: Sequence) -> bool:

@@ -1,16 +1,19 @@
 """Killing form, radical, and nilpotency tests for single elements.
 
-``analyze`` gives each algebra one ``Structure``, which computes its derived
-subalgebra, Killing form, radical, semisimple quotient, canonical functionals and
-that quotient's pulled-back adjoint lazily, each once, and keeps its corpora; the
-public readers below read from it.  Semisimplicity is Cartan's criterion: the Killing
-form is nondegenerate, ranked once per algebra.  The image test gates on it.
+``analyze`` gives each algebra one ``Structure``, which computes its Killing form,
+radical, semisimple quotient, canonical functionals and that quotient's pulled-back
+adjoint lazily, each once, and keeps its corpora; its derived subalgebra is the
+algebra's own kept span.  The public readers below read from it.  Semisimplicity is
+Cartan's criterion: the Killing form is nondegenerate, ranked once per algebra.  The
+image test gates on it, and reads K(x, x) from the same gram before it eliminates.
 
 The radical is the set of x whose Killing pairing with the whole derived
 subalgebra vanishes.  The quotient map that needs it checks it four times, in
 this order: it must be an ideal, it must be solvable (its derived series,
 computed inside the algebra, must reach zero), the quotient by it must be
-semisimple, and it must be zero exactly when the algebra is semisimple.  A
+semisimple, and it must be zero exactly when the algebra is semisimple.  When
+the radical is zero the quotient must have the algebra's own constants, and the
+third check then ranks the algebra's gram instead of building a second one.  A
 failure of any check means the arithmetic itself went wrong, which is
 reported as ``ConsistencyError`` rather than ``ValueError``.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, QuotientMap
@@ -70,16 +74,20 @@ def killing_matrix(algebra: LieAlgebra) -> KillingForm:
 def _killing_gram(algebra: LieAlgebra) -> Matrix:
     """K_ij = trace(ad e_i ad e_j) = sum over l, k of c(i,l)_k c(j,k)_l, where c(i,l)_k is
     the coefficient of e_k in [e_i, e_l]; summed on the algebra's integer constants s*c,
-    over s**2, for i <= j only.
+    over s**2, for i <= j only.  Each sum runs over ad(e_i)'s nonzeros, kept as positions
+    l*n + k and values, against ad(e_j)'s transpose, kept as a dict from l*n + k to c(j,k)_l.
     """
     n = algebra.dim
     c = algebra._constants
+    keys = [[l * n + k for l, expansion in c[i].items() for k in expansion] for i in range(n)]
+    values = [[x for expansion in c[i].values() for x in expansion.values()] for i in range(n)]
+    transposed = [{l * n + k: x for k, expansion in c[j].items() for l, x in expansion.items()}
+                  for j in range(n)]
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(x * c[j].get(k, {}).get(l, 0)
-                                          for l, expansion in c[i].items()
-                                          for k, x in expansion.items())
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, values[i],
+                                              map(transposed[j].get, keys[i], repeat(0))))
     return Matrix(n, n, tuple(map(tuple, gram)), algebra._scale ** 2)
 
 
@@ -116,14 +124,21 @@ def is_nilpotent_element_image(algebra: LieAlgebra, x) -> bool:
 
     Raises ValueError when the algebra is not semisimple — the equivalence
     is specific to that case.  The gate is Cartan's criterion, the cached Killing
-    rank, which g/rad(g) already has from g's quotient check.
+    rank, which g/rad(g) already has from g's quotient check.  Before any elimination,
+    K(x, x) = tr(ad(x)^2) is read from the gram the gate ranked: if it is not 0, ad(x)
+    is not nilpotent and the answer is False.
     """
-    if not analyze(algebra).semisimple:
+    structure = analyze(algebra)
+    if not structure.semisimple:
         raise ValueError("image-membership nilpotency test requires a semisimple algebra")
-    # ad(x) z = x is consistent iff no pivot of [ad(x) | x] falls in its last column, which
-    # the forward elimination's pivots already tell; the test is homogeneous in x, so it
-    # runs on x cleared to integers and s * ad of those.
+    # Both tests are homogeneous in x, so they run on x cleared to integers.
     xs = _cleared(algebra._coordinates(x))[0]
+    terms = [(i, a) for i, a in enumerate(xs) if a]
+    gram = structure.killing.gram.ints
+    if sum(a * b * gram[i][j] for i, a in terms for j, b in terms):
+        return False
+    # ad(x) z = x is consistent iff no pivot of [ad(x) | x] falls in its last column, which
+    # the forward elimination's pivots already tell; it runs on s * ad of the cleared x.
     rows = [[*row, y] for row, y in zip(algebra._int_ad(xs), xs)]
     return algebra.dim not in _echelon(rows, algebra.dim + 1)[1]
 
@@ -180,6 +195,10 @@ class Structure:
             raise ConsistencyError("computed radical is not an ideal") from None
         if not algebra.derived_series(rad)[-1].is_zero():
             raise ConsistencyError("computed radical is not solvable")
+        if rad.is_zero():  # g/0 is g under new names: it is ranked on g's gram
+            if quotient.target._table_key != algebra._table_key:
+                raise ConsistencyError("quotient by the zero radical differs from the algebra")
+            analyze(quotient.target).killing = KillingForm(quotient.target, self.killing.gram)
         if quotient.target.dim and not analyze(quotient.target).semisimple:
             raise ConsistencyError("Killing form degenerate on the quotient by the radical")
         if rad.is_zero() != self.semisimple:

@@ -285,6 +285,28 @@ def test_a_series_step_from_the_whole_algebra_reads_the_table(tmp_path, monkeypa
     assert counts == [0, 40, 0]  # 40: [g, [g, g]] brackets the 40 noncentral x_i, y_i with z
 
 
+def test_derived_subalgebra_is_spanned_once_per_algebra(tmp_path, monkeypatch):
+    """The Structure, the radical's solvability check and both series of ``info`` read one
+    kept span of the table's values: one span per algebra object."""
+    n = 20  # the Heisenberg algebra of dim 41: [x_i, y_i] = z
+    names = [*(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)), "z"]
+    heisenberg = LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
+    upper = builtin("upper_triangular(3)").algebra
+    upper = LieAlgebra(upper.dim, [f"fresh{i}" for i in range(upper.dim)], upper.table)
+    spans = []
+    derived = LieAlgebra.__dict__["_derived"]
+    monkeypatch.setattr(derived, "func", lambda g, span=derived.func: spans.append(g) or span(g))
+    for g in (upper, heisenberg):
+        spans.clear()
+        structure = semisimple.analyze(g)
+        structure.quotient  # rad g = g: its derived series starts at g
+        assert spans == [g]
+        assert g.derived_subalgebra() is structure.derived
+        path = write(tmp_path, "g.lie", render_algebra(g))
+        assert capture(["info", path])[0] == 0
+        assert len(spans) == 2 and spans[1] is not g  # the parsed copy, spanned once
+
+
 def _reference_series(g: LieAlgebra, lower_central: bool) -> list[int]:
     """Series dimensions from Fraction brackets and the Fraction RREF."""
     full = [g.basis_element(i) for i in range(g.dim)]

@@ -526,6 +526,25 @@ def test_cross_validate_decides_a_negative_once(monkeypatch):
     assert report.witness == find_witness(g, (1, 0, 0, 1))
 
 
+def test_a_witness_character_is_the_corpus_seed(monkeypatch):
+    """cross_validate's witness character is the equal seed of its corpus, not built again;
+    with no corpus kept (find_witness, or a cap below 1) it is built, with the same label."""
+    built = []
+    one_dim = oracle.one_dim_rep
+    monkeypatch.setattr(oracle, "one_dim_rep", lambda *args: built.append(args) or one_dim(*args))
+    g = builtin("heisenberg").algebra
+    g = LieAlgebra(g.dim, ["fresh_x", "fresh_y", "fresh_z"], g.table)
+    alone = find_witness(g, (1, 0, 0))
+    assert len(built) == 1
+    for max_dim, seeded in ((0, False), (8, True)):
+        built.clear()
+        report = cross_validate(g, (1, 0, 0), depth=1, max_dim=max_dim)
+        assert report.witness == alone and report.witness.rep.label == "character(1,0,0)"
+        seeds = _corpus(g, 1, max_dim)[0]
+        assert any(report.witness.rep is seed for seed in seeds) is seeded
+        assert len(built) == (2 if max_dim else 1)  # each functional's character, once
+
+
 def test_a_nilpotent_witness_action_makes_the_report_inconsistent(monkeypatch):
     g = builtin("sl2").algebra
     zero = trivial_rep(g, 2)

@@ -10,7 +10,7 @@ import pytest
 
 from lienil import semisimple
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
-from lienil.liealg import LieAlgebra
+from lienil.liealg import LieAlgebra, QuotientMap
 from lienil.linalg import Matrix, Subspace, invert, is_nilpotent, kernel_image, rref, solve
 from lienil.oracle import nilpotent_in_all_reps
 from lienil.semisimple import (
@@ -337,6 +337,30 @@ def test_killing_rank_matches_reduced_gram_on_moved_entries():
     assert True in verdicts and False in verdicts
 
 
+def test_a_nonzero_killing_square_decides_before_the_elimination(monkeypatch):
+    """K(y, y) = tr(ad(y)^2) != 0 proves ad(y) is not nilpotent, so [ad(y) | y] is not
+    eliminated for it: so3's Killing form is definite, so no nonzero element of it is;
+    nilpotent elements of sl2 and sl3, where K(y, y) = 0, still reach the elimination."""
+    widths = []  # columns of each elimination: dim + 1 for [ad(y) | y], dim for the gram
+    echelon = semisimple._echelon
+    monkeypatch.setattr(semisimple, "_echelon",
+                        lambda rows, cols: widths.append(cols) or echelon(rows, cols))
+    so3 = _fresh("so3")
+    analyze(so3).semisimple
+    for a in [so3.basis_element(i) for i in range(3)] + seeded_elements(3, 12, seed=7):
+        assert any(a) and is_nilpotent_element_image(so3, a) is False
+    assert is_nilpotent_element_image(so3, so3.zero()) is True  # K(0, 0) = 0
+    assert widths.count(4) == 1
+    for name in ("sl2", "sl3"):
+        g = _fresh(name)
+        analyze(g).semisimple
+        nilpotent = [a for a in [g.basis_element(i) for i in range(g.dim)]
+                     if any(a) and is_nilpotent_element_power(g, a)]
+        widths.clear()
+        assert nilpotent and all(is_nilpotent_element_image(g, a) for a in nilpotent)
+        assert widths == [g.dim + 1] * len(nilpotent), name
+
+
 def test_product_space_makes_only_the_brackets_the_elimination_reads(monkeypatch):
     g = builtin("sl3").algebra
     calls = []
@@ -425,7 +449,10 @@ E12_IN_GL2 = Subspace.from_vectors(4, [[0, 1, 0, 0]])
      "Killing form degenerate on the quotient by the radical"),
     ("gl2", KillingForm, "is_nondegenerate", lambda form: True,
      "radical computation disagrees with Killing-form nondegeneracy"),
-], ids=["not_ideal", "not_solvable", "degenerate_quotient", "rank_disagrees"])
+    ("sl2", LieAlgebra, "quotient", lambda algebra, ideal: QuotientMap(
+        algebra, _fresh("so3"), ideal, Matrix.identity(3), Matrix.identity(3)),
+     "quotient by the zero radical differs from the algebra"),
+], ids=["not_ideal", "not_solvable", "degenerate_quotient", "rank_disagrees", "not_g"])
 def test_every_radical_check_raises_its_message(monkeypatch, reader, name, owner, attribute,
                                                 patched, message):
     g = _fresh(name)
@@ -446,8 +473,10 @@ def test_one_quotient_and_one_gram_per_algebra(monkeypatch):
 
     monkeypatch.setattr(LieAlgebra, "quotient", counted("quotient", LieAlgebra.quotient))
     monkeypatch.setattr(semisimple, "_killing_gram", counted("gram", semisimple._killing_gram))
-    # g -> g/rad(g) once; a Killing gram for g and, unless g is solvable, for g/rad(g).
-    for name, expected in (("gl2", (1, 2)), ("sl3", (1, 2)), ("heisenberg", (1, 1))):
+    # g -> g/rad(g) once; a Killing gram for g and, when rad(g) is neither 0 nor g, one
+    # for g/rad(g): g/0 is g again and is ranked on g's gram.
+    for name, expected in (("gl2", (1, 2)), ("sl2", (1, 1)), ("so3", (1, 1)), ("sl3", (1, 1)),
+                           ("heisenberg", (1, 1))):
         g = _fresh(name)
         calls.update(quotient=0, gram=0)
         nilpotent_in_all_reps(g, g.basis_element(1))
