@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace
 from .reps import Representation, adjoint_rep, trivial_rep, validate_rep
-from .semisimple import ConsistencyError, analyze, is_semisimple, radical
+from .semisimple import ConsistencyError, is_semisimple, radical
 
 # Above this a family member is refused: upper_triangular(10), 55 dimensions, takes about
 # 1.6 s to build, verify and render, and upper_triangular(11), 66 dimensions, about 2.8 s.
@@ -45,7 +45,7 @@ def _verified(entry: CatalogEntry) -> CatalogEntry:
     entry.algebra.validate()
     if radical(entry.algebra) != entry.known_radical:
         raise ConsistencyError(f"catalog entry {entry.name}: radical mismatch")
-    if analyze(entry.algebra).derived != entry.known_derived:
+    if entry.algebra.derived_subalgebra() != entry.known_derived:
         raise ConsistencyError(f"catalog entry {entry.name}: derived subalgebra mismatch")
     if is_semisimple(entry.algebra) != entry.known_semisimple:
         raise ConsistencyError(f"catalog entry {entry.name}: semisimplicity mismatch")
@@ -240,7 +240,6 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
         for j in range(dim_v):  # LieAlgebra drops the zero coefficients
             table[(i, s.dim + j)] = dict(enumerate(mat.column(j), s.dim))
     algebra = LieAlgebra(dim, names, table)
-    algebra.validate()
     entry_name = name if name is not None else f"semidirect({rep.label})"
     module = _units(dim, range(s.dim, dim))
     if algebra.quotient(Subspace._span(dim, module)).target._table_key != s._table_key:
@@ -250,7 +249,7 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
     image = [[0] * s.dim + list(column) for mat in rep.matrices for column in zip(*mat.ints)]
     return _verified(_entry(entry_name, algebra,
                             [[*r, *pad] for r in radical(s).rows] + module,
-                            [[*r, *pad] for r in analyze(s).derived.rows] + image))
+                            [[*r, *pad] for r in s.derived_subalgebra().rows] + image))
 
 
 def irreducibles_for(algebra: LieAlgebra) -> tuple[Representation, ...]:

@@ -284,7 +284,7 @@ def _info(algebra: LieAlgebra, element, args) -> tuple[dict, bool]:
     return {
         "dim": algebra.dim,
         "basis": list(algebra.basis_names),
-        "derived_dim": structure.derived.dim,
+        "derived_dim": algebra.derived_subalgebra().dim,
         "radical_dim": structure.radical.dim,
         "center_dim": algebra.center().dim,
         "solvable": derived_series[-1].is_zero(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
@@ -38,9 +38,15 @@ def _terms(ints: Sequence[int]) -> list[tuple[int, int]]:
     return [(j, x) for j, x in enumerate(ints) if x]
 
 
-def _image(rows: Sequence[Sequence[int]], terms: Collection[tuple[int, int]]) -> dict[int, int]:
-    """The integer matrix with these rows applied to a vector given by (index, value) terms."""
-    return {t: sum(row[k] * c for k, c in terms) for t, row in enumerate(rows)}
+def _apply(columns: Sequence[list[tuple[int, int]]],
+           terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """An integer matrix, given by the nonzero (row, entry) terms of each column, applied to
+    a vector given by its nonzero (index, value) terms; summed over the nonzeros only."""
+    image: dict[int, int] = {}
+    for k, c in terms:
+        for t, x in columns[k]:
+            image[t] = image.get(t, 0) + c * x
+    return image
 
 
 class LieAlgebra(_Frozen):
@@ -220,7 +226,8 @@ class LieAlgebra(_Frozen):
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the table's values, the brackets of basis pairs, spanned once
-        and kept; the algebra's Structure and its series read the same object."""
+        and kept.  It is the one source of [g, g]: the series, the radical, the canonical
+        functionals, characters and the verdict all read this object."""
         return self._derived
 
     @cached_property
@@ -305,16 +312,10 @@ class LieAlgebra(_Frozen):
         names = tuple(self.basis_names[j] + "~" for j in complement)
         projection = ideal.projection()
         # Column k of the projection by its nonzeros: one term for e_k off the pivots.
-        columns = [[(t, x) for t, x in enumerate(column) if x] for column in zip(*projection.ints)]
-        products = {}  # the projection of s [e_i, e_j], summed over the nonzeros only
-        for a, i in enumerate(complement):
-            for b in range(a + 1, q_dim):
-                expansion = self._constants[i].get(complement[b])
-                if expansion:
-                    image = products[a, b] = {}
-                    for k, c in expansion.items():
-                        for t, x in columns[k]:
-                            image[t] = image.get(t, 0) + c * x
+        columns = list(map(_terms, zip(*projection.ints)))
+        products = {(a, b): _apply(columns, self._constants[i][complement[b]].items())
+                    for a, i in enumerate(complement) for b in range(a + 1, q_dim)
+                    if complement[b] in self._constants[i]}  # the projection of s [e_i, e_j]
         target = LieAlgebra._from_ints(names, products, self._scale * projection.scale)
         section = Matrix(self.dim, q_dim, tuple(
             tuple(int(k == j) for j in complement) for k in range(self.dim)))
@@ -334,8 +335,9 @@ class LieAlgebra(_Frozen):
         if len(names) != self.dim:
             raise ValueError(f"{len(names)} basis names for dimension {self.dim}")
         # P^-1 [P e_i, P e_j]: p_inv.ints on s [p.ints e_i, p.ints e_j], over the scales.
-        ints = [_terms(column) for column in zip(*p.ints)]
-        products = {(i, j): _image(p_inv.ints, _terms(self._int_bracket(ints[i], ints[j])))
+        ints = list(map(_terms, zip(*p.ints)))
+        columns = list(map(_terms, zip(*p_inv.ints)))
+        products = {(i, j): _apply(columns, _terms(self._int_bracket(ints[i], ints[j])))
                     for i in range(self.dim) for j in range(i + 1, self.dim)}
         return LieAlgebra._from_ints(names, products, p_inv.scale * self._scale * p.scale ** 2)
 

@@ -119,7 +119,7 @@ class Matrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @cached_property
     def entries(self) -> tuple[Vector, ...]:

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector, _cleared, is_nilpotent, nilpotency_exponent
-from .reps import Representation, _character_label, adjoint_rep, one_dim_rep
+from .reps import Representation, adjoint_rep, one_dim_rep
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
 _ZERO = Fraction(0)
@@ -88,9 +88,9 @@ class CrossCheckReport(NamedTuple):
 def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
     """The main decision: nilpotent action in every representation, yes or no."""
     xs = _cleared(algebra._coordinates(a))[0]  # a positive multiple of a: the tests are homogeneous
-    structure = analyze(algebra)
-    in_derived = not any(structure.derived._eliminate(xs)[0])
-    q = structure.quotient
+    derived = algebra.derived_subalgebra()
+    in_derived = not any(derived._eliminate(xs)[0])
+    q = analyze(algebra).quotient
     ys = [sum(map(operator.mul, row, xs)) for row in q.projection.ints]
     image_nilpotent = not q.target.dim or is_nilpotent_element_image(q.target, ys)
     return Verdict(
@@ -98,7 +98,7 @@ def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
         in_derived=in_derived,
         image_nilpotent=image_nilpotent,
         radical_dim=q.ideal.dim,
-        derived_dim=structure.derived.dim,
+        derived_dim=derived.dim,
     )
 
 
@@ -117,16 +117,14 @@ def find_witness(algebra: LieAlgebra, a: Sequence) -> Witness:
 
 def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> tuple[Witness, Matrix]:
     """find_witness for an element already read and decided negative, with the element's
-    action on the witness, the one representation built (the Structure keeps the pullback).
-    A character that is already a seed of a kept corpus is that seed, not built again."""
+    action on the witness.  It builds the one representation it returns: the character
+    ``one_dim_rep`` of the first canonical functional nonzero on the element, or the
+    Structure's kept pullback of the adjoint of g/rad(g)."""
     structure = analyze(algebra)
     if not verdict.in_derived:
         for xi in structure.functionals:
             if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
-                label = _character_label(xi)  # one algebra: equal labels, equal characters
-                kept = (seed for seeds, _, _ in structure.corpora.values() for seed in seeds
-                        if seed.label == label)
-                rep, case_tag = next(kept, None) or one_dim_rep(algebra, xi), "derived_character"
+                rep, case_tag = one_dim_rep(algebra, xi), "derived_character"
                 break
         else:  # pragma: no cover - contradicts in_derived False
             raise ConsistencyError("no canonical functional separates the element")

@@ -6,6 +6,10 @@ print, so the constructions build them compositionally).  All constructions
 preserve the homomorphism law; ``validate_rep`` re-checks it from scratch
 and reports violations as data rather than exceptions, so candidate tables
 from outside can be screened.
+
+A character checks its functional against the algebra's own [g, g], so this
+module imports nothing from ``semisimple``.  A common eigenspace of several
+actions is one null space of their stacked shifted rows.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .linalg import (
     null_space,
     rational_eigenvalues,
 )
-from .semisimple import analyze
 
 _ZERO = Fraction(0)
 
@@ -145,15 +148,11 @@ def one_dim_rep(algebra: LieAlgebra, xi: Sequence) -> Representation:
     if len(values) != algebra.dim:
         raise ValueError(f"functional has {len(values)} coordinates, expected {algebra.dim}")
     ints = _cleared(values)[0]  # a positive multiple of xi: vanishing is homogeneous
-    if any(sum(map(operator.mul, ints, row)) for row in analyze(algebra).derived.rows):
+    if any(sum(map(operator.mul, ints, row)) for row in algebra.derived_subalgebra().rows):
         raise ValueError("functional does not vanish on the derived subalgebra")
-    matrices = tuple(Matrix(1, 1, ((c.numerator,),), c.denominator) for c in values)
-    return Representation(algebra, 1, matrices, _character_label(values))
-
-
-def _character_label(values: Sequence[Fraction]) -> str:
-    """one_dim_rep's label for the character with these values."""
-    return f"character({','.join(map(str, values))})"
+    zero = Matrix.zero(1, 1)  # shared by every zero value
+    matrices = tuple(Matrix(1, 1, ((c.numerator,),), c.denominator) if c else zero for c in values)
+    return Representation(algebra, 1, matrices, f"character({','.join(map(str, values))})")
 
 
 def acts_nilpotently(rep: Representation, a: Sequence) -> bool:
@@ -167,13 +166,11 @@ def weight_space(rep: Representation, space: Subspace, weight: Weight) -> Subspa
         raise ValueError("weight was recorded on a different subalgebra")
     if space.ambient_dim != rep.algebra.dim:
         raise ValueError("subalgebra must live in the representation's algebra")
-    current = Subspace.full(rep.dim_v)
-    for v, lam in zip(space.basis, weight.values):
-        shifted = rep.action(v) - Matrix.identity(rep.dim_v).scaled(lam)
-        current = current.intersect(null_space(shifted.ints, rep.dim_v))
-        if current.is_zero():
-            break
-    return current
+    # One elimination of the stacked rows of every rho(v) - weight(v) I; each is made as the
+    # elimination reads it, so none is made once the rank is full.
+    identity = Matrix.identity(rep.dim_v)
+    return null_space((row for v, lam in zip(space.basis, weight.values)
+                       for row in (rep.action(v) - identity.scaled(lam)).ints), rep.dim_v)
 
 
 def _solvable_subalgebra_check(algebra: LieAlgebra, space: Subspace) -> None:
@@ -190,8 +187,9 @@ def _solvable_subalgebra_check(algebra: LieAlgebra, space: Subspace) -> None:
 def rational_weights(rep: Representation, space: Subspace) -> list[Weight]:
     """All weights with rational coordinates whose weight space is nonzero.
 
-    Candidates come from the rational eigenvalues of each basis action;
-    tuples are pruned by intersecting eigenspaces incrementally.  Weights
+    Candidates come from the rational eigenvalues of each basis action; a tuple
+    is pruned as soon as its prefix's common eigenspace, the null space of the
+    stacked rows of each action minus its value, is zero.  Weights
     living only over extension fields are not found — the search is sound
     but deliberately not complete beyond the rationals.
     """
@@ -203,18 +201,18 @@ def rational_weights(rep: Representation, space: Subspace) -> list[Weight]:
 
     actions = [rep.action(v) for v in space.basis]
     candidates = [rational_eigenvalues(m) for m in actions]
+    identity = Matrix.identity(rep.dim_v)
     found: list[Weight] = []
 
-    def descend(level: int, values: tuple[Fraction, ...], current: Subspace) -> None:
+    def descend(level: int, values: tuple[Fraction, ...], rows: tuple) -> None:
         if level == len(actions):
             found.append(Weight(space, values))
             return
         for lam in candidates[level]:
-            shifted = actions[level] - Matrix.identity(rep.dim_v).scaled(lam)
-            inter = current.intersect(null_space(shifted.ints, rep.dim_v))
-            if not inter.is_zero():
-                descend(level + 1, values + (lam,), inter)
+            stacked = rows + (actions[level] - identity.scaled(lam)).ints
+            if not null_space(stacked, rep.dim_v).is_zero():
+                descend(level + 1, values + (lam,), stacked)
 
-    descend(0, (), Subspace.full(rep.dim_v))
+    descend(0, (), ())
     found.sort(key=lambda w: w.values)
     return found

@@ -2,10 +2,11 @@
 
 ``analyze`` gives each algebra one ``Structure``, which computes its Killing form,
 radical, semisimple quotient, canonical functionals and that quotient's pulled-back
-adjoint lazily, each once, and keeps its corpora; its derived subalgebra is the
-algebra's own kept span.  The public readers below read from it.  Semisimplicity is
-Cartan's criterion: the Killing form is nondegenerate, ranked once per algebra.  The
-image test gates on it, and reads K(x, x) from the same gram before it eliminates.
+adjoint lazily, each once, and keeps its corpora; it keeps no [g, g], which is read
+from the algebra's ``derived_subalgebra``.  The public readers below read from it.
+Semisimplicity is Cartan's criterion: the Killing form is nondegenerate, ranked once
+per algebra.  The image test gates on it, and reads K(x, x) from the same gram before
+it eliminates.
 
 The radical is the set of x whose Killing pairing with the whole derived
 subalgebra vanishes.  The quotient map that needs it checks it four times, in
@@ -177,10 +178,6 @@ class Structure:
         self.corpora: dict = {}  # (depth, max_dim) -> oracle._corpus tuple
 
     @cached_property
-    def derived(self) -> Subspace:
-        return self.algebra.derived_subalgebra()
-
-    @cached_property
     def killing(self) -> KillingForm:
         return KillingForm(self.algebra, _killing_gram(self.algebra))
 
@@ -188,7 +185,7 @@ class Structure:
     def quotient(self) -> QuotientMap:
         """g -> g/rad(g), the radical checked as radical() documents."""
         algebra = self.algebra
-        rad = killing_orth(algebra, self.derived)
+        rad = killing_orth(algebra, algebra.derived_subalgebra())
         try:
             quotient = algebra.quotient(rad)
         except ValueError:  # the quotient's own is_ideal check failed
@@ -220,13 +217,13 @@ class Structure:
         free coordinates and on [g, g]; jointly they separate g from [g, g].  They are
         the rows of the projection along [g, g] onto the free coordinates.
         """
-        return self.derived.projection().entries
+        return self.algebra.derived_subalgebra().projection().entries
 
     @cached_property
     def quotient_adjoint(self):
         """The adjoint of g/rad(g) pulled back to g, built once: a corpus seed and the
         witness of every negative element inside [g, g]."""
-        from .reps import adjoint_rep, pullback  # reps imports this module
+        from .reps import adjoint_rep, pullback  # on use: structure commands load no reps
 
         return pullback(adjoint_rep(self.quotient.target), self.quotient)
 

@@ -19,6 +19,7 @@ from lienil.catalog import (
     standard_entries,
 )
 from lienil.cli import render_algebra, run
+from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace
 from lienil.reps import adjoint_rep, one_dim_rep, trivial_rep, validate_rep
 from lienil.semisimple import is_semisimple, radical
@@ -324,6 +325,18 @@ def test_semidirect_rejects_foreign_representation():
     other = adjoint_rep(builtin("so3").algebra)
     with pytest.raises(ValueError):
         semidirect(s, other)
+
+
+def test_a_semidirect_extension_checks_jacobi_once(monkeypatch):
+    sl2 = builtin("sl2").algebra
+    s = LieAlgebra(sl2.dim, ["fresh_e", "fresh_h", "fresh_f"], sl2.table)
+    rep = trivial_rep(s, 1)
+    checks = []
+    jacobi = LieAlgebra.jacobi_violations
+    monkeypatch.setattr(LieAlgebra, "jacobi_violations",
+                        lambda g: checks.append(g) or jacobi(g))
+    semidirect(s, rep)
+    assert len(checks) == 1
 
 
 def test_semidirect_validates_across_small_catalog_pairs():

@@ -289,7 +289,7 @@ def test_integer_subspaces_match_fraction_reference(entry):
     for n, g in enumerate(with_rational_basis_changes(entry.algebra)):
         rng = random.Random(89 + n)
         gram = fraction_killing_gram(g)
-        spaces = [analyze(g).derived, radical(g), g.full_space(), Subspace.zero(g.dim),
+        spaces = [g.derived_subalgebra(), radical(g), g.full_space(), Subspace.zero(g.dim),
                   Subspace.from_vectors(g.dim, seeded_elements(g.dim, 2, seed=89 + n)),
                   Subspace.from_vectors(g.dim, seeded_elements(g.dim, g.dim - 1, seed=79 + n))]
         basis = [g.basis_element(i) for i in range(g.dim)]

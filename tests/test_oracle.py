@@ -526,9 +526,10 @@ def test_cross_validate_decides_a_negative_once(monkeypatch):
     assert report.witness == find_witness(g, (1, 0, 0, 1))
 
 
-def test_a_witness_character_is_the_corpus_seed(monkeypatch):
-    """cross_validate's witness character is the equal seed of its corpus, not built again;
-    with no corpus kept (find_witness, or a cap below 1) it is built, with the same label."""
+def test_a_witness_character_equals_the_corpus_seed(monkeypatch):
+    """cross_validate's witness character is built by one_dim_rep, as find_witness's is: it
+    equals the corpus seed of its functional but is not that object; with no such seed (a
+    cap below 1) it is built all the same, with the same label."""
     built = []
     one_dim = oracle.one_dim_rep
     monkeypatch.setattr(oracle, "one_dim_rep", lambda *args: built.append(args) or one_dim(*args))
@@ -541,8 +542,9 @@ def test_a_witness_character_is_the_corpus_seed(monkeypatch):
         report = cross_validate(g, (1, 0, 0), depth=1, max_dim=max_dim)
         assert report.witness == alone and report.witness.rep.label == "character(1,0,0)"
         seeds = _corpus(g, 1, max_dim)[0]
-        assert any(report.witness.rep is seed for seed in seeds) is seeded
-        assert len(built) == (2 if max_dim else 1)  # each functional's character, once
+        assert any(report.witness.rep == seed for seed in seeds) is seeded
+        assert not any(report.witness.rep is seed for seed in seeds)
+        assert len(built) == (3 if max_dim else 1)  # each functional's seed, then the witness
 
 
 def test_a_nilpotent_witness_action_makes_the_report_inconsistent(monkeypatch):

@@ -52,6 +52,11 @@ def test_structure_commands_load_no_oracle_reps_or_catalog(tmp_path):
         assert module not in loaded
 
 
+def test_importing_reps_loads_no_semisimple():
+    loaded = run_fresh(f"import sys, lienil.reps; {LOADED}")
+    assert "lienil.semisimple" not in loaded
+
+
 def test_no_command_loads_dataclasses(tmp_path):
     # -S keeps site-packages start-up hooks, which may import dataclasses, out of the count.
     path = tmp_path / "sl2.lie"

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import lienil.reps as reps
 from lienil.catalog import builtin, sl2_irrep
-from lienil.linalg import Matrix, Subspace, rational_eigenvalues
+from lienil.liealg import LieAlgebra
+from lienil.linalg import Matrix, Subspace, null_space, rational_eigenvalues
 from lienil.reps import (
     Representation,
     Weight,
@@ -163,9 +165,23 @@ def test_one_dim_rep_matrices_and_label_are_the_values():
     assert rep.matrices == tuple(Matrix.from_rows([[c]]) for c in xi)
     assert rep.label == f"character({','.join(map(str, xi))})"
     assert validate_rep(rep) == []
-    outside = tuple(c + F(x, 3) for c, x in zip(xi, structure.derived.rows[0]))
+    outside = tuple(c + F(x, 3) for c, x in zip(xi, g.derived_subalgebra().rows[0]))
     with pytest.raises(ValueError, match="^functional does not vanish on the derived subalgebra$"):
         one_dim_rep(g, outside)
+
+
+def test_a_one_hot_character_makes_two_matrices(monkeypatch):
+    """Every zero value of a character shares one zero matrix."""
+    n = 20  # the Heisenberg algebra of dim 41: [x_i, y_i] = z
+    g = LieAlgebra(2 * n + 1, [*(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)), "z"],
+                   {(i, n + i): {2 * n: 1} for i in range(n)})
+    made = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    rep = one_dim_rep(g, [int(i == 3) for i in range(g.dim)])
+    assert len(made) <= 2
+    assert rep.matrices == tuple(Matrix.from_rows([[int(i == 3)]]) for i in range(g.dim))
 
 
 def test_one_dim_rep_on_sl2_must_be_zero():
@@ -251,6 +267,22 @@ def test_rational_weights_on_nonabelian2_adjoint():
     assert weight_space(adjoint_rep(g), g.full_space(), found[0]) == (
         Subspace.from_vectors(2, [[0, 1]])
     )
+
+
+def test_a_common_eigenspace_is_one_elimination(monkeypatch):
+    """weight_space and rational_weights cut each common eigenspace with one null space of
+    the stacked shifted rows; neither intersects subspaces."""
+    g = builtin("upper_triangular(3)").algebra  # basis E11, E12, E13, E22, E23, E33
+    adjoint, full = adjoint_rep(g), g.full_space()
+    calls = []
+    monkeypatch.setattr(Subspace, "intersect", lambda *args: pytest.fail("intersect called"))
+    monkeypatch.setattr(reps, "null_space", lambda *args: calls.append(args) or null_space(*args))
+    found = rational_weights(adjoint, full)
+    assert [w.values for w in found] == [(0,) * 6, (1, 0, 0, 0, 0, -1)]
+    calls.clear()
+    assert [weight_space(adjoint, full, w).rows for w in found] == [  # the identity, and E13
+        ((1, 0, 0, 1, 0, 1),), ((0, 0, 1, 0, 0, 0),)]
+    assert len(calls) == 2  # one per weight space; 6 at the parent, plus those of intersect
 
 
 def test_rational_weights_on_heisenberg_center():

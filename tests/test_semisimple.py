@@ -138,7 +138,7 @@ def test_integer_structure_matches_fraction_reference(entry):
             for y in elements:
                 assert _exact(g.bracket(x, y), fraction_bracket(g, x, y)), (x, y)
         assert _exact(_killing_gram(g), fraction_killing_gram(g))
-        spaces = [analyze(g).derived, radical(g), g.full_space(), Subspace.zero(g.dim),
+        spaces = [g.derived_subalgebra(), radical(g), g.full_space(), Subspace.zero(g.dim),
                   Subspace.from_vectors(g.dim, elements[-3:])]
         for space in spaces:
             for v in elements:
