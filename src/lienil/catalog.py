@@ -222,11 +222,14 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
     The construction checks that the quotient by V reproduces the structure constants
     of s, and declares the radical rad(s) + V (the quotient is s), the derived algebra
     [s, s] + rep(s)V (V is abelian), and semisimplicity exactly when that radical is 0.
+    s must satisfy the Jacobi identity and rep the homomorphism law; together they give
+    the extension's Jacobi identity, which the entry's verification checks once more.
     """
     if rep.algebra != s:
         raise ValueError("representation must be of the extended algebra")
     if validate_rep(rep):
         raise ValueError("representation fails the homomorphism law")
+    s.validate()  # a Jacobi failure of s is reported as one, before radical(s) reads s
     dim_v = rep.dim_v
     dim = s.dim + dim_v
     names = list(s.basis_names)

@@ -16,8 +16,10 @@ member's nilpotency outcome is decided by whether the element's action on it
 has a single eigenvalue, and which one.  Eigenvalues are negated by duals,
 united by direct sums and added pairwise by tensor products, all as integer
 numerators over one denominator, and in characteristic zero an operator is
-nilpotent iff 0 is its only eigenvalue, so the outcomes are exact.  Report
-rows are selected.
+nilpotent iff 0 is its only eigenvalue, so the outcomes are exact.  When no
+seed has a nonzero single eigenvalue, the outcomes follow from which seeds
+each member is built from, and the steps are not read.  Report rows are
+selected from two tuples made once per corpus.
 """
 
 from __future__ import annotations
@@ -152,15 +154,20 @@ def _some_power_trace_nonzero(m: Matrix) -> bool:
 # --- corpus ----------------------------------------------------------------
 
 def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
-    """(seeds, steps, rows): the seeds closed under dual, direct sum and tensor, in a
-    fixed order, kept on the algebra's Structure.
+    """(seeds, steps, supports, rows): the seeds closed under dual, direct sum and tensor,
+    in a fixed order, kept on the algebra's Structure.
 
     Member i < len(seeds) is seeds[i], and member len(seeds) + k is steps[k], an integer
-    (kind, left, right) over earlier members (left == right for a dual); the report rows
-    (non-nilpotent, nilpotent), which carry the dimensions, are per member.  Seeds: the
-    adjoint, the Structure's pulled-back adjoint of g/rad(g), the catalog's irreducibles
-    and one character per canonical functional, each built only if 1 to max_dim wide
-    (sum(x, 0) = x; 0-wide tests nothing), the first of those with equal matrices kept.
+    (kind, left, right) over earlier members (left == right for a dual).  A member's
+    support is the bit mask of the seeds it is built from: 1 << k for seed k, its
+    operand's for a dual, the OR of its operands' for a sum or tensor.  rows is two
+    tuples of report rows, which carry the dimensions, one per member in each: all
+    non-nilpotent, then all nilpotent.  Seeds: the adjoint, the Structure's pulled-back
+    adjoint of g/rad(g), the catalog's irreducibles and one character per canonical
+    functional, each built only if 1 to max_dim wide (sum(x, 0) = x; 0-wide tests
+    nothing), the first of those with equal matrices kept.  Distinct functionals give
+    distinct characters, so a character is compared only with the 1-wide seeds before
+    it, and never hashed.
     Each closure level applies the operators in the order dual, sum, tensor; binary
     operators run over unordered index pairs in ascending lexicographic order, restricted
     to pairs that involve the previous level (swapping operands yields a
@@ -184,11 +191,13 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     unique: dict = {}  # (dim_v, matrices) -> the first seed with them, in one pass
     for rep in (*([adjoint_rep(algebra)] if algebra.dim in widths else ()),
                 *([structure.quotient_adjoint] if structure.quotient.target.dim in widths else ()),
-                *(rep for rep in irreducibles_for(algebra) if rep.dim_v in widths),
-                *(one_dim_rep(algebra, xi) for xi in structure.functionals if 1 in widths)):
+                *(rep for rep in irreducibles_for(algebra) if rep.dim_v in widths)):
         unique.setdefault((rep.dim_v, rep.matrices), rep)
-    seeds = tuple(unique.values())
+    one_wide = [rep.matrices for rep in unique.values() if rep.dim_v == 1]
+    characters = (one_dim_rep(algebra, xi) for xi in structure.functionals if 1 in widths)
+    seeds = (*unique.values(), *(rep for rep in characters if rep.matrices not in one_wide))
     steps: list[tuple[int, int, int]] = []
+    supports = [1 << k for k in range(len(seeds))]
     dims = [rep.dim_v for rep in seeds]
     labels = [rep.label for rep in seeds]
     start = visits = 0  # the previous level: members start, ..., base - 1
@@ -203,6 +212,7 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
                              f"pairs by level {level}, more than {_MAX_PAIR_VISITS}")
         for i in range(start, base):
             steps.append((_DUAL, i, i))
+            supports.append(supports[i])
             dims.append(dims[i])
             labels.append(f"dual({labels[i]})")
         for kind, width_of in ((_SUM, operator.add), (_TENSOR, operator.mul)):
@@ -211,24 +221,29 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
                     width = width_of(dims[i], dims[j])
                     if width <= max_dim:
                         steps.append((kind, i, j))
+                        supports.append(supports[i] | supports[j])
                         dims.append(width)
                         labels.append(f"{_KINDS[kind]}({labels[i]}, {labels[j]})")
         start = base
-    rows = tuple(zip(*(map(RepOutcome._make, zip(labels, dims, repeat(flag)))
-                       for flag in (False, True))))
-    corpus = (seeds, tuple(steps), rows)
+    rows = tuple(tuple(map(tuple.__new__, repeat(RepOutcome), zip(labels, dims, repeat(flag))))
+                 for flag in (False, True))
+    corpus = (seeds, tuple(steps), tuple(supports), rows)
     return structure.corpora.setdefault((depth, max_dim), corpus)
 
 
 def _corpus_outcomes(seeds: Sequence[Representation], steps: Sequence[tuple[int, int, int]],
-                     av: Vector) -> list[bool]:
+                     supports: Sequence[int], av: Vector) -> list[bool]:
     """acts_nilpotently for every member, from one integer state per member.
 
     A member's state is None when the element has more than one eigenvalue
     on it, or its single eigenvalue's numerator over D, the lcm of n*scale
     over the seeds' n x n actions ints/scale.  The seeds come first: on one
     of trace t/scale, c = t/(n*scale) is the eigenvalue, single iff
-    n*ints - t*I is nilpotent.  The steps follow in one forward pass: a dual
+    n*ints - t*I is nilpotent.  When every seed's state is 0 or None, the
+    outcomes are read off the supports: None propagates through every step,
+    and 0 is kept by duals, tensors and sums of two 0s, so a member is
+    nilpotent iff no seed in its support has state None, and the steps are
+    not read.  Otherwise the steps follow in one forward pass: a dual
     negates its state, a tensor adds two, and a sum keeps a state only when
     its two agree.  Every member has positive dimension, so it has an
     eigenvalue, and it is nilpotent iff its state is 0, exactly, since every
@@ -243,6 +258,9 @@ def _corpus_outcomes(seeds: Sequence[Representation], steps: Sequence[tuple[int,
         single = is_nilpotent(Matrix(n, n, tuple(
             tuple(n * x - t * (i == k) for k, x in enumerate(row)) for i, row in enumerate(ints))))
         states.append(t * (d // (n * action.scale)) if single else None)
+    if not any(states):  # every seed's state is 0 or None
+        dead = sum(1 << k for k, state in enumerate(states) if state is None)
+        return [not m & dead for m in supports]
     for kind, i, j in steps:
         x, y = states[i], states[j]
         if x is None or y is None:
@@ -265,17 +283,20 @@ def cross_validate(algebra: LieAlgebra, a: Sequence, depth: int = 2,
     action; duals, sums and tensors of nilpotent operators stay nilpotent, so it reads only
     the seeds, and depth adds report rows but no checking power.  On a negative verdict,
     it reads only the witness: the element must demonstrably act non-nilpotently in it.
-    An inconsistent report is a falsification event, never expected.
+    An inconsistent report is a falsification event, never expected.  When every member
+    is nilpotent, the outcomes are the corpus's all-nilpotent row tuple itself; otherwise
+    each row is selected from the corpus's two, one per flag.
     """
     av = algebra.element(a)
     verdict = nilpotent_in_all_reps(algebra, av)
-    seeds, steps, rows = _corpus(algebra, depth, max_dim)
-    nilpotent = _corpus_outcomes(seeds, steps, av)
-    outcomes = tuple(map(operator.getitem, rows, nilpotent))
+    seeds, steps, supports, rows = _corpus(algebra, depth, max_dim)
+    nilpotent = _corpus_outcomes(seeds, steps, supports, av)
+    every = all(nilpotent)
+    outcomes = rows[1] if every else tuple(map(operator.getitem, zip(*rows), nilpotent))
     witness: Witness | None = None
     witness_acts: bool | None = None
     if verdict.answer:
-        consistent = all(nilpotent)
+        consistent = every
     else:
         witness, action = _witness(algebra, av, verdict)
         witness_acts = not _some_power_trace_nonzero(action)

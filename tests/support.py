@@ -99,14 +99,14 @@ class Member:
 def corpus_members(algebra: LieAlgebra, depth: int, max_dim: int) -> list[Member]:
     """The corpus of oracle._corpus as one Member per seed and step, each level one above
     its operands' and each label built from its operands' labels."""
-    seeds, steps, rows = _corpus(algebra, depth, max_dim)
+    seeds, steps, _, rows = _corpus(algebra, depth, max_dim)
     members = [Member(i, rep.label, rep.dim_v, 0, "seed", (), rep) for i, rep in enumerate(seeds)]
     for index, (step_kind, left, right) in enumerate(steps, len(seeds)):
         kind = _KINDS[step_kind]
         operands = (left,) if kind == "dual" else (left, right)
         label = f"{kind}({', '.join(members[o].label for o in operands)})"
         level = 1 + max(members[o].level for o in operands)
-        members.append(Member(index, label, rows[index][0].dim, level, kind, operands, None))
+        members.append(Member(index, label, rows[0][index].dim, level, kind, operands, None))
     return members
 
 

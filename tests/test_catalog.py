@@ -335,8 +335,16 @@ def test_a_semidirect_extension_checks_jacobi_once(monkeypatch):
     jacobi = LieAlgebra.jacobi_violations
     monkeypatch.setattr(LieAlgebra, "jacobi_violations",
                         lambda g: checks.append(g) or jacobi(g))
-    semidirect(s, rep)
-    assert len(checks) == 1
+    entry = semidirect(s, rep)
+    assert list(map(id, checks)) == [id(s), id(entry.algebra)]  # s first, then the extension once
+
+
+def test_semidirect_reports_a_jacobi_failure_of_the_base_algebra():
+    """A base algebra that breaks Jacobi, with a representation that passes the
+    homomorphism law, is refused with the Jacobi ValueError, not a radical error."""
+    s = LieAlgebra(3, "x y z".split(), {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(x, y, z\)"):
+        semidirect(s, trivial_rep(s, 1))
 
 
 def test_semidirect_validates_across_small_catalog_pairs():

@@ -273,7 +273,7 @@ def test_corpus_bound_counts_every_pair_visit(monkeypatch):
         add=counting(operator.add), mul=counting(operator.mul)))
     sl2 = builtin("sl2").algebra
     monkeypatch.setattr(oracle, "_MAX_PAIR_VISITS", 2970)
-    assert len(_corpus(LieAlgebra(sl2.dim, sl2.basis_names, sl2.table), 2, 128)[2]) == 2951
+    assert len(_corpus(LieAlgebra(sl2.dim, sl2.basis_names, sl2.table), 2, 128)[3][1]) == 2951
     assert len(visited) == 2970
     visited.clear()
     monkeypatch.setattr(oracle, "_MAX_PAIR_VISITS", 2969)
@@ -297,14 +297,14 @@ def test_corpus_bound_refuses_before_a_level_is_built():
 
 def test_corpus_stops_at_the_first_empty_level():
     """Duals keep every nonempty level nonempty, so only a corpus with no seeds ends early."""
-    assert _corpus(builtin("sl2").algebra, 10**12, 0) == ((), (), ())
+    assert _corpus(builtin("sl2").algebra, 10**12, 0) == ((), (), (), ((), ()))
 
 
 def test_a_corpus_without_positive_dimensional_seeds_is_empty_at_any_depth():
     """The zero algebra's only seeds are 0-dimensional, and heisenberg at cap 0 keeps
     none of its seeds: neither corpus closes 0-dimensional members level after level."""
-    assert _corpus(LieAlgebra(0, (), {}), 10**12, 128) == ((), (), ())
-    assert _corpus(builtin("heisenberg").algebra, 10**12, 0) == ((), (), ())
+    assert _corpus(LieAlgebra(0, (), {}), 10**12, 128) == ((), (), (), ((), ()))
+    assert _corpus(builtin("heisenberg").algebra, 10**12, 0) == ((), (), (), ((), ()))
 
 
 def test_every_corpus_member_has_positive_dimension():
@@ -314,9 +314,10 @@ def test_every_corpus_member_has_positive_dimension():
     for g in algebras:
         for depth in (0, 1, 2):
             for max_dim in (4, 12, 128):
-                seeds, steps, rows = _corpus(g, depth, max_dim)
-                assert len(rows) == len(seeds) + len(steps)
-                assert all(row.dim for row, _ in rows), (g.basis_names, depth, max_dim)
+                seeds, steps, supports, rows = _corpus(g, depth, max_dim)
+                assert [len(supports), *map(len, rows)] == [len(seeds) + len(steps)] * 3
+                assert all(row.dim for flagged in rows for row in flagged), (
+                    g.basis_names, depth, max_dim)
 
 
 def test_corpus_members_materialize_and_validate():
@@ -383,9 +384,10 @@ def test_integer_corpus_states_match_the_fraction_evaluator(name, representative
     for depth in (0, 1, 2):
         for max_dim in (4, 12, 128):
             members = corpus_members(g, depth, max_dim)
-            seeds, steps, _ = _corpus(g, depth, max_dim)
+            seeds, steps, supports, _ = _corpus(g, depth, max_dim)
             for av in elements:
-                assert _corpus_outcomes(seeds, steps, av) == fraction_corpus_outcomes(members, av)
+                assert (_corpus_outcomes(seeds, steps, supports, av)
+                        == fraction_corpus_outcomes(members, av))
                 mixed += len(_seed_denominators(members, av)) > 1
     if name in ("heisenberg", "upper_triangular(3)"):  # characters
         assert mixed
@@ -424,7 +426,47 @@ def test_report_rows_are_selected_from_two_per_member():
     assert [(r.label, r.dim) for r in first] == [(m.label, m.dim) for m in members]
     assert all(a is b for a, b in zip(first, again))
     assert {id(r) for r in first + second} <= {
-        id(r) for pair in analyze(g).corpora[2, 12][2] for r in pair}
+        id(r) for flagged in analyze(g).corpora[2, 12][3] for r in flagged}
+
+
+class _UnreadSteps:
+    """Corpus steps that must not be read."""
+
+    def __iter__(self):
+        raise AssertionError("the corpus steps were read")
+
+
+def test_outcomes_without_a_nonzero_seed_state_read_no_steps():
+    """When every seed's state is 0 or None, the outcomes are read off the supports: sl2
+    at e and f (every state 0), at h (states None but for sl2_irrep(0)'s 0) and so3 at a
+    basis element give the Fraction evaluator's outcomes without reading a step."""
+    nilpotent_counts = []
+    for name, element in (("sl2", (1, 0, 0)), ("sl2", (0, 0, 1)), ("sl2", (0, 1, 0)),
+                          ("so3", (1, 0, 0))):
+        g = builtin(name).algebra
+        av = g.element(element)
+        seeds, _, supports, _ = _corpus(g, 2, 128)
+        outcomes = _corpus_outcomes(seeds, _UnreadSteps(), supports, av)
+        assert outcomes == fraction_corpus_outcomes(corpus_members(g, 2, 128), av)
+        nilpotent_counts.append(sum(outcomes))
+    assert nilpotent_counts[:3] == [2951, 2951, 25]
+
+
+def test_a_nonzero_seed_state_runs_the_steps():
+    """heisenberg at x has a character with a nonzero eigenvalue: its outcomes need the
+    forward pass over the steps."""
+    g = builtin("heisenberg").algebra
+    seeds, _, supports, _ = _corpus(g, 2, 128)
+    with pytest.raises(AssertionError, match="the corpus steps were read"):
+        _corpus_outcomes(seeds, _UnreadSteps(), supports, g.element((1, 0, 0)))
+
+
+def test_a_positive_report_shares_the_all_nilpotent_rows():
+    g = builtin("sl2").algebra
+    rows = _corpus(g, 2, 128)[3]
+    assert cross_validate(g, (1, 0, 0), depth=2, max_dim=128).outcomes is rows[1]
+    assert all(row.nilpotent for row in rows[1]) and not any(row.nilpotent for row in rows[0])
+    assert cross_validate(g, (0, 1, 0), depth=2, max_dim=128).outcomes is not rows[1]
 
 
 def _counting(monkeypatch, module, name: str) -> list:
@@ -501,6 +543,17 @@ def test_seeds_are_deduplicated_in_one_pass(monkeypatch):
     monkeypatch.setattr(Matrix, "__eq__", lambda m, other: compared.append(m) or equal(m, other))
     assert len(_corpus(_heisenberg(20), 0, 128)[0]) == 41
     assert len(compared) <= 41
+
+
+def test_characters_are_never_hashed(monkeypatch):
+    """Distinct functionals give distinct characters: a depth-0 corpus of a dim-41
+    Heisenberg algebra hashes the adjoint's 41 matrices and none of its 40 characters'."""
+    hashed = []
+    hash_of = Matrix.__hash__
+    monkeypatch.setattr(Matrix, "__hash__", lambda m: hashed.append(m) or hash_of(m))
+    seeds = _corpus(_heisenberg(20), 0, 128)[0]
+    assert [rep.dim_v for rep in seeds] == [41] + [1] * 40
+    assert len(hashed) == 41
 
 
 def test_depth_adds_report_rows_but_no_checking_power():
