@@ -42,7 +42,6 @@ class CatalogEntry(NamedTuple):
 
 
 def _verified(entry: CatalogEntry) -> CatalogEntry:
-    entry.algebra.validate()
     if radical(entry.algebra) != entry.known_radical:
         raise ConsistencyError(f"catalog entry {entry.name}: radical mismatch")
     if entry.algebra.derived_subalgebra() != entry.known_derived:
@@ -186,19 +185,24 @@ def builtin(name: str) -> CatalogEntry:
     """Catalog lookup by name; parametric names look like ``abelian(3)``, in ASCII digits,
     and a member of more than ``_MAX_FAMILY_DIM`` dimensions raises before it is built."""
     if name in _PLAIN:
-        return _verified(_PLAIN[name]())
-    match = _NAME_RE.fullmatch(name)
-    if match is None or match.group(1) not in _FAMILIES:
-        raise ValueError(f"unknown catalog name: {name!r}")
-    parameter, dimension, build = _FAMILIES[match.group(1)]
-    n = int(match.group(2))
-    if n < 1:
-        raise ValueError(f"{parameter} must be at least 1")
-    if dimension(n) > _MAX_FAMILY_DIM:
-        raise ValueError(f"catalog name {name!r} has dimension {dimension(n)}, "
-                         f"above the limit of {_MAX_FAMILY_DIM}")
-    canonical = f"{match.group(1)}({n})"  # no leading zeros: one entry per algebra
-    return _verified(build(n)) if name == canonical else builtin(canonical)
+        entry = _PLAIN[name]()
+    else:
+        match = _NAME_RE.fullmatch(name)
+        if match is None or match.group(1) not in _FAMILIES:
+            raise ValueError(f"unknown catalog name: {name!r}")
+        parameter, dimension, build = _FAMILIES[match.group(1)]
+        n = int(match.group(2))
+        if n < 1:
+            raise ValueError(f"{parameter} must be at least 1")
+        if dimension(n) > _MAX_FAMILY_DIM:
+            raise ValueError(f"catalog name {name!r} has dimension {dimension(n)}, "
+                             f"above the limit of {_MAX_FAMILY_DIM}")
+        canonical = f"{match.group(1)}({n})"  # no leading zeros: one entry per algebra
+        if name != canonical:
+            return builtin(canonical)
+        entry = build(n)
+    entry.algebra.validate()  # a semidirect extension's Jacobi identity follows from its parts
+    return _verified(entry)
 
 
 def catalog_names() -> list[str]:
@@ -223,7 +227,7 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
     of s, and declares the radical rad(s) + V (the quotient is s), the derived algebra
     [s, s] + rep(s)V (V is abelian), and semisimplicity exactly when that radical is 0.
     s must satisfy the Jacobi identity and rep the homomorphism law; together they give
-    the extension's Jacobi identity, which the entry's verification checks once more.
+    the extension's Jacobi identity, so the extension itself is not checked again.
     """
     if rep.algebra != s:
         raise ValueError("representation must be of the extended algebra")

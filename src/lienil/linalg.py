@@ -6,7 +6,7 @@ lowest terms, and every matrix operation (sums, products, traces, Kronecker prod
 works on those integers; its ``entries`` are a view.  A ``Subspace`` stores only its
 reduced row-echelon rows, each cleared to primitive integers, so spans, sums,
 intersections and kernels stay in integers.  Elimination, reduction and nilpotency run
-fraction-free on integer rows; ``rref``, ``solve``, ``invert`` and ``Subspace.basis``
+fraction-free on integer rows; ``invert``, ``Subspace.basis`` and ``Subspace.projection``
 divide by the pivots.  Nothing is floating point, so ranks and kernels are exact, and
 matrices and subspaces are canonical, so equality is a plain ``==``.
 
@@ -268,33 +268,6 @@ def _over_pivots(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> tuple[
     scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
     return tuple(tuple(x * (scale // row[p]) for x in row)
                  for row, p in zip(rows, pivots)), scale
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row-echelon form and rank."""
-    rows, pivots = _rref_rows(m.ints, m.cols)
-    reduced, scale = _over_pivots(rows, pivots)
-    padding = ((0,) * m.cols,) * (m.rows - len(pivots))
-    return Matrix(m.rows, m.cols, reduced + padding, scale), len(pivots)
-
-
-def solve(a: Matrix, b: Sequence) -> Vector | None:
-    """A particular solution of a x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the returned solution is canonical.
-    """
-    rhs, rhs_scale = _cleared([_exact(x) for x in b])
-    if len(rhs) != a.rows:
-        raise ValueError(f"right-hand side length {len(rhs)} does not match {a.rows} rows")
-    # (ints/scale) x = rhs/rhs_scale, cleared: rhs_scale*ints x = scale*rhs.
-    rows, pivots = _rref_rows([[*(rhs_scale * x for x in r), a.scale * y]
-                               for r, y in zip(a.ints, rhs)], a.cols + 1)
-    if a.cols in pivots:
-        return None
-    x = [_ZERO] * a.cols
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[a.cols], row[c])
-    return tuple(x)
 
 
 class Subspace(_Frozen):

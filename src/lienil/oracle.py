@@ -91,7 +91,7 @@ def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
     """The main decision: nilpotent action in every representation, yes or no."""
     xs = _cleared(algebra._coordinates(a))[0]  # a positive multiple of a: the tests are homogeneous
     derived = algebra.derived_subalgebra()
-    in_derived = not any(derived._eliminate(xs)[0])
+    in_derived = derived.is_full() or not any(derived._eliminate(xs)[0])
     q = analyze(algebra).quotient
     ys = [sum(map(operator.mul, row, xs)) for row in q.projection.ints]
     image_nilpotent = not q.target.dim or is_nilpotent_element_image(q.target, ys)

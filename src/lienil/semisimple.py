@@ -9,14 +9,19 @@ per algebra.  The image test gates on it, and reads K(x, x) from the same gram b
 it eliminates.
 
 The radical is the set of x whose Killing pairing with the whole derived
-subalgebra vanishes.  The quotient map that needs it checks it four times, in
-this order: it must be an ideal, it must be solvable (its derived series,
-computed inside the algebra, must reach zero), the quotient by it must be
-semisimple, and it must be zero exactly when the algebra is semisimple.  When
-the radical is zero the quotient must have the algebra's own constants, and the
-third check then ranks the algebra's gram instead of building a second one.  A
-failure of any check means the arithmetic itself went wrong, which is
-reported as ``ConsistencyError`` rather than ``ValueError``.
+subalgebra vanishes; when [g, g] is g, it is the null space of the gram's rows.
+The quotient map that needs it checks it four times, in this order: it must be
+an ideal, it must be solvable (its derived series, computed inside the algebra,
+must reach zero), the quotient by it must be semisimple, and it must be zero
+exactly when the algebra is semisimple.  Only a proper radical builds the
+quotient as a new algebra, on which all four checks compute.  A zero radical's
+quotient is the algebra itself under the identity: it is a solvable ideal at
+once, and the third check ranks the algebra's own gram, which the fourth reads.
+A radical equal to the algebra gives the zero algebra under a 0 x n projection:
+it is an ideal at once and semisimple at once, so the algebra's derived series
+must reach zero and its gram must be degenerate unless the algebra is 0.  A
+failure of any check means the arithmetic itself went wrong, which is reported
+as ``ConsistencyError`` rather than ``ValueError``.
 """
 
 from __future__ import annotations
@@ -97,8 +102,9 @@ def killing_orth(algebra: LieAlgebra, space: Subspace) -> Subspace:
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace must live in the algebra")
     gram = killing_matrix(algebra).gram.ints  # symmetric, so rows serve as columns
-    return null_space([[sum(map(operator.mul, column, v)) for column in gram]
-                       for v in space.rows], algebra.dim)
+    rows = gram if space.is_full() else [[sum(map(operator.mul, column, v)) for column in gram]
+                                         for v in space.rows]
+    return null_space(rows, algebra.dim)
 
 
 def radical(algebra: LieAlgebra) -> Subspace:
@@ -126,17 +132,16 @@ def is_nilpotent_element_image(algebra: LieAlgebra, x) -> bool:
     Raises ValueError when the algebra is not semisimple — the equivalence
     is specific to that case.  The gate is Cartan's criterion, the cached Killing
     rank, which g/rad(g) already has from g's quotient check.  Before any elimination,
-    K(x, x) = tr(ad(x)^2) is read from the gram the gate ranked: if it is not 0, ad(x)
-    is not nilpotent and the answer is False.
+    K(x, x) = tr(ad(x)^2) is read as x . (Gx) from the gram G the gate ranked: if it is
+    not 0, ad(x) is not nilpotent and the answer is False.
     """
     structure = analyze(algebra)
     if not structure.semisimple:
         raise ValueError("image-membership nilpotency test requires a semisimple algebra")
     # Both tests are homogeneous in x, so they run on x cleared to integers.
     xs = _cleared(algebra._coordinates(x))[0]
-    terms = [(i, a) for i, a in enumerate(xs) if a]
     gram = structure.killing.gram.ints
-    if sum(a * b * gram[i][j] for i, a in terms for j, b in terms):
+    if sum(map(operator.mul, xs, [sum(map(operator.mul, row, xs)) for row in gram])):
         return False
     # ad(x) z = x is consistent iff no pivot of [ad(x) | x] falls in its last column, which
     # the forward elimination's pivots already tell; it runs on s * ad of the cleared x.
@@ -183,19 +188,25 @@ class Structure:
 
     @cached_property
     def quotient(self) -> QuotientMap:
-        """g -> g/rad(g), the radical checked as radical() documents."""
+        """g -> g/rad(g), the radical checked as radical() documents.  Only a proper
+        radical builds a new algebra: g/0 is g itself under the identity map, and g/g is
+        the zero algebra under the 0 x n projection."""
         algebra = self.algebra
+        n = algebra.dim
         rad = killing_orth(algebra, algebra.derived_subalgebra())
-        try:
-            quotient = algebra.quotient(rad)
-        except ValueError:  # the quotient's own is_ideal check failed
-            raise ConsistencyError("computed radical is not an ideal") from None
+        if rad.is_zero():
+            identity = Matrix.identity(n)
+            quotient = QuotientMap(algebra, algebra, rad, identity, identity)
+        elif rad.is_full():
+            quotient = QuotientMap(algebra, LieAlgebra(0, (), {}), rad,
+                                   Matrix.zero(0, n), Matrix.zero(n, 0))
+        else:
+            try:
+                quotient = algebra.quotient(rad)
+            except ValueError:  # the quotient's own is_ideal check failed
+                raise ConsistencyError("computed radical is not an ideal") from None
         if not algebra.derived_series(rad)[-1].is_zero():
             raise ConsistencyError("computed radical is not solvable")
-        if rad.is_zero():  # g/0 is g under new names: it is ranked on g's gram
-            if quotient.target._table_key != algebra._table_key:
-                raise ConsistencyError("quotient by the zero radical differs from the algebra")
-            analyze(quotient.target).killing = KillingForm(quotient.target, self.killing.gram)
         if quotient.target.dim and not analyze(quotient.target).semisimple:
             raise ConsistencyError("Killing form degenerate on the quotient by the radical")
         if rad.is_zero() != self.semisimple:

@@ -415,13 +415,6 @@ def fraction_kron(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
         for i in range(a.rows) for p in range(b.rows)))
 
 
-def fraction_rref_matrix(m: FractionMatrix) -> tuple[FractionMatrix, int]:
-    """Reduced row-echelon form padded with zero rows, and the rank."""
-    reduced, pivots = fraction_rref(m.entries, m.cols)
-    padding = ((_ZERO,) * m.cols,) * (m.rows - len(pivots))
-    return FractionMatrix(m.rows, m.cols, reduced + padding), len(pivots)
-
-
 def fraction_solve(a: FractionMatrix, b: Sequence) -> Vector | None:
     """The solution with free variables zero, or None, by Gauss-Jordan in Fractions."""
     rhs = as_vector(b)

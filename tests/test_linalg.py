@@ -25,8 +25,6 @@ from lienil.linalg import (
     nilpotency_exponent,
     rational_eigenvalues,
     rational_roots,
-    rref,
-    solve,
     trace_product,
 )
 
@@ -34,8 +32,7 @@ from support import (
     FractionMatrix,
     fraction_invert,
     fraction_kron,
-    fraction_rref_matrix,
-    fraction_solve,
+    fraction_rref,
     fraction_trace_product,
     matrix_power,
 )
@@ -47,43 +44,48 @@ def _sl2():
     return builtin("sl2").algebra
 
 
-# --- rref / solve ------------------------------------------------------------
+# --- reduced row-echelon form, and systems solved on it ---------------------------
+
+def _reduced(rows, cols):
+    """``linalg._rref_rows`` in ``fraction_rref``'s shape: each row over its pivot entry."""
+    reduced, pivots = linalg._rref_rows(rows, cols)
+    return tuple(tuple(F(x, row[p]) for x in row) for row, p in zip(reduced, pivots)), pivots
+
+
+def _augmented(m, b):
+    """The integer rows of the system m x = b: [m | b], each row times a positive scale."""
+    rhs, scale = linalg._cleared([F(x) for x in b])
+    return [[*(scale * x for x in row), m.scale * y] for row, y in zip(m.ints, rhs)]
+
 
 def test_rref_identity_is_fixed():
-    m = Matrix.identity(2)
-    reduced, rank = rref(m)
-    assert reduced == m
-    assert rank == 2
+    assert _reduced(Matrix.identity(2).ints, 2) == (((1, 0), (0, 1)), [0, 1])
 
 
 def test_rref_zero():
-    m = Matrix.zero(3, 3)
-    reduced, rank = rref(m)
-    assert reduced == m
-    assert rank == 0
+    assert _reduced(Matrix.zero(3, 3).ints, 3) == ((), [])
 
 
 def test_rref_dependent_rows():
-    reduced, rank = rref(Matrix.from_rows([[2, 4], [1, 2]]))
-    assert reduced == Matrix.from_rows([[1, 2], [0, 0]])
-    assert rank == 1
+    assert _reduced([[2, 4], [1, 2]], 2) == (((1, 2),), [0])
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(2), (1, 2)) == (F(1), F(2))
+    assert _reduced(_augmented(Matrix.identity(2), (1, 2)), 3) == (((1, 0, 1), (0, 1, 2)), [0, 1])
 
 
 def test_solve_inconsistent_is_none():
-    assert solve(Matrix.zero(1, 1), (1,)) is None
+    assert _reduced(_augmented(Matrix.zero(1, 1), (1,)), 2)[1] == [1]  # 0 = 1: b is a pivot
 
 
 def test_solve_free_variables_zeroed():
-    x = solve(Matrix.from_rows([[1, 1], [0, 0]]), (3, 0))
-    assert x == (F(3), F(0))
+    # x0 + x1 = 3: x0 is the pivot, and the free x1 = 0 leaves x0 = 3 in b's column.
+    assert _reduced(_augmented(Matrix.from_rows([[1, 1], [0, 0]]), (3, 0)), 3) == (
+        ((1, 1, 3),), [0])
 
 
 def test_solve_empty_system():
-    assert solve(Matrix.zero(0, 0), ()) == ()
+    assert _reduced(_augmented(Matrix.zero(0, 0), ()), 1) == ((), [])
 
 
 # --- kernel / image ----------------------------------------------------------
@@ -357,7 +359,8 @@ def _kernel_results(m, rng):
     x = tuple(_big_rational(rng) for _ in range(m.cols))
     b = tuple(_big_rational(rng) for _ in range(m.rows))
     half = m.rows // 2
-    results = [rref(m), solve(m, m.apply(x)), solve(m, b), kernel_image(m),
+    results = [_reduced(m.ints, m.cols), _reduced(_augmented(m, m.apply(x)), m.cols + 1),
+               _reduced(_augmented(m, b), m.cols + 1), kernel_image(m),
                Subspace.from_vectors(m.cols, m.entries),
                Subspace.from_vectors(m.cols, m.entries[:half]).intersect(
                    Subspace.from_vectors(m.cols, m.entries[half:]))]
@@ -372,8 +375,8 @@ def test_integer_kernel_matches_fraction_reference(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_rows", _primitive_fraction_rref_rows)
     reference = [_kernel_results(m, random.Random(i)) for i, m in enumerate(inputs)]
     assert integer == reference
-    solved = [r[2] for r in reference]
-    assert None in solved and any(x is not None for x in solved)  # both kinds seen
+    solved = [m.cols not in r[2][1] for m, r in zip(inputs, reference)]  # b not a pivot
+    assert True in solved and False in solved  # both kinds seen
     assert any(r[-1] is None for r in reference if len(r) == 7)  # a singular one
 
 
@@ -385,7 +388,7 @@ def test_rank_and_nullspace_match_sympy():
         theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                                for row in m.entries])
         kernel, image = kernel_image(m)
-        assert rref(m)[1] == image.dim == theirs.rank()
+        assert len(linalg._rref_rows(m.ints, m.cols)[1]) == image.dim == theirs.rank()
         assert kernel == Subspace.from_vectors(m.cols, [
             [F(int(x.p), int(x.q)) for x in v] for v in theirs.nullspace()])
 
@@ -536,13 +539,11 @@ def test_matrix_operations_match_fraction_reference(seed):
             _assert_twin(kron(small, m), fraction_kron(small_ref, ref))
         across, across_ref = _twin(rng, m.cols, m.rows)
         assert trace_product(m, across) == fraction_trace_product(ref, across_ref)
-        reduced, rank = rref(m)
-        reduced_ref, rank_ref = fraction_rref_matrix(ref)
-        _assert_twin(reduced, reduced_ref)
-        assert rank == rank_ref
+        assert _reduced(m.ints, m.cols) == fraction_rref(ref.entries, ref.cols)
         b = [_huge(rng) for _ in range(m.rows)]
         for rhs in (b, ref.apply(x)):
-            assert solve(m, rhs) == fraction_solve(ref, rhs)
+            assert _reduced(_augmented(m, rhs), m.cols + 1) == fraction_rref(
+                [(*row, y) for row, y in zip(ref.entries, rhs)], ref.cols + 1)
         if m.is_square():
             assert m.trace() == ref.trace()
             inverse, inverse_ref = invert(m), fraction_invert(ref)
@@ -632,9 +633,8 @@ def matrices(rows, cols):
 
 @given(matrices(3, 4))
 def test_rref_idempotent(m):
-    reduced, _ = rref(m)
-    again, _ = rref(reduced)
-    assert again == reduced
+    reduced = linalg._rref_rows(m.ints, m.cols)[0]
+    assert _reduced(reduced, m.cols) == _reduced(m.ints, m.cols)
 
 
 @given(matrices(3, 5))
@@ -656,8 +656,11 @@ def test_grassmann_identity(rows_s, rows_t):
 
 @given(matrices(3, 3), st.lists(small_fractions, min_size=3, max_size=3))
 def test_solve_soundness(m, b):
-    x = solve(m, b)
-    if x is not None:
+    reduced, pivots = _reduced(_augmented(m, b), m.cols + 1)
+    if m.cols not in pivots:  # consistent: the solution with every free variable 0
+        x = [F(0)] * m.cols
+        for row, p in zip(reduced, pivots):
+            x[p] = row[-1]
         assert m.apply(x) == tuple(F(v) for v in b)
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from lienil import semisimple
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
-from lienil.liealg import LieAlgebra, QuotientMap
-from lienil.linalg import Matrix, Subspace, invert, is_nilpotent, kernel_image, rref, solve
+from lienil.liealg import LieAlgebra
+from lienil.linalg import Matrix, Subspace, invert, is_nilpotent, kernel_image
 from lienil.oracle import nilpotent_in_all_reps
 from lienil.semisimple import (
     ConsistencyError,
@@ -31,11 +31,14 @@ from lienil.semisimple import (
 
 from support import (
     SEMISIMPLE_NAMES,
+    FractionMatrix,
     _restrict_to_subalgebra,
     fraction_ad,
     fraction_bracket,
     fraction_killing_gram,
     fraction_reduce,
+    fraction_rref,
+    fraction_solve,
     seeded_elements,
     seeded_rational_bases,
     with_rational_basis_changes,
@@ -311,13 +314,14 @@ def _moved(seed: int):
 
 def test_image_test_matches_solving_on_moved_entries():
     """The image test reads the forward elimination's pivots; it must agree with asking
-    solve for a z with ad(y) z = y, on g/rad(g) of every moved entry."""
+    a Fraction Gauss-Jordan for a z with ad(y) z = y, on g/rad(g) of every moved entry."""
     seen = set()
     for name, g, elements in _moved(seed=89):
         q = analyze(g).quotient
         for a in elements:
             y = q.project(a)
-            expected = solve(q.target.ad(y), y) is not None
+            ad = FractionMatrix.from_rows(q.target.ad(y).entries, q.target.dim)
+            expected = fraction_solve(ad, y) is not None
             assert is_nilpotent_element_image(q.target, y) == expected, (name, a)
             seen.add((name, expected))
     levi = {"sl2", "sl3", "gl2", _EXTENSION.name}  # so3 has no nonzero nilpotent over Q
@@ -327,13 +331,13 @@ def test_image_test_matches_solving_on_moved_entries():
 
 def test_killing_rank_matches_reduced_gram_on_moved_entries():
     """is_nondegenerate reads the forward elimination's rank; it must agree with the rank
-    of the fully reduced gram, on every moved entry and its g/rad(g)."""
+    of the gram reduced by a Fraction Gauss-Jordan, on every moved entry and its g/rad(g)."""
     verdicts = []
     for _, g, _ in _moved(seed=89):
         for h in (g, analyze(g).quotient.target):
             form = killing_matrix(h)
             verdicts.append(form.is_nondegenerate())
-            assert verdicts[-1] == (rref(form.gram)[1] == h.dim)
+            assert verdicts[-1] == (len(fraction_rref(form.gram.entries, h.dim)[1]) == h.dim)
     assert True in verdicts and False in verdicts
 
 
@@ -449,10 +453,12 @@ E12_IN_GL2 = Subspace.from_vectors(4, [[0, 1, 0, 0]])
      "Killing form degenerate on the quotient by the radical"),
     ("gl2", KillingForm, "is_nondegenerate", lambda form: True,
      "radical computation disagrees with Killing-form nondegeneracy"),
-    ("sl2", LieAlgebra, "quotient", lambda algebra, ideal: QuotientMap(
-        algebra, _fresh("so3"), ideal, Matrix.identity(3), Matrix.identity(3)),
-     "quotient by the zero radical differs from the algebra"),
-], ids=["not_ideal", "not_solvable", "degenerate_quotient", "rank_disagrees", "not_g"])
+    ("borel2", KillingForm, "is_nondegenerate", lambda form: True,
+     "radical computation disagrees with Killing-form nondegeneracy"),
+    ("sl3", KillingForm, "is_nondegenerate", lambda form: False,
+     "Killing form degenerate on the quotient by the radical"),
+], ids=["not_ideal", "not_solvable", "degenerate_quotient", "rank_disagrees",
+        "rank_disagrees_on_g_mod_g", "degenerate_on_g_mod_0"])
 def test_every_radical_check_raises_its_message(monkeypatch, reader, name, owner, attribute,
                                                 patched, message):
     g = _fresh(name)
@@ -464,6 +470,7 @@ def test_every_radical_check_raises_its_message(monkeypatch, reader, name, owner
 
 def test_one_quotient_and_one_gram_per_algebra(monkeypatch):
     calls = {"quotient": 0, "gram": 0}
+    ranked = []  # the algebra of each Killing form ranked
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -471,15 +478,32 @@ def test_one_quotient_and_one_gram_per_algebra(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    rank = KillingForm.is_nondegenerate
     monkeypatch.setattr(LieAlgebra, "quotient", counted("quotient", LieAlgebra.quotient))
     monkeypatch.setattr(semisimple, "_killing_gram", counted("gram", semisimple._killing_gram))
-    # g -> g/rad(g) once; a Killing gram for g and, when rad(g) is neither 0 nor g, one
-    # for g/rad(g): g/0 is g again and is ranked on g's gram.
-    for name, expected in (("gl2", (1, 2)), ("sl2", (1, 1)), ("so3", (1, 1)), ("sl3", (1, 1)),
-                           ("heisenberg", (1, 1))):
+    monkeypatch.setattr(KillingForm, "is_nondegenerate",
+                        lambda form: ranked.append(form.algebra) or rank(form))
+    # Only a proper radical builds g/rad(g), and it has a gram of its own: g/0 is g, and
+    # g/g is 0, which is not ranked.  Each Structure ranks its gram once.
+    for name, expected in (("sl2", (0, 1)), ("so3", (0, 1)), ("sl3", (0, 1)),
+                           ("heisenberg", (0, 1)), ("gl2", (1, 2))):
         g = _fresh(name)
         calls.update(quotient=0, gram=0)
+        ranked.clear()
         nilpotent_in_all_reps(g, g.basis_element(1))
         assert (calls["quotient"], calls["gram"]) == expected, name
         nilpotent_in_all_reps(g, g.basis_element(0))  # a second verdict adds nothing
         assert (calls["quotient"], calls["gram"]) == expected, name
+        assert len(ranked) == calls["gram"] == len(set(map(id, ranked))), name
+
+
+def test_a_zero_or_full_radical_builds_no_new_algebra():
+    for name in ("sl2", "sl3"):  # g/0 is g itself, under the identity
+        g = _fresh(name)
+        q = analyze(g).quotient
+        assert q.target is g and q.projection == q.section == Matrix.identity(g.dim), name
+    for name in ("borel2", "heisenberg"):  # g/g is the zero algebra
+        g = _fresh(name)
+        q = analyze(g).quotient
+        assert q.ideal.is_full() and q.target.dim == 0, name
+        assert (q.projection.rows, q.projection.cols) == (0, g.dim), name
