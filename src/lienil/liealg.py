@@ -137,9 +137,6 @@ class LieAlgebra(_Frozen):
         except ValueError:
             raise KeyError(f"no basis element named {name!r}") from None
 
-    def zero(self) -> Vector:
-        return (_ZERO,) * self.dim
-
     # -- multiplication ---------------------------------------------------
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
@@ -182,16 +179,17 @@ class LieAlgebra(_Frozen):
     def jacobi_violations(self) -> list[str]:
         """All basis triples breaking the Jacobi identity, with their residuals: each
         [e_a, e_b] in the table adds [e_x, [e_a, e_b]] to the cyclic sum of {x, a, b},
-        negated when a < x < b, expanded from the cleared constants (s**2 times it)."""
+        negated when a < x < b, expanded from the cleared constants (s**2 times it).  Only
+        the x other than a and b with [e_x, e_m] != 0 for some e_m in [e_a, e_b] are visited:
+        the keys of those m's constants."""
         residuals: dict[tuple[int, int, int], list[int]] = {}
         for (a, b), expansion in self._table_key[1]:
-            for x in range(self.dim):
-                terms = [(t, c * d) for m, c in expansion
-                         for t, d in self._constants[x].get(m, {}).items()]
-                if terms and x != a and x != b:
-                    total = residuals.setdefault(tuple(sorted((x, a, b))), [0] * self.dim)
-                    for t, value in terms:
-                        total[t] += -value if a < x < b else value
+            for x in sorted({x for m, _ in expansion for x in self._constants[m]} - {a, b}):
+                sign = -1 if a < x < b else 1
+                total = residuals.setdefault(tuple(sorted((x, a, b))), [0] * self.dim)
+                for m, c in expansion:
+                    for t, d in self._constants[x].get(m, {}).items():
+                        total[t] += sign * c * d
         violations = []
         for (i, j, k), total in sorted(residuals.items()):
             if any(total):
@@ -263,9 +261,6 @@ class LieAlgebra(_Frozen):
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].is_zero()
-
-    def is_nilpotent_algebra(self) -> bool:
-        return self.lower_central_series()[-1].is_zero()
 
     def centralizer(self, x: Sequence) -> Subspace:
         """Kernel of ad(x): all y with [x, y] = 0."""

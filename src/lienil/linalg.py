@@ -4,8 +4,8 @@ Values are ``fractions.Fraction`` at the API edge only, and this module alone tu
 integers into Fractions.  A ``Matrix`` stores integer rows over one positive scale, in
 lowest terms, and every matrix operation (sums, products, traces, Kronecker products)
 works on those integers; its ``entries`` are a view.  A ``Subspace`` stores only its
-reduced row-echelon rows, each cleared to primitive integers, so spans, sums,
-intersections and kernels stay in integers.  Elimination, reduction and nilpotency run
+reduced row-echelon rows, each cleared to primitive integers, so spans, intersections
+and kernels stay in integers.  Elimination, reduction and nilpotency run
 fraction-free on integer rows; ``invert``, ``Subspace.basis`` and ``Subspace.projection``
 divide by the pivots.  Nothing is floating point, so ranks and kernels are exact, and
 matrices and subspaces are canonical, so equality is a plain ``==``.
@@ -124,9 +124,6 @@ class Matrix(_Frozen):
     @cached_property
     def entries(self) -> tuple[Vector, ...]:
         return tuple(_fractions(row, self.scale) for row in self.ints)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.ints[i][j], self.scale)
 
     def column(self, j: int) -> Vector:
         return _fractions([row[j] for row in self.ints], self.scale)
@@ -337,10 +334,6 @@ class Subspace(_Frozen):
                 f"vector length {len(vec)} does not match ambient dimension {self.ambient_dim}")
         return _cleared(vec)
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical remainder of v after eliminating all pivot coordinates."""
-        return _fractions(*self._eliminate(*self._as_ints(v)))
-
     def contains(self, v: Sequence) -> bool:
         return not any(self._eliminate(*self._as_ints(v))[0])
 
@@ -355,10 +348,6 @@ class Subspace(_Frozen):
         self._same_ambient(other)
         return not any(any(self._eliminate(list(row))[0]) for row in other.rows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        return Subspace._span(self.ambient_dim, self.rows + other.rows)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
         # The meet is cut out by the annihilators of both: each space's null space.
@@ -370,7 +359,7 @@ class Subspace(_Frozen):
         return tuple(j for j in range(self.ambient_dim) if j not in self.pivots)
 
     def projection(self) -> Matrix:
-        """The map v -> reduce(v) read on the complement coordinates, as a matrix.
+        """The map v -> v with its pivot coordinates cleared, read on the complement, as a matrix.
 
         Column j is e_j's remainder: e_j itself off the pivots, and -row/row[p] on the
         complement for the pivot p of a row.

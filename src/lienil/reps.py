@@ -32,8 +32,6 @@ from .linalg import (
     rational_eigenvalues,
 )
 
-_ZERO = Fraction(0)
-
 
 class Representation(_Frozen):
     _fields = ("algebra", "dim_v", "matrices", "label")
@@ -72,12 +70,6 @@ class Weight(_Frozen):
             raise ValueError("one value per subalgebra basis vector is required")
         object.__setattr__(self, "subalgebra", subalgebra)
         object.__setattr__(self, "values", values)
-
-    def value_on(self, v: Sequence) -> Fraction:
-        coords = self.subalgebra.coordinates(v)
-        if coords is None:
-            raise ValueError("element is outside the weight's subalgebra")
-        return sum((a * b for a, b in zip(coords, self.values)), _ZERO)
 
 
 def validate_rep(rep: Representation) -> list[str]:

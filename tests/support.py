@@ -63,6 +63,37 @@ def sl2_plus_sl2() -> LieAlgebra:
     return one.direct_sum(one)
 
 
+def heisenberg_algebra(n: int) -> LieAlgebra:
+    """The Heisenberg algebra of dimension 2n + 1: [x_i, y_i] = z."""
+    names = [*(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)), "z"]
+    return LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
+
+
+def partly_central(g: LieAlgebra, central: int, seed: int) -> LieAlgebra:
+    """g plus `central` central basis elements z_t at seeded places among g's, with each
+    e_i of g moved to e_i + sum_t f_t(e_i) z_t for seeded integer functionals f_t: so
+    [e_i, e_j] gains -f_t([e_i, e_j]) z_t.  It is g (+) an abelian algebra on a new basis,
+    a Lie algebra iff g is one, whose values reach the z_t; a basis element of g outside
+    the support of g's values stays outside the new values' support."""
+    rng = random.Random(seed)
+    dim = g.dim + central
+    z_at = sorted(rng.sample(range(dim), central))
+    at = [k for k in range(dim) if k not in z_at]  # e_i of g sits at at[i]
+    f = [[rng.randint(-2, 2) for _ in range(g.dim)] for _ in z_at]
+    names = [""] * dim
+    for i, name in enumerate(g.basis_names):
+        names[at[i]] = name
+    for t, k in enumerate(z_at):
+        names[k] = f"z{t}"
+    table = {}
+    for (i, j), expansion in g.table.items():
+        value = {at[k]: c for k, c in expansion.items()}
+        for row, k in zip(f, z_at):
+            value[k] = -sum(row[m] * c for m, c in expansion.items())
+        table[at[i], at[j]] = value
+    return LieAlgebra(dim, names, table)
+
+
 SEMISIMPLE_NAMES = ("sl2", "sl3", "so3")
 
 

@@ -27,7 +27,7 @@ from lienil.cli import (
     run,
 )
 
-from support import fraction_bracket, fraction_rref
+from support import fraction_bracket, fraction_rref, heisenberg_algebra
 
 F = Fraction
 
@@ -268,9 +268,7 @@ def test_info_makes_no_bracket_on_an_abelian_algebra(tmp_path, monkeypatch):
 
 
 def test_a_series_step_from_the_whole_algebra_reads_the_table(tmp_path, monkeypatch):
-    n = 20  # the Heisenberg algebra of dim 41: [x_i, y_i] = z
-    names = [*(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)), "z"]
-    heisenberg = LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
+    heisenberg = heisenberg_algebra(20)  # dim 41: [x_i, y_i] = z
     calls = []
     bracket = LieAlgebra._int_bracket
     monkeypatch.setattr(LieAlgebra, "_int_bracket",
@@ -288,9 +286,7 @@ def test_a_series_step_from_the_whole_algebra_reads_the_table(tmp_path, monkeypa
 def test_derived_subalgebra_is_spanned_once_per_algebra(tmp_path, monkeypatch):
     """The radical, its solvability check and both series of ``info`` read one kept span
     of the table's values: one span per algebra object."""
-    n = 20  # the Heisenberg algebra of dim 41: [x_i, y_i] = z
-    names = [*(f"x{i}" for i in range(n)), *(f"y{i}" for i in range(n)), "z"]
-    heisenberg = LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
+    heisenberg = heisenberg_algebra(20)  # dim 41: [x_i, y_i] = z
     upper = builtin("upper_triangular(3)").algebra
     upper = LieAlgebra(upper.dim, [f"fresh{i}" for i in range(upper.dim)], upper.table)
     spans = []

@@ -25,6 +25,8 @@ from support import (
     fraction_killing_gram,
     fraction_null_space,
     fraction_rref,
+    heisenberg_algebra,
+    partly_central,
     seeded_elements,
     with_rational_basis_changes,
 )
@@ -84,14 +86,39 @@ def _broken_table(dim: int, seed: int) -> LieAlgebra:
 
 
 def test_sparse_jacobi_matches_dense_expansion():
+    """Also on tables with central basis elements, whose brackets the check does not visit:
+    a generated Heisenberg algebra, and seeded partly-central moves of valid and broken
+    tables, the central elements placed among the others."""
     algebras = [builtin(name).algebra for name in (
-        "sl3", "upper_triangular(4)", "strictly_upper(5)")]
+        "sl3", "upper_triangular(4)", "strictly_upper(5)")] + [heisenberg_algebra(4)]
+    algebras += [partly_central(builtin(name).algebra, 2, seed) for seed, name in enumerate(
+        ("gl2", "borel2", "upper_triangular(3)", "strictly_upper(4)"))]
     broken = [_broken_table(dim, seed) for dim, seed in ((3, 1), (4, 2), (5, 3), (6, 4))]
     broken.append(broken[-1].change_of_basis(seeded_elements(6, 6, seed=5)))
+    broken += [partly_central(_broken_table(dim, seed), 2, seed) for dim, seed in ((4, 6), (5, 7))]
     for g in algebras + broken:
         assert g.jacobi_violations() == fraction_jacobi_violations(g)
     assert all(g.jacobi_violations() == [] for g in algebras)
+    assert all(g.jacobi_violations() for g in broken[-2:])
     assert sum(len(g.jacobi_violations()) for g in broken) >= 20
+
+
+def test_jacobi_check_visits_only_elements_that_meet_the_table():
+    """For each table pair the check reads the constants of the values' basis elements and
+    visits only the x they bracket with: in a Heisenberg algebra z is central, so it visits
+    no x, and no constants but z's are read."""
+    n = 20
+    g = heisenberg_algebra(n)
+    reads = []
+
+    class Reads(tuple):
+        def __getitem__(self, index):
+            reads.append(index)
+            return tuple.__getitem__(self, index)
+
+    object.__setattr__(g, "_constants", Reads(g._constants))
+    assert g.jacobi_violations() == []
+    assert reads == [2 * n] * n  # one read of z's constants per pair [x_i, y_i] = z
 
 
 # --- bracket and adjoint -------------------------------------------------------
@@ -171,14 +198,14 @@ def test_derived_series_heisenberg():
 
 def test_lower_central_series_heisenberg():
     assert [s.dim for s in heisenberg().lower_central_series()] == [3, 1, 0]
-    assert heisenberg().is_nilpotent_algebra()
+    assert heisenberg().lower_central_series()[-1].is_zero()
 
 
 def test_lower_central_series_nonabelian2():
     g = builtin("nonabelian2").algebra
     series = g.lower_central_series()
     assert [s.dim for s in series] == [2, 1, 1]
-    assert g.is_solvable() and not g.is_nilpotent_algebra()
+    assert g.is_solvable() and not g.lower_central_series()[-1].is_zero()
 
 
 def test_series_terms_are_decreasing_ideals():

@@ -32,6 +32,7 @@ from support import (
     corpus_representation,
     criterion_2_cases,
     fraction_corpus_outcomes,
+    heisenberg_algebra,
     in_derived_and_ad_nilpotent,
     matrix_power,
     seeded_elements,
@@ -507,19 +508,13 @@ def test_one_pullback_per_algebra_and_every_witness_is_a_seed(monkeypatch):
         id(g) for g in fresh if analyze(g).quotient.target.dim]  # sl2, gl2, semidirect
 
 
-def _heisenberg(n: int) -> LieAlgebra:
-    """The Heisenberg algebra of dimension 2n + 1: [x_i, y_i] = z."""
-    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)] + ["z"]
-    return LieAlgebra(2 * n + 1, names, {(i, n + i): {2 * n: 1} for i in range(n)})
-
-
 def test_oracle_witness_builds_only_the_witness(monkeypatch, tmp_path):
     """At x0 of a dim-201 Heisenberg algebra the witness is one character: no other
     character and no adjoint is built."""
     characters = _counting(monkeypatch, reps, "one_dim_rep")
     adjoints = _counting(monkeypatch, reps, "adjoint_rep")
     path = tmp_path / "heisenberg201.txt"
-    path.write_text(render_algebra(_heisenberg(100)))
+    path.write_text(render_algebra(heisenberg_algebra(100)))
     out = io.StringIO()
     assert run(["oracle", "--witness", "--format", "json",
                 "--element=1" + ",0" * 200, str(path)], out) == 0
@@ -528,7 +523,7 @@ def test_oracle_witness_builds_only_the_witness(monkeypatch, tmp_path):
 
 
 def test_a_seed_wider_than_the_cap_is_never_built(monkeypatch):
-    g = _heisenberg(100)
+    g = heisenberg_algebra(100)
     adjoints = _counting(monkeypatch, reps, "adjoint_rep")
     seeds = _corpus(g, 0, 128)[0]
     assert [rep.dim_v for rep in seeds] == [1] * 200
@@ -541,7 +536,7 @@ def test_seeds_are_deduplicated_in_one_pass(monkeypatch):
     compared = []
     equal = Matrix.__eq__
     monkeypatch.setattr(Matrix, "__eq__", lambda m, other: compared.append(m) or equal(m, other))
-    assert len(_corpus(_heisenberg(20), 0, 128)[0]) == 41
+    assert len(_corpus(heisenberg_algebra(20), 0, 128)[0]) == 41
     assert len(compared) <= 41
 
 
@@ -551,7 +546,7 @@ def test_characters_are_never_hashed(monkeypatch):
     hashed = []
     hash_of = Matrix.__hash__
     monkeypatch.setattr(Matrix, "__hash__", lambda m: hashed.append(m) or hash_of(m))
-    seeds = _corpus(_heisenberg(20), 0, 128)[0]
+    seeds = _corpus(heisenberg_algebra(20), 0, 128)[0]
     assert [rep.dim_v for rep in seeds] == [41] + [1] * 40
     assert len(hashed) == 41
 

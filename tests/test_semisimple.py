@@ -11,7 +11,8 @@ import pytest
 from lienil import semisimple
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, Subspace, invert, is_nilpotent, kernel_image
+from lienil.linalg import (
+    Matrix, Subspace, _cleared, _fractions, invert, is_nilpotent, kernel_image)
 from lienil.oracle import nilpotent_in_all_reps
 from lienil.semisimple import (
     ConsistencyError,
@@ -39,6 +40,8 @@ from support import (
     fraction_reduce,
     fraction_rref,
     fraction_solve,
+    heisenberg_algebra,
+    partly_central,
     seeded_elements,
     seeded_rational_bases,
     with_rational_basis_changes,
@@ -61,24 +64,42 @@ def test_killing_values_on_sl2():
 
 def test_killing_values_on_gl2():
     g = builtin("gl2").algebra
-    form = killing_matrix(g)
+    gram = killing_matrix(g).gram
+
+    def value(x, y):  # x . (G y) from the gram's rows, which is trace(ad x ad y)
+        k = sum(a * b for a, b in zip(x, gram.apply(y)))
+        assert k == killing_form(g, x, y)
+        return k
+
     e11 = (1, 0, 0, 0)
     e12 = (0, 1, 0, 0)
     e21 = (0, 0, 1, 0)
     e22 = (0, 0, 0, 1)
-    assert form.value(e11, e11) == 2
-    assert form.value(e11, e22) == -2
-    assert form.value(e12, e21) == 4
-    assert form.value(e11, e12) == 0
+    assert value(e11, e11) == 2
+    assert value(e11, e22) == -2
+    assert value(e12, e21) == 4
+    assert value(e11, e12) == 0
     # the identity matrix pairs to zero with everything
     ident = (1, 0, 0, 1)
-    assert all(form.value(ident, v) == 0 for v in (e11, e12, e21, e22))
+    assert all(value(ident, v) == 0 for v in (e11, e12, e21, e22))
 
 
 def test_killing_form_vanishes_on_nilpotent_algebras():
     for name in ("abelian(3)", "heisenberg", "strictly_upper(3)"):
         g = builtin(name).algebra
         assert killing_matrix(g).gram.is_zero()
+
+
+def test_killing_gram_reads_only_positions_the_table_reaches(monkeypatch):
+    """K_ij sums c(i,l)_k c(j,k)_l over ad(e_i)'s nonzeros, and c(j,k)_l is 0 unless e_l is
+    in the support of the table's values: in a Heisenberg algebra that is z alone, which
+    brackets to 0, so no row has a position left and no pair is summed."""
+    g = heisenberg_algebra(20)
+    sums = []
+    monkeypatch.setattr(semisimple, "sum", lambda *args: sums.append(args) or sum(*args),
+                        raising=False)
+    assert _killing_gram(g) == fraction_killing_gram(g) == Matrix.zero(g.dim, g.dim)
+    assert sums == []
 
 
 def test_killing_gram_on_so3():
@@ -127,14 +148,24 @@ def _exact(values, reference) -> bool:
     return values == reference and all(type(x) is Fraction for x in values)
 
 
-@pytest.mark.parametrize("entry", standard_entries() + [
-    semidirect(builtin("sl2").algebra, sl2_irrep(1))], ids=lambda entry: entry.name)
-def test_integer_structure_matches_fraction_reference(entry):
-    for n, g in enumerate(with_rational_basis_changes(entry.algebra)):
+# The standard entries and a semidirect, then tables with basis elements outside the
+# support of their values: a generated Heisenberg algebra and seeded partly-central moves.
+_STRUCTURE_CASES = [(entry.name, entry.algebra) for entry in standard_entries() + [
+    semidirect(builtin("sl2").algebra, sl2_irrep(1))]]
+_STRUCTURE_CASES += [("heisenberg_algebra(3)", heisenberg_algebra(3))] + [
+    (f"partly_central({name}, 2, {seed})", partly_central(builtin(name).algebra, 2, seed))
+    for seed, name in enumerate(("gl2", "borel2", "sl2", "upper_triangular(3)",
+                                 "strictly_upper(4)"))]
+
+
+@pytest.mark.parametrize("algebra", [g for _, g in _STRUCTURE_CASES],
+                         ids=[name for name, _ in _STRUCTURE_CASES])
+def test_integer_structure_matches_fraction_reference(algebra):
+    for n, g in enumerate(with_rational_basis_changes(algebra)):
         rng = random.Random(97 + n)
         large = [tuple(F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(g.dim))
                  for _ in range(2)]
-        elements = ([g.zero()] + [g.basis_element(i) for i in range(g.dim)]
+        elements = ([(F(0),) * g.dim] + [g.basis_element(i) for i in range(g.dim)]
                     + seeded_elements(g.dim, 3, seed=97 + n) + large)
         for x in elements:
             assert _exact(g.ad(x), fraction_ad(g, x)), x
@@ -145,7 +176,8 @@ def test_integer_structure_matches_fraction_reference(entry):
                   Subspace.from_vectors(g.dim, elements[-3:])]
         for space in spaces:
             for v in elements:
-                assert _exact(space.reduce(v), fraction_reduce(space, v)), (space, v)
+                remainder = _fractions(*space._eliminate(*_cleared(g.element(v))))
+                assert _exact(remainder, fraction_reduce(space, v)), (space, v)
                 assert space.contains(v) == (not any(fraction_reduce(space, v)))
 
 
@@ -158,7 +190,7 @@ def test_structure_read_from_table_matches_brackets(entry):
         gram = killing_matrix(g).gram
         for i, ei in enumerate(basis):
             for j, ej in enumerate(basis):
-                assert gram.entry(i, j) == killing_form(g, ei, ej)
+                assert gram.entries[i][j] == killing_form(g, ei, ej)
         for x in basis + seeded_elements(g.dim, 2, seed=73):
             assert g.ad(x) == Matrix.from_columns([g.bracket(x, ej) for ej in basis])
 
@@ -353,7 +385,7 @@ def test_a_nonzero_killing_square_decides_before_the_elimination(monkeypatch):
     analyze(so3).semisimple
     for a in [so3.basis_element(i) for i in range(3)] + seeded_elements(3, 12, seed=7):
         assert any(a) and is_nilpotent_element_image(so3, a) is False
-    assert is_nilpotent_element_image(so3, so3.zero()) is True  # K(0, 0) = 0
+    assert is_nilpotent_element_image(so3, (F(0),) * 3) is True  # K(0, 0) = 0
     assert widths.count(4) == 1
     for name in ("sl2", "sl3"):
         g = _fresh(name)
