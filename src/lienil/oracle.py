@@ -93,8 +93,7 @@ def nilpotent_in_all_reps(algebra: LieAlgebra, a: Sequence) -> Verdict:
     derived = algebra.derived_subalgebra()
     in_derived = derived.is_full() or not any(derived._eliminate(xs)[0])
     q = analyze(algebra).quotient
-    ys = xs if q.target is algebra else [  # g/0 is g itself under the identity
-        sum(map(operator.mul, row, xs)) for row in q.projection.ints]
+    ys = [sum(map(operator.mul, row, xs)) for row in q.projection.ints]
     image_nilpotent = not q.target.dim or is_nilpotent_element_image(q.target, ys)
     return Verdict(
         answer=in_derived and image_nilpotent,

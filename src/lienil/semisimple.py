@@ -75,20 +75,15 @@ def _killing_gram(algebra: LieAlgebra) -> Matrix:
     the coefficient of e_k in [e_i, e_l]; summed on the algebra's integer constants s*c,
     over s**2, for i <= j only.  Each sum runs over ad(e_i)'s nonzeros, kept as positions
     l*n + k and values, against ad(e_j)'s transpose, kept as a dict from l*n + k to c(j,k)_l.
-    c(j,k)_l is 0 unless e_l is in the support of the table's values, so only those l are
-    kept, and a row with no position left is 0.
     """
     n = algebra.dim
     c = algebra._constants
-    support = {t for _, expansion in algebra._table_key[1] for t, _ in expansion}
-    keys = [[l * n + k for l, expansion in c[i].items() if l in support for k in expansion]
-            for i in range(n)]
-    values = [[x for l, expansion in c[i].items() if l in support for x in expansion.values()]
-              for i in range(n)]
+    keys = [[l * n + k for l, expansion in c[i].items() for k in expansion] for i in range(n)]
+    values = [[x for expansion in c[i].values() for x in expansion.values()] for i in range(n)]
     transposed = [{l * n + k: x for k, expansion in c[j].items() for l, x in expansion.items()}
                   for j in range(n)]
     gram = [[0] * n for _ in range(n)]
-    for i in filter(keys.__getitem__, range(n)):
+    for i in range(n):
         for j in range(i, n):
             gram[i][j] = gram[j][i] = sum(map(operator.mul, values[i],
                                               map(transposed[j].get, keys[i], repeat(0))))
