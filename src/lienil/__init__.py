@@ -21,9 +21,8 @@ _SOURCES = {name: module for module, names in (
     ("linalg", ("Matrix", "Subspace")),
     ("oracle", ("CrossCheckReport", "Verdict", "Witness", "cross_validate", "find_witness",
                 "nilpotent_in_all_reps")),
-    ("reps", ("Representation", "Weight", "acts_nilpotently", "adjoint_rep", "direct_sum",
-              "dual", "one_dim_rep", "pullback", "rational_weights", "tensor", "trivial_rep",
-              "validate_rep", "weight_space")),
+    ("reps", ("Representation", "Weight", "acts_nilpotently", "adjoint_rep", "one_dim_rep",
+              "pullback", "rational_weights", "trivial_rep", "validate_rep", "weight_space")),
     ("semisimple", ("ConsistencyError", "KillingForm", "is_nilpotent_element_image",
                     "is_nilpotent_element_power", "is_semisimple", "killing_form",
                     "killing_matrix", "killing_orth", "radical", "semisimple_quotient",

@@ -99,7 +99,6 @@ def _table_entry(name: str) -> CatalogEntry:
                   _units(algebra.dim, derived_indices), irreducibles)
 
 
-@lru_cache(maxsize=None)
 def sl2_irrep(m: int) -> Representation:
     """The (m+1)-dimensional representation with highest weight m.
 
@@ -219,7 +218,6 @@ def standard_entries() -> list[CatalogEntry]:
     return [builtin(n) for n in names]
 
 
-@lru_cache(maxsize=None)
 def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> CatalogEntry:
     """Extend s by an abelian ideal: [x, v] = rep(x)v for x in s, v in the module V.
 

@@ -10,7 +10,8 @@ The file format puts one algebra per file::
 
 Lines starting with ``#`` are comments, unlisted brackets are zero,
 rationals are ``p`` or ``p/q`` in ASCII digits, and a coefficient of one may
-be left off.  Lines end at CR LF, CR or LF only.  Outside a comment the only
+be left off.  A file is UTF-8, or an error at its first other byte's line and
+column.  Lines end at CR LF, CR or LF only.  Outside a comment the only
 whitespace is the space and the tab: any other character that is not printable
 (a control character, a no-break space, a line separator) is an error at its
 line and column, and printable non-ASCII characters fall outside the ASCII
@@ -414,6 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decoded(data: bytes) -> str:
+    """The file's text, or a ParseError at the line and column of its first byte that is
+    not UTF-8, with lines broken as ``parse_algebra`` breaks them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _LINE_BREAK_RE.split(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                         len(lines), len(lines[-1]) + 1) from None
+
+
 def run(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     """Parse arguments, run one command, write one report; returns the exit code.
 
@@ -437,11 +449,11 @@ def run(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
             else:
                 _, takes_element, report = _FILE_COMMANDS[args.command]
                 try:
-                    with open(args.file, "r", encoding="utf-8") as handle:
-                        text = handle.read()
+                    with open(args.file, "rb") as handle:
+                        data = handle.read()
                 except OSError as exc:
                     raise ParseError(f"cannot read {args.file}: {exc.strerror or exc}") from None
-                algebra = parse_algebra(text)
+                algebra = parse_algebra(_decoded(data))
                 violations = algebra.jacobi_violations() if args.command != "validate" else []
                 if violations:
                     raise ParseError(f"{args.file}: " + "; ".join(violations))

@@ -2,8 +2,8 @@
 
 Values are ``fractions.Fraction`` at the API edge only, and this module alone turns
 integers into Fractions.  A ``Matrix`` stores integer rows over one positive scale, in
-lowest terms, and every matrix operation (sums, products, traces, Kronecker products)
-works on those integers; its ``entries`` are a view.  A ``Subspace`` stores only its
+lowest terms, and every matrix operation (sums, products, traces) works on those
+integers; its ``entries`` are a view.  A ``Subspace`` stores only its
 reduced row-echelon rows, each cleared to primitive integers, so spans, intersections
 and kernels stay in integers.  Elimination, reduction and nilpotency run
 fraction-free on integer rows; ``invert``, ``Subspace.basis`` and ``Subspace.projection``
@@ -187,14 +187,6 @@ def trace_product(a: Matrix, b: Matrix) -> Fraction:
         raise ValueError("shapes not compatible with a square product")
     return Fraction(sum(x * b.ints[k][i] for i, arow in enumerate(a.ints)
                         for k, x in enumerate(arow) if x), a.scale * b.scale)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, row-major block layout."""
-    zeros = (0,) * b.cols
-    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
-        tuple(y for x in arow for y in (tuple(x * y for y in brow) if x else zeros))
-        for arow in a.ints for brow in b.ints), a.scale * b.scale)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:

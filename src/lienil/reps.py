@@ -1,11 +1,13 @@
 """Representations of a Lie algebra as explicit matrix assignments.
 
 A representation stores one square matrix per basis element of its algebra
-plus a label recording how it was constructed (labels are what reports
-print, so the constructions build them compositionally).  All constructions
-preserve the homomorphism law; ``validate_rep`` re-checks it from scratch
-and reports violations as data rather than exceptions, so candidate tables
-from outside can be screened.
+plus a label naming how it was built, which reports print.  The constructors
+(trivial, adjoint, characters and pullbacks) make the corpus seeds and the
+witnesses; duals, direct sums and tensor products of them are never
+materialized, since the oracle decides those from integer eigenvalue states.
+``validate_rep`` re-checks the homomorphism law from scratch and reports
+violations as data rather than exceptions, so candidate tables from outside
+can be screened.
 
 A character checks its functional against the algebra's own [g, g], so this
 module imports nothing from ``semisimple``.  A common eigenspace of several
@@ -27,7 +29,6 @@ from .linalg import (
     _cleared,
     as_vector,
     is_nilpotent,
-    kron,
     null_space,
     rational_eigenvalues,
 )
@@ -103,35 +104,6 @@ def pullback(rep: Representation, q: QuotientMap) -> Representation:
     matrices = tuple(
         rep.action(q.project(q.source.basis_element(i))) for i in range(q.source.dim))
     return Representation(q.source, rep.dim_v, matrices, f"pullback({rep.label})")
-
-
-def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
-    if rep1.algebra != rep2.algebra:
-        raise ValueError("direct sum requires representations of the same algebra")
-    n1, n2 = rep1.dim_v, rep2.dim_v
-    matrices = []
-    for m1, m2 in zip(rep1.matrices, rep2.matrices):
-        rows = [(*row, *(0,) * n2) for row in m1.entries]
-        rows += [(*(0,) * n1, *row) for row in m2.entries]
-        matrices.append(Matrix.from_rows(rows))
-    return Representation(rep1.algebra, n1 + n2, tuple(matrices),
-                          f"sum({rep1.label}, {rep2.label})")
-
-
-def tensor(rep1: Representation, rep2: Representation) -> Representation:
-    if rep1.algebra != rep2.algebra:
-        raise ValueError("tensor requires representations of the same algebra")
-    i1 = Matrix.identity(rep1.dim_v)
-    i2 = Matrix.identity(rep2.dim_v)
-    matrices = tuple(
-        kron(m1, i2) + kron(i1, m2) for m1, m2 in zip(rep1.matrices, rep2.matrices))
-    return Representation(rep1.algebra, rep1.dim_v * rep2.dim_v, matrices,
-                          f"tensor({rep1.label}, {rep2.label})")
-
-
-def dual(rep: Representation) -> Representation:
-    matrices = tuple(-m.transpose() for m in rep.matrices)
-    return Representation(rep.algebra, rep.dim_v, matrices, f"dual({rep.label})")
 
 
 def one_dim_rep(algebra: LieAlgebra, xi: Sequence) -> Representation:

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from lienil.catalog import builtin, semidirect, sl2_irrep
+from lienil.catalog import _algebra_from_matrices, builtin, semidirect, sl2_irrep
 from lienil.liealg import LieAlgebra
 from lienil.linalg import (
     Matrix, Subspace, Vector, as_vector, frac, invert, is_nilpotent, kernel_image)
 from lienil.oracle import _KINDS, _corpus
-from lienil.reps import Representation, direct_sum, dual, tensor
+from lienil.reps import Representation
 
 
 def seeded_elements(dim: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -61,6 +61,31 @@ def with_rational_basis_changes(g: LieAlgebra, count: int = 3, seed: int = 71) -
 def sl2_plus_sl2() -> LieAlgebra:
     one = builtin("sl2").algebra
     return one.direct_sum(one)
+
+
+def split_classical() -> list[tuple[str, Representation]]:
+    """Split so(5), so(6) and sp(4) (Levi types B2, D3 and C2), each built by
+    catalog._algebra_from_matrices, as the defining representation of that algebra.
+    so(n) is {X : X^T J + J X = 0} for the antidiagonal J, on the basis
+    E_ij - E_{n-1-j, n-1-i} for i + j < n - 1; sp(2l) is the [[A, B], [C, -A^T]] with B
+    and C symmetric, on the basis E_ij - E_{l+j, l+i} and the E_{i, l+j} + E_{j, l+i} and
+    E_{l+i, j} + E_{l+j, i} for i <= j."""
+    def matrix(n: int, terms: dict[tuple[int, int], int]) -> Matrix:  # sum of c E_rc
+        return Matrix.from_rows([[terms.get((r, c), 0) for c in range(n)] for r in range(n)])
+
+    bases = {f"so({n})": [matrix(n, {(i, j): 1, (n - 1 - j, n - 1 - i): -1})
+                          for i in range(n) for j in range(n - 1 - i)] for n in (5, 6)}
+    l = 2
+    pairs = [(i, j) for i in range(l) for j in range(i, l)]
+    bases[f"sp({2 * l})"] = (
+        [matrix(2 * l, {(i, j): 1, (l + j, l + i): -1}) for i in range(l) for j in range(l)]
+        + [matrix(2 * l, {(i, l + j): 1, (j, l + i): 1}) for i, j in pairs]
+        + [matrix(2 * l, {(l + i, j): 1, (l + j, i): 1}) for i, j in pairs])
+    out = []
+    for name, mats in bases.items():
+        g = _algebra_from_matrices(tuple(f"x{k}" for k in range(len(mats))), mats)
+        out.append((name, Representation(g, mats[0].rows, tuple(mats), "defining")))
+    return out
 
 
 def heisenberg_algebra(n: int) -> LieAlgebra:
@@ -141,19 +166,19 @@ def corpus_members(algebra: LieAlgebra, depth: int, max_dim: int) -> list[Member
     return members
 
 
-def corpus_representation(members, index: int) -> Representation:
-    """Materialize one corpus expression as an actual Representation."""
-    member = members[index]
-    if member.kind == "seed":
-        assert member.seed is not None
-        return member.seed
-    if member.kind == "dual":
-        return dual(corpus_representation(members, member.operands[0]))
-    left = corpus_representation(members, member.operands[0])
-    right = corpus_representation(members, member.operands[1])
-    if member.kind == "sum":
-        return direct_sum(left, right)
-    return tensor(left, right)
+def corpus_representations(members: Sequence[Member]) -> list[tuple[FractionMatrix, ...]]:
+    """Each corpus member's matrices, one per basis element, built in Fractions from its
+    seeds' entries by this module's own code: a dual is -transpose, a sum the block
+    diagonal and a tensor product kron(A, I) + kron(I, B)."""
+    build = {"dual": fraction_dual, "sum": fraction_sum, "tensor": fraction_tensor}
+    built: list[tuple[FractionMatrix, ...]] = []
+    for m in members:
+        if m.kind == "seed":
+            assert m.seed is not None
+            built.append(fraction_matrices(m.seed))
+        else:
+            built.append(build[m.kind](*(built[o] for o in m.operands)))
+    return built
 
 
 _EMPTY = object()  # corpus state of a 0-dimensional member
@@ -446,6 +471,48 @@ def fraction_kron(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
         for i in range(a.rows) for p in range(b.rows)))
 
 
+# Representations as one FractionMatrix per basis element: corpus members built without
+# lienil.linalg, checked by the bracket in Fractions and by fraction_is_nilpotent.
+
+def fraction_matrices(rep: Representation) -> tuple[FractionMatrix, ...]:
+    """A representation's basis matrices as Fraction entries."""
+    return tuple(FractionMatrix.from_rows(m.entries, rep.dim_v) for m in rep.matrices)
+
+
+def fraction_dual(mats) -> tuple[FractionMatrix, ...]:
+    return tuple(-m.transpose() for m in mats)
+
+
+def fraction_sum(left, right) -> tuple[FractionMatrix, ...]:
+    """The block-diagonal matrices diag(A, B)."""
+    return tuple(FractionMatrix.from_rows(
+        [(*row, *(_ZERO,) * b.cols) for row in a.entries]
+        + [(*(_ZERO,) * a.cols, *row) for row in b.entries], a.cols + b.cols)
+        for a, b in zip(left, right))
+
+
+def fraction_tensor(left, right) -> tuple[FractionMatrix, ...]:
+    return tuple(fraction_kron(a, FractionMatrix.identity(b.rows))
+                 + fraction_kron(FractionMatrix.identity(a.rows), b)
+                 for a, b in zip(left, right))
+
+
+def fraction_action(mats, a) -> FractionMatrix:
+    """sum a_i M_i, entry by entry in Fractions."""
+    n = mats[0].rows
+    terms = [(frac(c), m.entries) for c, m in zip(a, mats) if c]
+    return FractionMatrix(n, n, tuple(
+        tuple(sum((c * rows[r][k] for c, rows in terms if rows[r][k]), _ZERO)
+              for k in range(n)) for r in range(n)))
+
+
+def fraction_rep_violations(g: LieAlgebra, mats) -> list[tuple[int, int]]:
+    """The basis pairs (i, j) on which M([e_i, e_j]) != M_i M_j - M_j M_i, in Fractions."""
+    return [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+            if fraction_action(mats, fraction_bracket(g, g.basis_element(i), g.basis_element(j)))
+            != mats[i] @ mats[j] - mats[j] @ mats[i]]
+
+
 def fraction_solve(a: FractionMatrix, b: Sequence) -> Vector | None:
     """The solution with free variables zero, or None, by Gauss-Jordan in Fractions."""
     rhs = as_vector(b)
@@ -475,6 +542,19 @@ def _int_square(m: list[list[int]]) -> list[list[int]]:
             for row in m]
 
 
+def fraction_is_nilpotent(entries: Sequence[Sequence[Fraction]]) -> bool:
+    """M^n == 0 for the n x n matrix M of these rows: M cleared to integers by the lcm of
+    its denominators, then squared until the exponent reaches n."""
+    n = len(entries)
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    power = [[int(x * scale) for x in row] for row in entries]
+    exponent = 1
+    while exponent < n:
+        power = _int_square(power)
+        exponent *= 2
+    return not any(any(row) for row in power)
+
+
 def in_derived_and_ad_nilpotent(g: LieAlgebra, a: Sequence) -> bool:
     """a lies in [g, g] and ad_g(a) is nilpotent, which holds exactly when a acts
     nilpotently in every representation.
@@ -493,10 +573,4 @@ def in_derived_and_ad_nilpotent(g: LieAlgebra, a: Sequence) -> bool:
         for k, c in expansion.items():
             ad[k][j] += av[i] * c
             ad[k][i] -= av[j] * c
-    scale = math.lcm(*(x.denominator for row in ad for x in row))
-    power = [[int(x * scale) for x in row] for row in ad]
-    exponent = 1
-    while exponent < n:
-        power = _int_square(power)
-        exponent *= 2
-    return not any(any(row) for row in power)
+    return fraction_is_nilpotent(ad)

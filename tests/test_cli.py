@@ -366,6 +366,22 @@ def test_unreadable_file_is_reported(tmp_path):
     assert "error" in text
 
 
+@pytest.mark.parametrize("data, error", [
+    (b"dim 1\nbasis x\n[x,x] = \xffx\n", "line 3, column 9: byte 0xff"),
+    (b"# caf\xc3\xa9 \xff\ndim 1\n", "line 1, column 8: byte 0xff"),  # columns count characters
+    (b"dim 1\r\nbasis x\r# \xfe\n", "line 3, column 3: byte 0xfe"),  # CR LF and CR end lines
+    (b"dim 1\n\xe2\x82", "line 2, column 1: byte 0xe2"),  # a cut-off sequence
+], ids=["bracket", "comment", "cr", "cut-off"])
+def test_a_file_that_is_not_utf8_is_located(tmp_path, capsys, data, error):
+    path = tmp_path / "g.lie"
+    path.write_bytes(data)
+    code, out = capture(["validate", str(path)])
+    assert (code, out) == (1, f"command: validate\nerror: {error} is not UTF-8\n")
+    code, out = capture(["info", str(path), "--format=json"])
+    assert (code, json.loads(out)) == (1, {"command": "info", "error": f"{error} is not UTF-8"})
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path):
     path = write(tmp_path, "bad.txt", "dim 2\nbasis a b\n[a,a] = b\n")
     code, text = capture(["info", path])

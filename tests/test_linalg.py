@@ -21,7 +21,6 @@ from lienil.linalg import (
     invert,
     is_nilpotent,
     kernel_image,
-    kron,
     nilpotency_exponent,
     rational_eigenvalues,
     rational_roots,
@@ -31,7 +30,6 @@ from lienil.linalg import (
 from support import (
     FractionMatrix,
     fraction_invert,
-    fraction_kron,
     fraction_rref,
     fraction_trace_product,
     matrix_power,
@@ -263,14 +261,6 @@ def test_trace_product_agrees_with_full_product():
     a = Matrix.from_rows([[1, 2], [0, F(1, 3)]])
     b = Matrix.from_rows([[-1, 4], [2, 2]])
     assert trace_product(a, b) == (a @ b).trace()
-
-
-def test_kron_shapes_and_values():
-    a = Matrix.from_rows([[1, 2]])
-    b = Matrix.from_rows([[3], [4]])
-    k = kron(a, b)
-    assert (k.rows, k.cols) == (2, 2)
-    assert k == Matrix.from_rows([[3, 6], [4, 8]])
 
 
 def test_invert_round_trip():
@@ -522,10 +512,6 @@ def test_matrix_operations_match_fraction_reference(seed):
         for k in (0, 2):
             right, right_ref = _twin(rng, m.cols, k)
             _assert_twin(m @ right, ref @ right_ref)
-        for shape in ((2, 2), (0, 2), (1, 3)):
-            small, small_ref = _twin(rng, *shape)
-            _assert_twin(kron(m, small), fraction_kron(ref, small_ref))
-            _assert_twin(kron(small, m), fraction_kron(small_ref, ref))
         across, across_ref = _twin(rng, m.cols, m.rows)
         assert trace_product(m, across) == fraction_trace_product(ref, across_ref)
         assert _reduced(m.ints, m.cols) == fraction_rref(ref.entries, ref.cols)

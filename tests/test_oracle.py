@@ -29,9 +29,13 @@ from lienil.semisimple import analyze
 
 from support import (
     corpus_members,
-    corpus_representation,
+    corpus_representations,
     criterion_2_cases,
+    fraction_action,
     fraction_corpus_outcomes,
+    fraction_is_nilpotent,
+    fraction_matrices,
+    fraction_rep_violations,
     heisenberg_algebra,
     in_derived_and_ad_nilpotent,
     matrix_power,
@@ -39,6 +43,7 @@ from support import (
     seeded_invertible_matrices,
     seeded_rational_bases,
     sl2_plus_sl2,
+    split_classical,
 )
 
 F = Fraction
@@ -321,13 +326,36 @@ def test_every_corpus_member_has_positive_dimension():
                     g.basis_names, depth, max_dim)
 
 
+def test_split_classical_verdicts_match_the_criterion_and_the_defining_matrix():
+    """Levi factors of types B, C and D: on split so(5), so(6), sp(4) and their semidirects
+    with the defining module, at basis vectors and seeded elements, every verdict equals
+    in_derived_and_ad_nilpotent, and on the three simple algebras it equals "the
+    defining matrix is nilpotent"."""
+    verdicts = []
+    for name, rep in split_classical():
+        g = rep.algebra
+        assert g.dim == {"so(5)": 10, "so(6)": 15, "sp(4)": 10}[name]
+        defining = fraction_matrices(rep)
+        ext = semidirect(g, rep, f"semidirect({name}, defining)").algebra
+        for algebra in (g, ext):
+            elements = [algebra.basis_element(i) for i in range(algebra.dim)]
+            elements += seeded_elements(algebra.dim, 4, seed=59)
+            for a in elements:
+                answer = nilpotent_in_all_reps(algebra, a).answer
+                assert answer == in_derived_and_ad_nilpotent(algebra, a), (name, algebra.dim, a)
+                if algebra is g:
+                    assert answer == fraction_is_nilpotent(fraction_action(defining, a).entries), (
+                        name, a)
+                verdicts.append(answer)
+    assert (len(verdicts), sum(verdicts)) == (109, 71)
+
+
 def test_corpus_members_materialize_and_validate():
     g = builtin("heisenberg").algebra
     members = corpus_members(g, 2, 8)
-    for m in members:
-        rep = corpus_representation(members, m.index)
-        assert rep.dim_v == m.dim
-        assert validate_rep(rep) == []
+    for m, mats in zip(members, corpus_representations(members), strict=True):
+        assert {(x.rows, x.cols) for x in mats} == {(m.dim, m.dim)}
+        assert fraction_rep_violations(g, mats) == []
 
 
 def test_corpus_outcomes_match_materialized_actions():
@@ -336,9 +364,8 @@ def test_corpus_outcomes_match_materialized_actions():
         g = builtin(name).algebra
         report = cross_validate(g, element, depth=2, max_dim=12)
         members = corpus_members(g, 2, 12)
-        for m, row in zip(members, report.outcomes):
-            rep = corpus_representation(members, m.index)
-            assert row.nilpotent == acts_nilpotently(rep, element)
+        for mats, row in zip(corpus_representations(members), report.outcomes, strict=True):
+            assert row.nilpotent == fraction_is_nilpotent(fraction_action(mats, element).entries)
 
 
 # The integer corpus states against the Fraction evaluator they replaced: on every

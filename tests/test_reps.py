@@ -8,25 +8,35 @@ import pytest
 
 import lienil.reps as reps
 from lienil.catalog import builtin, sl2_irrep
-from lienil.linalg import Matrix, Subspace, null_space, rational_eigenvalues
+from lienil.linalg import Matrix, Subspace, null_space
 from lienil.reps import (
     Representation,
     Weight,
     acts_nilpotently,
     adjoint_rep,
-    direct_sum,
-    dual,
     one_dim_rep,
     pullback,
     rational_weights,
-    tensor,
     trivial_rep,
     validate_rep,
     weight_space,
 )
 from lienil.semisimple import analyze, semisimple_quotient
 
-from support import corpus_members, criterion_2_cases, heisenberg_algebra, seeded_elements
+from support import (
+    FractionMatrix,
+    corpus_members,
+    criterion_2_cases,
+    fraction_action,
+    fraction_dual,
+    fraction_is_nilpotent,
+    fraction_matrices,
+    fraction_rep_violations,
+    fraction_sum,
+    fraction_tensor,
+    heisenberg_algebra,
+    seeded_elements,
+)
 
 F = Fraction
 
@@ -111,36 +121,49 @@ def test_pullback_kills_the_radical():
     assert rep.action((1, 0, 0, 1)).is_zero()
 
 
+# The corpus constructions, on the Fraction reference that materializes corpus members.
+
 def test_direct_sum_is_block_diagonal():
-    r1, r2 = sl2_irrep(1), sl2_irrep(2)
-    both = direct_sum(r1, r2)
-    assert both.dim_v == 5
-    assert validate_rep(both) == []
-    top = both.action((0, 1, 0))
+    r1, r2 = fraction_matrices(sl2_irrep(1)), fraction_matrices(sl2_irrep(2))
+    both = fraction_sum(r1, r2)
+    assert {(m.rows, m.cols) for m in both} == {(5, 5)}
+    assert fraction_rep_violations(sl2(), both) == []
+    for m, a, b in zip(both, r1, r2):
+        assert m.entries == (tuple((*row, 0, 0, 0) for row in a.entries)
+                             + tuple((0, 0, *row) for row in b.entries))
+    top = fraction_action(both, (0, 1, 0))
     assert [top.entries[i][i] for i in range(5)] == [1, -1, 2, 0, -2]
 
 
 def test_tensor_eigenvalues_add():
-    r = sl2_irrep(1)
-    prod = tensor(r, r)
-    assert prod.dim_v == 4
-    assert validate_rep(prod) == []
-    h_action = prod.action((0, 1, 0))
-    assert sorted(h_action.entries[i][i] for i in range(4)) == [-2, 0, 0, 2]
-    assert rational_eigenvalues(h_action) == [-2, 0, 2]
+    r = fraction_matrices(sl2_irrep(1))
+    prod = fraction_tensor(r, r)
+    assert {(m.rows, m.cols) for m in prod} == {(4, 4)}
+    assert fraction_rep_violations(sl2(), prod) == []
+    h_action = fraction_action(prod, (0, 1, 0))  # h acts on V1 by diag(1, -1)
+    assert h_action == FractionMatrix.from_rows([[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                                                 [0, 0, 0, -2]])
+    # A character's value adds to every eigenvalue: on borel2, x -> 3 h_coefficient.
+    g = builtin("borel2").algebra
+    ad, character = fraction_matrices(adjoint_rep(g)), fraction_matrices(one_dim_rep(g, (3, 0)))
+    shifted = fraction_tensor(ad, character)
+    assert fraction_rep_violations(g, shifted) == []
+    for a in seeded_elements(2, 4, seed=41):
+        assert fraction_action(shifted, a) == fraction_action(ad, a) + (
+            FractionMatrix.identity(2).scaled(3 * a[0]))
 
 
 def test_dual_negates_transpose():
-    r = sl2_irrep(2)
-    co = dual(r)
-    assert validate_rep(co) == []
+    r = fraction_matrices(sl2_irrep(2))
+    co = fraction_dual(r)
+    assert fraction_rep_violations(sl2(), co) == []
     for a in seeded_elements(3, 4, seed=43):
-        assert co.action(a) == r.action(a).transpose().scaled(-1)
+        assert fraction_action(co, a) == -fraction_action(r, a).transpose()
 
 
 def test_dual_is_an_involution_up_to_matrices():
-    r = sl2_irrep(1)
-    assert dual(dual(r)).matrices == r.matrices
+    r = fraction_matrices(sl2_irrep(1))
+    assert fraction_dual(fraction_dual(r)) == r
 
 
 def test_one_dim_rep_requires_vanishing_on_brackets():
@@ -189,10 +212,12 @@ def test_one_dim_rep_on_sl2_must_be_zero():
 
 
 def test_constructed_reps_stay_valid_under_composition():
-    r = adjoint_rep(builtin("gl2").algebra)
-    layered = tensor(dual(r), direct_sum(r, trivial_rep(r.algebra, 1)))
-    assert layered.dim_v == 20
-    assert validate_rep(layered) == []
+    g = builtin("gl2").algebra
+    r = fraction_matrices(adjoint_rep(g))
+    layered = fraction_tensor(fraction_dual(r),
+                              fraction_sum(r, fraction_matrices(trivial_rep(g, 1))))
+    assert {(m.rows, m.cols) for m in layered} == {(20, 20)}
+    assert fraction_rep_violations(g, layered) == []
 
 
 # --- nilpotent action -------------------------------------------------------------
@@ -214,10 +239,10 @@ def test_trivial_rep_always_acts_nilpotently():
 def test_nilpotent_actions_closed_under_sum_and_tensor():
     a = (1, 0, 0)
     for m, k in ((1, 2), (2, 3)):
-        r1, r2 = sl2_irrep(m), sl2_irrep(k)
-        assert acts_nilpotently(direct_sum(r1, r2), a)
-        assert acts_nilpotently(tensor(r1, r2), a)
-        assert acts_nilpotently(dual(r1), a)
+        r1, r2 = fraction_matrices(sl2_irrep(m)), fraction_matrices(sl2_irrep(k))
+        for built in (fraction_sum(r1, r2), fraction_tensor(r1, r2), fraction_dual(r1)):
+            assert fraction_is_nilpotent(fraction_action(built, a).entries)
+        assert not fraction_is_nilpotent(fraction_action(fraction_sum(r1, r2), (0, 1, 0)).entries)
 
 
 # --- weights -----------------------------------------------------------------------
