@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace
-from .reps import Representation, adjoint_rep, trivial_rep, validate_rep
+from .reps import Representation, adjoint_rep, validate_rep
 from .semisimple import ConsistencyError, is_semisimple, radical
 
 # Above this a family member is refused: upper_triangular(10), 55 dimensions, takes about
@@ -83,35 +83,34 @@ _TABLES = {  # name: (basis names, [e_i, e_j] for i < j, radical indices, derive
 }
 
 
-@lru_cache(maxsize=None)
-def _table_algebra(name: str) -> LieAlgebra:
-    names = _TABLES[name][0].split()
-    return LieAlgebra(len(names), names, _TABLES[name][1])
-
-
 def _table_entry(name: str) -> CatalogEntry:
-    algebra = _table_algebra(name)
-    _, _, radical_indices, derived_indices = _TABLES[name]
-    irreducibles = tuple(sl2_irrep(m) for m in range(5)) if name == "sl2" else ()
+    names, table, radical_indices, derived_indices = _TABLES[name]
+    algebra = LieAlgebra(len(names.split()), names.split(), table)
+    irreducibles = tuple(_sl2_irrep(algebra, m) for m in range(5)) if name == "sl2" else ()
     if not radical_indices:
         irreducibles += (adjoint_rep(algebra),)
     return _entry(name, algebra, _units(algebra.dim, radical_indices),
                   _units(algebra.dim, derived_indices), irreducibles)
 
 
+def _sl2_irrep(sl2: LieAlgebra, m: int) -> Representation:
+    """sl2_irrep(m) on this copy of the sl2 table."""
+    n = m + 1
+    mats = (_int_matrix(n, lambda r, c: (m - r) * (c == r + 1)),
+            _int_matrix(n, lambda r, c: (m - 2 * r) * (c == r)),
+            _int_matrix(n, lambda r, c: (c + 1) * (r == c + 1)))
+    return Representation(sl2, n, mats, f"sl2_irrep({m})")
+
+
 def sl2_irrep(m: int) -> Representation:
-    """The (m+1)-dimensional representation with highest weight m.
+    """The (m+1)-dimensional representation with highest weight m, on the sl2 entry's algebra.
 
     Diagonal action m, m-2, ..., -m; raising matrix sends v_{j+1} to
     (m-j) v_j and lowering sends v_j to (j+1) v_{j+1}.
     """
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
-    n = m + 1
-    mats = (_int_matrix(n, lambda r, c: (m - r) * (c == r + 1)),
-            _int_matrix(n, lambda r, c: (m - 2 * r) * (c == r)),
-            _int_matrix(n, lambda r, c: (c + 1) * (r == c + 1)))
-    return Representation(_table_algebra("sl2"), n, mats, f"sl2_irrep({m})")
+    return _sl2_irrep(builtin("sl2").algebra, m)
 
 
 def _matrix_unit(n: int, i: int, j: int) -> Matrix:
@@ -273,5 +272,5 @@ def irreducibles_for(algebra: LieAlgebra) -> tuple[Representation, ...]:
 
 __all__ = [
     "CatalogEntry", "builtin", "catalog_names", "irreducibles_for",
-    "semidirect", "sl2_irrep", "standard_entries", "trivial_rep",
+    "semidirect", "sl2_irrep", "standard_entries",
 ]

@@ -129,6 +129,7 @@ def parse_algebra(text: str) -> LieAlgebra:
         for column, char in enumerate(line, 1):  # \s, split and strip read many as spaces
             if not (char.isprintable() or char == "\t"):
                 raise ParseError(f"character {char!r} outside a comment", line_no, column)
+        indent = len(line) - len(line.lstrip(" \t"))  # columns count on the raw line
         line = line.strip(" \t")
         if not line:
             continue
@@ -138,7 +139,7 @@ def parse_algebra(text: str) -> LieAlgebra:
             match = _DIM_RE.match(line)
             if match is None:
                 raise ParseError("dim line must be `dim <n>`", line_no)
-            dim = _rational(match.group(1), line_no, match.start(1) + 1).numerator
+            dim = _rational(match.group(1), line_no, indent + match.start(1) + 1).numerator
             continue
         if line.split()[0] == "basis":
             if dim is None:
@@ -170,7 +171,7 @@ def parse_algebra(text: str) -> LieAlgebra:
             if i == j:
                 raise ParseError(f"diagonal bracket [{left},{left}] is identically zero",
                                  line_no)
-            expansion = _parse_terms(match.group(3), line_no, match.start(3), index_of)
+            expansion = _parse_terms(match.group(3), line_no, indent + match.start(3), index_of)
             key = (i, j) if i < j else (j, i)
             if key in table:
                 raise ParseError(f"duplicate bracket line for pair ({left}, {right})", line_no)

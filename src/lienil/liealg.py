@@ -336,14 +336,6 @@ class LieAlgebra(_Frozen):
                     for i in range(self.dim) for j in range(i + 1, self.dim)}
         return LieAlgebra._from_ints(names, products, p_inv.scale * self._scale * p.scale ** 2)
 
-    def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
-        names = tuple(f"{n}.0" for n in self.basis_names) + tuple(
-            f"{n}.1" for n in other.basis_names)
-        off = self.dim
-        table = {**self.table, **{(i + off, j + off): {k + off: c for k, c in val.items()}
-                                  for (i, j), val in other.table.items()}}
-        return LieAlgebra(self.dim + other.dim, names, table)
-
     def format_element(self, v: Sequence) -> str:
         vec = self.element(v)
         parts = [f"{c}*{name}" for c, name in zip(vec, self.basis_names) if c]

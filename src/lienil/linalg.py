@@ -329,13 +329,6 @@ class Subspace(_Frozen):
     def contains(self, v: Sequence) -> bool:
         return not any(self._eliminate(*self._as_ints(v))[0])
 
-    def coordinates(self, v: Sequence) -> Vector | None:
-        """Coefficients of v against ``basis`` (not ``rows``), or None if outside."""
-        if not self.contains(v):
-            return None
-        vec = as_vector(v)
-        return tuple(vec[p] for p in self.pivots)
-
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
         return not any(any(self._eliminate(list(row))[0]) for row in other.rows)

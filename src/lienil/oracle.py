@@ -165,9 +165,11 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     non-nilpotent, then all nilpotent.  Seeds: the adjoint, the Structure's pulled-back
     adjoint of g/rad(g), the catalog's irreducibles and one character per canonical
     functional, each built only if 1 to max_dim wide (sum(x, 0) = x; 0-wide tests
-    nothing), the first of those with equal matrices kept.  Distinct functionals give
-    distinct characters, so a character is compared only with the 1-wide seeds before
-    it, and never hashed.
+    nothing), the first of the adjoint, pulled-back adjoint and irreducibles with equal
+    matrices kept.  Characters are appended as built and never compared: distinct
+    functionals give distinct characters, each nonzero (a functional is 1 at its free
+    coordinate), while a 1-wide seed before them is the zero adjoint of a 1-dimensional
+    algebra or an irreducible of the perfect sl2, which has no characters.
     Each closure level applies the operators in the order dual, sum, tensor; binary
     operators run over unordered index pairs in ascending lexicographic order, restricted
     to pairs that involve the previous level (swapping operands yields a
@@ -193,9 +195,8 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
                 *([structure.quotient_adjoint] if structure.quotient.target.dim in widths else ()),
                 *(rep for rep in irreducibles_for(algebra) if rep.dim_v in widths)):
         unique.setdefault((rep.dim_v, rep.matrices), rep)
-    one_wide = [rep.matrices for rep in unique.values() if rep.dim_v == 1]
     characters = (one_dim_rep(algebra, xi) for xi in structure.functionals if 1 in widths)
-    seeds = (*unique.values(), *(rep for rep in characters if rep.matrices not in one_wide))
+    seeds = (*unique.values(), *characters)
     steps: list[tuple[int, int, int]] = []
     supports = [1 << k for k in range(len(seeds))]
     dims = [rep.dim_v for rep in seeds]

@@ -1,8 +1,15 @@
-"""Emit one pass/fail line per numbered acceptance criterion."""
+"""Emit one pass/fail line per numbered acceptance criterion, and print a
+``@reproduce_failure`` blob for every failing property test, since each run
+draws fresh examples."""
 
 from __future__ import annotations
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("tier1", print_blob=True)
+settings.load_profile("tier1")
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 

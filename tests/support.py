@@ -3,6 +3,7 @@ reference implementations that the library itself no longer calls."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -59,13 +60,18 @@ def with_rational_basis_changes(g: LieAlgebra, count: int = 3, seed: int = 71) -
 
 
 def sl2_plus_sl2() -> LieAlgebra:
+    """sl2 (+) sl2 on the basis e.0 h.0 f.0 e.1 h.1 f.1: sl2's table, then its copy
+    shifted by 3."""
     one = builtin("sl2").algebra
-    return one.direct_sum(one)
+    names = [f"{name}.{copy}" for copy in (0, 1) for name in one.basis_names]
+    return LieAlgebra(2 * one.dim, names, {
+        (i + shift, j + shift): {k + shift: c for k, c in value.items()}
+        for shift in (0, one.dim) for (i, j), value in one.table.items()})
 
 
 def split_classical() -> list[tuple[str, Representation]]:
-    """Split so(5), so(6) and sp(4) (Levi types B2, D3 and C2), each built by
-    catalog._algebra_from_matrices, as the defining representation of that algebra.
+    """Split so(5), so(6), so(7), sp(4) and sp(6) (Levi types B2, D3, B3, C2 and C3), each
+    built by catalog._algebra_from_matrices, as the defining representation of that algebra.
     so(n) is {X : X^T J + J X = 0} for the antidiagonal J, on the basis
     E_ij - E_{n-1-j, n-1-i} for i + j < n - 1; sp(2l) is the [[A, B], [C, -A^T]] with B
     and C symmetric, on the basis E_ij - E_{l+j, l+i} and the E_{i, l+j} + E_{j, l+i} and
@@ -74,13 +80,13 @@ def split_classical() -> list[tuple[str, Representation]]:
         return Matrix.from_rows([[terms.get((r, c), 0) for c in range(n)] for r in range(n)])
 
     bases = {f"so({n})": [matrix(n, {(i, j): 1, (n - 1 - j, n - 1 - i): -1})
-                          for i in range(n) for j in range(n - 1 - i)] for n in (5, 6)}
-    l = 2
-    pairs = [(i, j) for i in range(l) for j in range(i, l)]
-    bases[f"sp({2 * l})"] = (
-        [matrix(2 * l, {(i, j): 1, (l + j, l + i): -1}) for i in range(l) for j in range(l)]
-        + [matrix(2 * l, {(i, l + j): 1, (j, l + i): 1}) for i, j in pairs]
-        + [matrix(2 * l, {(l + i, j): 1, (l + j, i): 1}) for i, j in pairs])
+                          for i in range(n) for j in range(n - 1 - i)] for n in (5, 6, 7)}
+    for l in (2, 3):
+        pairs = [(i, j) for i in range(l) for j in range(i, l)]
+        bases[f"sp({2 * l})"] = (
+            [matrix(2 * l, {(i, j): 1, (l + j, l + i): -1}) for i in range(l) for j in range(l)]
+            + [matrix(2 * l, {(i, l + j): 1, (j, l + i): 1}) for i, j in pairs]
+            + [matrix(2 * l, {(l + i, j): 1, (l + j, i): 1}) for i, j in pairs])
     out = []
     for name, mats in bases.items():
         g = _algebra_from_matrices(tuple(f"x{k}" for k in range(len(mats))), mats)
@@ -242,11 +248,11 @@ def matrix_power(m: Matrix, exponent: int) -> Matrix:
 
 def _restrict_to_subalgebra(algebra: LieAlgebra, space: Subspace) -> LieAlgebra:
     """The bracket restricted to a subspace closed under it (the solvability reference)."""
-    def product(i: int, j: int) -> Vector:
-        coords = space.coordinates(algebra.bracket(space.basis[i], space.basis[j]))
-        if coords is None:
+    def product(i: int, j: int) -> Vector:  # coefficients against space.basis: pivot entries
+        value = algebra.bracket(space.basis[i], space.basis[j])
+        if not space.contains(value):
             raise ValueError("subspace is not closed under the bracket")
-        return coords
+        return tuple(value[p] for p in space.pivots)
 
     n = space.dim
     return LieAlgebra(n, tuple(f"s{i}" for i in range(n)), {
@@ -555,18 +561,26 @@ def fraction_is_nilpotent(entries: Sequence[Sequence[Fraction]]) -> bool:
     return not any(any(row) for row in power)
 
 
+@functools.lru_cache(maxsize=8)  # callers decide many elements of one algebra in a row
+def _derived_basis(g: LieAlgebra) -> tuple[Vector, ...]:
+    """A basis of [g, g]: fraction_rref of the table's values, once per algebra."""
+    values = [[expansion.get(k, _ZERO) for k in range(g.dim)] for expansion in g.table.values()]
+    return fraction_rref(values, g.dim)[0]
+
+
 def in_derived_and_ad_nilpotent(g: LieAlgebra, a: Sequence) -> bool:
     """a lies in [g, g] and ad_g(a) is nilpotent, which holds exactly when a acts
     nilpotently in every representation.
 
-    Membership compares the ranks of the table's values with and without a, each by
-    fraction_rref.  ad_g(a) is filled from the public table, cleared to integers and
-    squared until the exponent reaches dim g; it is nilpotent iff that power is zero.
+    Membership compares the rank of the table's values, by fraction_rref once per
+    algebra, with the rank of their reduced rows and a.  ad_g(a) is filled from the
+    public table, cleared to integers and squared until the exponent reaches dim g; it
+    is nilpotent iff that power is zero.
     """
     n = g.dim
     av = [Fraction(x) for x in a]
-    values = [[expansion.get(k, _ZERO) for k in range(n)] for expansion in g.table.values()]
-    if len(fraction_rref(values + [av], n)[1]) != len(fraction_rref(values, n)[1]):
+    basis = _derived_basis(g)
+    if len(fraction_rref([*basis, av], n)[1]) != len(basis):
         return False
     ad = [[_ZERO] * n for _ in range(n)]  # ad[k][j]: e_k's coefficient in [a, e_j]
     for (i, j), expansion in g.table.items():

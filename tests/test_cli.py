@@ -382,6 +382,19 @@ def test_a_file_that_is_not_utf8_is_located(tmp_path, capsys, data, error):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("dim 3\nbasis x y z\n    [x,y] = 2 q\n", "line 3, column 15: unknown basis name 'q'"),
+    ("dim 3\nbasis x y z\n\t[x,y] = 1/0 z\n", "line 3, column 10: zero denominator in '1/0'"),
+    (f"  dim 1{0:04300d}\n", "line 1, column 7: number too long (4301 characters)"),
+], ids=["spaces", "tab", "dim"])
+def test_an_error_on_an_indented_line_is_located_on_the_raw_line(tmp_path, text, error):
+    path = write(tmp_path, "g.lie", text)
+    code, out = capture(["validate", path])
+    assert (code, out) == (1, f"command: validate\nerror: {error}\n")
+    code, out = capture(["validate", path, "--format=json"])
+    assert (code, json.loads(out)) == (1, {"command": "validate", "error": error})
+
+
 def test_parse_error_exit_code(tmp_path):
     path = write(tmp_path, "bad.txt", "dim 2\nbasis a b\n[a,a] = b\n")
     code, text = capture(["info", path])

@@ -412,16 +412,6 @@ def test_change_of_basis_rejects_the_wrong_shape(basis):
         sl2().change_of_basis(basis)
 
 
-def test_direct_sum_structure():
-    g = sl2().direct_sum(heisenberg())
-    assert g.dim == 6
-    g.validate()
-    # cross terms vanish
-    left = g.element((1, 1, 1, 0, 0, 0))
-    right = g.element((0, 0, 0, 1, 1, 1))
-    assert g.bracket(left, right) == (0,) * 6
-
-
 # --- one integer form for the structure constants ------------------------------------
 
 def _fractions_in(value) -> bool:

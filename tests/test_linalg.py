@@ -142,17 +142,6 @@ def test_intersect_planes():
     assert xy.intersect(xz) == Subspace.from_vectors(3, [[1, 0, 0]])
 
 
-def test_coordinates_roundtrip():
-    s = Subspace.from_vectors(3, [[1, 0, 2], [0, 1, -1]])
-    v = (F(3), F(-2), F(8))
-    coords = s.coordinates(v)
-    assert coords is not None
-    rebuilt = [F(0)] * 3
-    for c, b in zip(coords, s.basis):
-        rebuilt = [r + c * x for r, x in zip(rebuilt, b)]
-    assert tuple(rebuilt) == v
-
-
 # --- generalized eigenspaces -------------------------------------------------
 
 def test_generalized_eigenspace_identity():

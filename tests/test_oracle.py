@@ -44,6 +44,7 @@ from support import (
     seeded_rational_bases,
     sl2_plus_sl2,
     split_classical,
+    with_rational_basis_changes,
 )
 
 F = Fraction
@@ -260,6 +261,24 @@ def test_corpus_levels_and_dedup():
     assert len(seeds) >= 2  # adjoint plus attached irreducibles
 
 
+def test_corpus_seeds_are_distinct_without_comparing_characters():
+    """_corpus appends characters without comparing them: on the 13 standard entries, the
+    semidirects of sl2 with its irreducibles of highest weight 0 to 3 and sl2 (+) sl2, each
+    also under two rational basis changes, at caps 1, 3, 8 and 128, the seeds have pairwise
+    distinct (dim_v, matrices), so no character equals another seed."""
+    sl2 = builtin("sl2").algebra
+    family = ([entry.algebra for entry in standard_entries()]
+              + [semidirect(sl2, sl2_irrep(m)).algebra for m in range(4)] + [sl2_plus_sl2()])
+    seeds = characters = 0
+    for g in (moved for algebra in family for moved in with_rational_basis_changes(algebra, 2)):
+        for cap in (1, 3, 8, 128):
+            kept = _corpus(g, 0, cap)[0]
+            assert len({(rep.dim_v, rep.matrices) for rep in kept}) == len(kept), (g, cap)
+            seeds += len(kept)
+            characters += sum(rep.label.startswith("character(") for rep in kept)
+    assert (seeds, characters) == (425, 228)
+
+
 def test_corpus_respects_dimension_cap():
     g = builtin("sl2").algebra
     members = corpus_members(g, 2, 16)
@@ -327,19 +346,20 @@ def test_every_corpus_member_has_positive_dimension():
 
 
 def test_split_classical_verdicts_match_the_criterion_and_the_defining_matrix():
-    """Levi factors of types B, C and D: on split so(5), so(6), sp(4) and their semidirects
-    with the defining module, at basis vectors and seeded elements, every verdict equals
-    in_derived_and_ad_nilpotent, and on the three simple algebras it equals "the
+    """Levi factors of types B, C and D: on split so(5), so(6), so(7), sp(4), sp(6) and
+    their semidirects with the defining module, at basis vectors and seeded elements (4
+    per algebra, 2 on the dimension-21 algebras and their semidirects), every verdict
+    equals in_derived_and_ad_nilpotent, and on the five simple algebras it equals "the
     defining matrix is nilpotent"."""
     verdicts = []
     for name, rep in split_classical():
         g = rep.algebra
-        assert g.dim == {"so(5)": 10, "so(6)": 15, "sp(4)": 10}[name]
+        assert g.dim == {"so(5)": 10, "so(6)": 15, "so(7)": 21, "sp(4)": 10, "sp(6)": 21}[name]
         defining = fraction_matrices(rep)
         ext = semidirect(g, rep, f"semidirect({name}, defining)").algebra
         for algebra in (g, ext):
             elements = [algebra.basis_element(i) for i in range(algebra.dim)]
-            elements += seeded_elements(algebra.dim, 4, seed=59)
+            elements += seeded_elements(algebra.dim, 2 if g.dim == 21 else 4, seed=59)
             for a in elements:
                 answer = nilpotent_in_all_reps(algebra, a).answer
                 assert answer == in_derived_and_ad_nilpotent(algebra, a), (name, algebra.dim, a)
@@ -347,7 +367,7 @@ def test_split_classical_verdicts_match_the_criterion_and_the_defining_matrix():
                     assert answer == fraction_is_nilpotent(fraction_action(defining, a).entries), (
                         name, a)
                 verdicts.append(answer)
-    assert (len(verdicts), sum(verdicts)) == (109, 71)
+    assert (len(verdicts), sum(verdicts)) == (214, 156)
 
 
 def test_corpus_members_materialize_and_validate():
