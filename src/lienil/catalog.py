@@ -10,9 +10,9 @@ of ``_TABLES`` (basis names, the brackets [e_i, e_j] for i < j, and the basis
 indices spanning the declared radical and derived subalgebra); sl3, gl2 and the
 triangular families (one function builds both) are matrix algebras; and
 ``abelian(n)`` has no brackets.  A family member of more than
-``_MAX_FAMILY_DIM`` dimensions is refused before any of it is built.  Entries
-for sl2-like algebras also carry representations that are irreducible by
-construction — irreducibility itself is never decided.
+``_MAX_FAMILY_DIM`` dimensions is refused before any of it is built.  Only the
+sl2 entry carries representations, its modules of highest weight 0 to 4, irreducible
+by construction (irreducibility itself is never decided); no entry carries its adjoint.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace
-from .reps import Representation, adjoint_rep, validate_rep
+from .reps import Representation, validate_rep
 from .semisimple import ConsistencyError, is_semisimple, radical
 
 # Above this a family member is refused: upper_triangular(10), 55 dimensions, takes about
@@ -87,8 +87,6 @@ def _table_entry(name: str) -> CatalogEntry:
     names, table, radical_indices, derived_indices = _TABLES[name]
     algebra = LieAlgebra(len(names.split()), names.split(), table)
     irreducibles = tuple(_sl2_irrep(algebra, m) for m in range(5)) if name == "sl2" else ()
-    if not radical_indices:
-        irreducibles += (adjoint_rep(algebra),)
     return _entry(name, algebra, _units(algebra.dim, radical_indices),
                   _units(algebra.dim, derived_indices), irreducibles)
 
@@ -141,7 +139,7 @@ def _sl3() -> CatalogEntry:
     algebra = _algebra_from_matrices(names, [
         unit[0][1], unit[0][2], unit[1][2], unit[0][0] - unit[1][1], unit[1][1] - unit[2][2],
         unit[1][0], unit[2][0], unit[2][1]])
-    return _entry("sl3", algebra, [], _units(8, range(8)), (adjoint_rep(algebra),))
+    return _entry("sl3", algebra, [], _units(8, range(8)))
 
 
 def _gl2() -> CatalogEntry:
@@ -259,15 +257,14 @@ def semidirect(s: LieAlgebra, rep: Representation, name: str | None = None) -> C
 def irreducibles_for(algebra: LieAlgebra) -> tuple[Representation, ...]:
     """Irreducible representations the catalog attaches to this exact algebra.
 
-    Lookup is by exact table equality against the catalog fixtures that
-    carry attached representations; anything else gets none.  Only a fixture
-    of the algebra's dimension is built, since equal algebras have equal dims.
+    Only the sl2 entry carries any, so lookup is by exact table equality with it, and
+    anything else gets none.  The entry is built only for a 3-dimensional algebra, since
+    equal algebras have equal dims.
     """
-    for name in {3: ("sl2", "so3"), 8: ("sl3",)}.get(algebra.dim, ()):
-        entry = builtin(name)
-        if entry.algebra == algebra:
-            return entry.irreducibles
-    return ()
+    if algebra.dim != 3:
+        return ()
+    entry = builtin("sl2")
+    return entry.irreducibles if entry.algebra == algebra else ()
 
 
 __all__ = [

@@ -224,14 +224,15 @@ class LieAlgebra(_Frozen):
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g]: the span of the table's values, the brackets of basis pairs, spanned once
-        and kept.  It is the one source of [g, g]: the series, the radical, the canonical
-        functionals, characters and the verdict all read this object."""
+        and kept.  Each distinct value is one row, in first-seen order, made dense as the
+        elimination reads it.  It is the one source of [g, g]: the series, the radical, the
+        canonical functionals, characters and the verdict all read this object."""
         return self._derived
 
     @cached_property
     def _derived(self) -> Subspace:
-        return Subspace._span(self.dim, ([self._constants[i][j].get(k, 0) for k in range(self.dim)]
-                                         for (i, j), _ in self._table_key[1]))
+        values = map(dict, dict.fromkeys(expansion for _, expansion in self._table_key[1]))
+        return Subspace._span(self.dim, ([v.get(k, 0) for k in range(self.dim)] for v in values))
 
     def derived_series(self, start: Subspace | None = None) -> list[Subspace]:
         """The chain s >= [s,s] >= ... from the subalgebra s = start (default g),

@@ -162,14 +162,15 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     support is the bit mask of the seeds it is built from: 1 << k for seed k, its
     operand's for a dual, the OR of its operands' for a sum or tensor.  rows is two
     tuples of report rows, which carry the dimensions, one per member in each: all
-    non-nilpotent, then all nilpotent.  Seeds: the adjoint, the Structure's pulled-back
-    adjoint of g/rad(g), the catalog's irreducibles and one character per canonical
-    functional, each built only if 1 to max_dim wide (sum(x, 0) = x; 0-wide tests
-    nothing), the first of the adjoint, pulled-back adjoint and irreducibles with equal
-    matrices kept.  Characters are appended as built and never compared: distinct
-    functionals give distinct characters, each nonzero (a functional is 1 at its free
-    coordinate), while a 1-wide seed before them is the zero adjoint of a 1-dimensional
-    algebra or an irreducible of the perfect sl2, which has no characters.
+    non-nilpotent, then all nilpotent.  Seeds, each built only if 1 to max_dim wide
+    (sum(x, 0) = x; 0-wide tests nothing): the adjoint; the Structure's pulled-back
+    adjoint of g/rad(g) unless rad(g) = 0, where its matrices are the adjoint's; the
+    catalog's irreducibles, which only sl2 has; one character per canonical functional.
+    No two seeds are equal, so none is compared: a pulled-back adjoint is narrower than
+    the adjoint, sl2_irrep(2) is not sl2's adjoint, the perfect sl2 has no characters,
+    and distinct functionals give distinct nonzero characters (a functional is 1 at its
+    free coordinate), while the only other 1-wide seed is the zero adjoint of a
+    1-dimensional algebra.
     Each closure level applies the operators in the order dual, sum, tensor; binary
     operators run over unordered index pairs in ascending lexicographic order, restricted
     to pairs that involve the previous level (swapping operands yields a
@@ -190,13 +191,12 @@ def _corpus(algebra: LieAlgebra, depth: int, max_dim: int) -> tuple:
     if (depth, max_dim) in structure.corpora:
         return structure.corpora[depth, max_dim]
     widths = range(1, max_dim + 1)
-    unique: dict = {}  # (dim_v, matrices) -> the first seed with them, in one pass
-    for rep in (*([adjoint_rep(algebra)] if algebra.dim in widths else ()),
-                *([structure.quotient_adjoint] if structure.quotient.target.dim in widths else ()),
-                *(rep for rep in irreducibles_for(algebra) if rep.dim_v in widths)):
-        unique.setdefault((rep.dim_v, rep.matrices), rep)
-    characters = (one_dim_rep(algebra, xi) for xi in structure.functionals if 1 in widths)
-    seeds = (*unique.values(), *characters)
+    target = structure.quotient.target  # the algebra itself when rad(g) = 0
+    seeds = (*([adjoint_rep(algebra)] if algebra.dim in widths else ()),
+             *([structure.quotient_adjoint] if target is not algebra and target.dim in widths
+               else ()),
+             *(rep for rep in irreducibles_for(algebra) if rep.dim_v in widths),
+             *(one_dim_rep(algebra, xi) for xi in structure.functionals if 1 in widths))
     steps: list[tuple[int, int, int]] = []
     supports = [1 << k for k in range(len(seeds))]
     dims = [rep.dim_v for rep in seeds]

@@ -70,8 +70,9 @@ def sl2_plus_sl2() -> LieAlgebra:
 
 
 def split_classical() -> list[tuple[str, Representation]]:
-    """Split so(5), so(6), so(7), sp(4) and sp(6) (Levi types B2, D3, B3, C2 and C3), each
-    built by catalog._algebra_from_matrices, as the defining representation of that algebra.
+    """Split so(5), so(6), so(7), so(8), sp(4) and sp(6) (Levi types B2, D3, B3, D4, C2 and
+    C3), each built by catalog._algebra_from_matrices, as the defining representation of
+    that algebra.
     so(n) is {X : X^T J + J X = 0} for the antidiagonal J, on the basis
     E_ij - E_{n-1-j, n-1-i} for i + j < n - 1; sp(2l) is the [[A, B], [C, -A^T]] with B
     and C symmetric, on the basis E_ij - E_{l+j, l+i} and the E_{i, l+j} + E_{j, l+i} and
@@ -80,7 +81,7 @@ def split_classical() -> list[tuple[str, Representation]]:
         return Matrix.from_rows([[terms.get((r, c), 0) for c in range(n)] for r in range(n)])
 
     bases = {f"so({n})": [matrix(n, {(i, j): 1, (n - 1 - j, n - 1 - i): -1})
-                          for i in range(n) for j in range(n - 1 - i)] for n in (5, 6, 7)}
+                          for i in range(n) for j in range(n - 1 - i)] for n in (5, 6, 7, 8)}
     for l in (2, 3):
         pairs = [(i, j) for i in range(l) for j in range(i, l)]
         bases[f"sp({2 * l})"] = (

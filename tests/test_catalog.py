@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import io
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -114,10 +113,10 @@ def _fixture_digest(name: str) -> str:
 
 
 PINNED = {
-    "sl2": "9fd3ab18b746a103",
-    "sl3": "e780d587ba336220",
+    "sl2": "7b3b981ab4f39c1f",
+    "sl3": "e275dfb891255ac0",
     "gl2": "da9b3cd17480833d",
-    "so3": "c01b662a8a58d493",
+    "so3": "5852297c3996ec1e",
     "heisenberg": "806ba937774a227f",
     "nonabelian2": "1c3e1e4243f26aa1",
     "borel2": "7469c8234b76f78a",
@@ -249,17 +248,24 @@ def test_irreducibles_for_matches_catalog():
 
 
 def test_irreducibles_for_finds_every_fixture_with_representations():
-    for name in ("sl2", "sl3", "so3"):
-        entry = builtin(name)
-        assert entry.irreducibles and irreducibles_for(entry.algebra) == entry.irreducibles
+    """Only sl2 carries representations: so3 and sl3 attach nothing, not even their
+    adjoints, which the oracle builds for every algebra."""
+    assert [entry.name for entry in standard_entries() if entry.irreducibles] == ["sl2"]
+    entry = builtin("sl2")
+    assert irreducibles_for(entry.algebra) == entry.irreducibles
+    for name in ("so3", "sl3"):
+        assert builtin(name).irreducibles == irreducibles_for(builtin(name).algebra) == ()
 
 
 def test_irreducibles_for_builds_no_fixture_of_another_dimension(monkeypatch):
-    gl2 = builtin("gl2").algebra
-    fresh = lru_cache(maxsize=None)(builtin.__wrapped__)  # an empty cache; the shared one stays
-    monkeypatch.setattr(catalog, "builtin", fresh)
-    irreducibles_for(gl2)
-    assert fresh.cache_info().misses == 0
+    """irreducibles_for looks up no fixture for gl2 (dim 4) or the sl3 table (dim 8),
+    and only sl2 for the so3 table (dim 3)."""
+    names: list[str] = []
+    monkeypatch.setattr(catalog, "builtin", lambda n: names.append(n) or builtin(n))
+    for name, looked_up in (("gl2", []), ("sl3", []), ("so3", ["sl2"])):
+        names.clear()
+        irreducibles_for(builtin(name).algebra)  # this module's builtin is not the patched one
+        assert names == looked_up, name
 
 
 # --- semidirect extensions ---------------------------------------------------------------

@@ -346,20 +346,21 @@ def test_every_corpus_member_has_positive_dimension():
 
 
 def test_split_classical_verdicts_match_the_criterion_and_the_defining_matrix():
-    """Levi factors of types B, C and D: on split so(5), so(6), so(7), sp(4), sp(6) and
-    their semidirects with the defining module, at basis vectors and seeded elements (4
-    per algebra, 2 on the dimension-21 algebras and their semidirects), every verdict
-    equals in_derived_and_ad_nilpotent, and on the five simple algebras it equals "the
-    defining matrix is nilpotent"."""
+    """Levi factors of types B, C and D: on split so(5), so(6), so(7), so(8), sp(4), sp(6)
+    and their semidirects with the defining module, at basis vectors and seeded elements
+    (4 per algebra, 2 on the algebras of dimension 21 and 28 and their semidirects), every
+    verdict equals in_derived_and_ad_nilpotent, and on the six simple algebras it equals
+    "the defining matrix is nilpotent"."""
     verdicts = []
     for name, rep in split_classical():
         g = rep.algebra
-        assert g.dim == {"so(5)": 10, "so(6)": 15, "so(7)": 21, "sp(4)": 10, "sp(6)": 21}[name]
+        assert g.dim == {"so(5)": 10, "so(6)": 15, "so(7)": 21, "so(8)": 28, "sp(4)": 10,
+                         "sp(6)": 21}[name]
         defining = fraction_matrices(rep)
         ext = semidirect(g, rep, f"semidirect({name}, defining)").algebra
         for algebra in (g, ext):
             elements = [algebra.basis_element(i) for i in range(algebra.dim)]
-            elements += seeded_elements(algebra.dim, 2 if g.dim == 21 else 4, seed=59)
+            elements += seeded_elements(algebra.dim, 2 if g.dim >= 21 else 4, seed=59)
             for a in elements:
                 answer = nilpotent_in_all_reps(algebra, a).answer
                 assert answer == in_derived_and_ad_nilpotent(algebra, a), (name, algebra.dim, a)
@@ -367,7 +368,7 @@ def test_split_classical_verdicts_match_the_criterion_and_the_defining_matrix():
                     assert answer == fraction_is_nilpotent(fraction_action(defining, a).entries), (
                         name, a)
                 verdicts.append(answer)
-    assert (len(verdicts), sum(verdicts)) == (214, 156)
+    assert (len(verdicts), sum(verdicts)) == (282, 212)
 
 
 def test_corpus_members_materialize_and_validate():
@@ -587,15 +588,16 @@ def test_seeds_are_deduplicated_in_one_pass(monkeypatch):
     assert len(compared) <= 41
 
 
-def test_characters_are_never_hashed(monkeypatch):
-    """Distinct functionals give distinct characters: a depth-0 corpus of a dim-41
-    Heisenberg algebra hashes the adjoint's 41 matrices and none of its 40 characters'."""
+def test_a_corpus_hashes_no_matrix(monkeypatch):
+    """Each seed has one source, so none is compared with another: a depth-0 corpus of a
+    dim-41 Heisenberg algebra hashes none of the adjoint's 41 matrices or its 40
+    characters'."""
     hashed = []
     hash_of = Matrix.__hash__
     monkeypatch.setattr(Matrix, "__hash__", lambda m: hashed.append(m) or hash_of(m))
     seeds = _corpus(heisenberg_algebra(20), 0, 128)[0]
     assert [rep.dim_v for rep in seeds] == [41] + [1] * 40
-    assert len(hashed) == 41
+    assert hashed == []
 
 
 def test_depth_adds_report_rows_but_no_checking_power():
