@@ -25,8 +25,7 @@ _SOURCES = {name: module for module, names in (
               "pullback", "rational_weights", "trivial_rep", "validate_rep", "weight_space")),
     ("semisimple", ("ConsistencyError", "KillingForm", "is_nilpotent_element_image",
                     "is_nilpotent_element_power", "is_semisimple", "killing_form",
-                    "killing_matrix", "killing_orth", "radical", "semisimple_quotient",
-                    "shift_nilpotence_check")),
+                    "killing_matrix", "killing_orth", "radical", "shift_nilpotence_check")),
     ("catalog", ("builtin", "catalog")),
 ) for name in names}
 

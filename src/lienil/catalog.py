@@ -9,10 +9,11 @@ builder, and all of them start from integers: a bracket-table algebra is a row
 of ``_TABLES`` (basis names, the brackets [e_i, e_j] for i < j, and the basis
 indices spanning the declared radical and derived subalgebra); sl3, gl2 and the
 triangular families (one function builds both) are matrix algebras; and
-``abelian(n)`` has no brackets.  A family member of more than
-``_MAX_FAMILY_DIM`` dimensions is refused before any of it is built.  Only the
-sl2 entry carries representations, its modules of highest weight 0 to 4, irreducible
-by construction (irreducibility itself is never decided); no entry carries its adjoint.
+``abelian(n)`` has no brackets.  A family member of more than ``_MAX_FAMILY_DIM``
+dimensions is refused before any of it is built; any other entry is built, verified and
+cached once, under every spelling of its name.  Only the sl2 entry carries
+representations, its modules of highest weight 0 to 4, irreducible by construction
+(irreducibility itself is never decided); no entry carries its adjoint.
 """
 
 from __future__ import annotations
@@ -176,27 +177,29 @@ _FAMILIES = {  # name: (what n is, the dimension of member n, its builder)
 _NAME_RE = re.compile(r"([a-z_]+)\(([0-9]+)\)")
 
 
-@lru_cache(maxsize=None)
 def builtin(name: str) -> CatalogEntry:
     """Catalog lookup by name; parametric names look like ``abelian(3)``, in ASCII digits,
-    and a member of more than ``_MAX_FAMILY_DIM`` dimensions raises before it is built."""
+    and a member of more than ``_MAX_FAMILY_DIM`` dimensions raises before it is built.
+    Every spelling of a name (``abelian(003)``) reads its algebra's one cached entry."""
     if name in _PLAIN:
-        entry = _PLAIN[name]()
-    else:
-        match = _NAME_RE.fullmatch(name)
-        if match is None or match.group(1) not in _FAMILIES:
-            raise ValueError(f"unknown catalog name: {name!r}")
-        parameter, dimension, build = _FAMILIES[match.group(1)]
-        n = int(match.group(2))
-        if n < 1:
-            raise ValueError(f"{parameter} must be at least 1")
-        if dimension(n) > _MAX_FAMILY_DIM:
-            raise ValueError(f"catalog name {name!r} has dimension {dimension(n)}, "
-                             f"above the limit of {_MAX_FAMILY_DIM}")
-        canonical = f"{match.group(1)}({n})"  # no leading zeros: one entry per algebra
-        if name != canonical:
-            return builtin(canonical)
-        entry = build(n)
+        return _built(name, None)
+    match = _NAME_RE.fullmatch(name)
+    if match is None or match.group(1) not in _FAMILIES:
+        raise ValueError(f"unknown catalog name: {name!r}")
+    parameter, dimension, _ = _FAMILIES[match.group(1)]
+    n = int(match.group(2))
+    if n < 1:
+        raise ValueError(f"{parameter} must be at least 1")
+    if dimension(n) > _MAX_FAMILY_DIM:
+        raise ValueError(f"catalog name {name!r} has dimension {dimension(n)}, "
+                         f"above the limit of {_MAX_FAMILY_DIM}")
+    return _built(match.group(1), n)
+
+
+@lru_cache(maxsize=None)
+def _built(name: str, n: int | None) -> CatalogEntry:
+    """The verified entry of a plain name, or of a family's member n: one per algebra."""
+    entry = _PLAIN[name]() if n is None else _FAMILIES[name][2](n)
     entry.algebra.validate()  # a semidirect extension's Jacobi identity follows from its parts
     return _verified(entry)
 

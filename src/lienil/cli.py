@@ -113,8 +113,6 @@ def _parse_terms(rhs: str, line_no: int, offset: int,
         first = False
         while pos < len(rhs) and rhs[pos].isspace():
             pos += 1
-    if first:
-        raise ParseError("empty bracket right-hand side", line_no, offset + 1)
     return {k: c for k, c in expansion.items() if c}
 
 

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Values are ``fractions.Fraction`` at the API edge only, and this module alone turns
-integers into Fractions.  A ``Matrix`` stores integer rows over one positive scale, in
-lowest terms, and every matrix operation (sums, products, traces) works on those
-integers; its ``entries`` are a view.  A ``Subspace`` stores only its
-reduced row-echelon rows, each cleared to primitive integers, so spans, intersections
-and kernels stay in integers.  Elimination, reduction and nilpotency run
-fraction-free on integer rows; ``invert``, ``Subspace.basis`` and ``Subspace.projection``
-divide by the pivots.  Nothing is floating point, so ranks and kernels are exact, and
-matrices and subspaces are canonical, so equality is a plain ``==``.
+Rationals enter as ``int`` or ``fractions.Fraction`` only (``frac`` refuses text) and
+leave as Fractions; this module alone turns integers into Fractions.  A ``Matrix``
+stores integer rows over one positive scale, in lowest terms, and every matrix operation
+(sums, products, traces) works on those integers; its ``entries`` are a view.  A
+``Subspace`` stores only its reduced row-echelon rows, each cleared to primitive
+integers, so spans, intersections and kernels stay in integers.  Elimination, reduction
+and nilpotency run fraction-free on integer rows; ``invert``, ``Subspace.basis`` and
+``Subspace.projection`` divide by the pivots.  Nothing is floating point, so ranks and
+kernels are exact, and matrices and subspaces are canonical, so equality is a plain ``==``.
 
 Elimination reads its rows one at a time (``_echelon``): each is cleared at the pivots
 found so far and made primitive once, when kept, and no row is read once the rank is
@@ -31,10 +31,10 @@ _ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
-    """Coerce an int, string like ``-3/4``, or Fraction to an exact rational."""
+    """An int or a Fraction as an exact rational; anything else, text too, is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -44,7 +44,7 @@ def as_vector(coords: Iterable) -> Vector:
 
 
 def _exact(value) -> int | Fraction:
-    """An int or a Fraction as it is; anything else through ``frac``."""
+    """An int or a Fraction as it is; ``frac`` refuses anything else."""
     return value if isinstance(value, (int, Fraction)) else frac(value)
 
 
@@ -179,14 +179,6 @@ class Matrix(_Frozen):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
         return Fraction(sum(self.ints[i][i] for i in range(self.rows)), self.scale)
-
-
-def trace_product(a: Matrix, b: Matrix) -> Fraction:
-    """trace(a @ b) without forming the product."""
-    if a.cols != b.rows or a.rows != b.cols:
-        raise ValueError("shapes not compatible with a square product")
-    return Fraction(sum(x * b.ints[k][i] for i, arow in enumerate(a.ints)
-                        for k, x in enumerate(arow) if x), a.scale * b.scale)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:

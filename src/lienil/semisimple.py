@@ -1,9 +1,10 @@
 """Killing form, radical, and nilpotency tests for single elements.
 
 ``analyze`` gives each algebra one ``Structure``, which computes its Killing form,
-radical, semisimple quotient, canonical functionals and that quotient's pulled-back
-adjoint lazily, each once, and keeps its corpora; it keeps no [g, g], which is read
-from the algebra's ``derived_subalgebra``.  The public readers below read from it.
+radical, quotient map g -> g/rad(g) (``analyze(g).quotient``), canonical functionals and
+that quotient's pulled-back adjoint lazily, each once, and keeps its corpora; [g, g] is
+the algebra's ``derived_subalgebra``.  Its public readers are ``killing_matrix``,
+``radical``, ``is_semisimple`` and ``is_nilpotent_element_image``.
 Semisimplicity is Cartan's criterion: the Killing form is nondegenerate, ranked once
 per algebra.  The image test gates on it, and reads K(x, x) from the same gram before
 it eliminates.
@@ -43,7 +44,6 @@ from .linalg import (
     generalized_eigenspace,
     is_nilpotent,
     null_space,
-    trace_product,
 )
 
 
@@ -63,7 +63,7 @@ class KillingForm(NamedTuple):
 
 def killing_form(algebra: LieAlgebra, x, y) -> Fraction:
     """trace(ad x . ad y), computed directly from the two ad matrices."""
-    return trace_product(algebra.ad(x), algebra.ad(y))
+    return (algebra.ad(x) @ algebra.ad(y)).trace()
 
 
 def killing_matrix(algebra: LieAlgebra) -> KillingForm:
@@ -161,11 +161,6 @@ def shift_nilpotence_check(algebra: LieAlgebra, d: Matrix, lam, a) -> bool:
     if not generalized_eigenspace(d, lam).contains(av):
         raise ValueError("element is outside the generalized eigenspace for the eigenvalue")
     return is_nilpotent(algebra.ad(av))
-
-
-def semisimple_quotient(algebra: LieAlgebra) -> QuotientMap:
-    """Quotient by the radical; the target carries a nondegenerate Killing form."""
-    return analyze(algebra).quotient
 
 
 class Structure:

@@ -18,6 +18,14 @@ from lienil.oracle import _KINDS, _corpus
 from lienil.reps import Representation
 
 
+def outcome(call):
+    """What call() returns, or the type and arguments of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return (type(exc), *exc.args)
+
+
 def seeded_elements(dim: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
     """Reproducible element coordinates: small rationals, seed-determined."""
     rng = random.Random(seed)
@@ -69,6 +77,21 @@ def sl2_plus_sl2() -> LieAlgebra:
         for shift in (0, one.dim) for (i, j), value in one.table.items()})
 
 
+def _matrix(n: int, terms: dict[tuple[int, int], int]) -> Matrix:
+    """The n x n integer matrix whose (r, c) entry is terms[r, c], and 0 off the terms."""
+    return Matrix.from_rows([[terms.get((r, c), 0) for c in range(n)] for r in range(n)])
+
+
+def _defining(bases: dict[str, list[Matrix]]) -> list[tuple[str, Representation]]:
+    """Each named basis of matrices as the defining representation of the algebra that
+    catalog._algebra_from_matrices builds on it."""
+    out = []
+    for name, mats in bases.items():
+        g = _algebra_from_matrices(tuple(f"x{k}" for k in range(len(mats))), mats)
+        out.append((name, Representation(g, mats[0].rows, tuple(mats), "defining")))
+    return out
+
+
 def split_classical() -> list[tuple[str, Representation]]:
     """Split so(5), so(6), so(7), so(8), sp(4) and sp(6) (Levi types B2, D3, B3, D4, C2 and
     C3), each built by catalog._algebra_from_matrices, as the defining representation of
@@ -77,22 +100,26 @@ def split_classical() -> list[tuple[str, Representation]]:
     E_ij - E_{n-1-j, n-1-i} for i + j < n - 1; sp(2l) is the [[A, B], [C, -A^T]] with B
     and C symmetric, on the basis E_ij - E_{l+j, l+i} and the E_{i, l+j} + E_{j, l+i} and
     E_{l+i, j} + E_{l+j, i} for i <= j."""
-    def matrix(n: int, terms: dict[tuple[int, int], int]) -> Matrix:  # sum of c E_rc
-        return Matrix.from_rows([[terms.get((r, c), 0) for c in range(n)] for r in range(n)])
-
-    bases = {f"so({n})": [matrix(n, {(i, j): 1, (n - 1 - j, n - 1 - i): -1})
+    bases = {f"so({n})": [_matrix(n, {(i, j): 1, (n - 1 - j, n - 1 - i): -1})
                           for i in range(n) for j in range(n - 1 - i)] for n in (5, 6, 7, 8)}
     for l in (2, 3):
         pairs = [(i, j) for i in range(l) for j in range(i, l)]
         bases[f"sp({2 * l})"] = (
-            [matrix(2 * l, {(i, j): 1, (l + j, l + i): -1}) for i in range(l) for j in range(l)]
-            + [matrix(2 * l, {(i, l + j): 1, (j, l + i): 1}) for i, j in pairs]
-            + [matrix(2 * l, {(l + i, j): 1, (l + j, i): 1}) for i, j in pairs])
-    out = []
-    for name, mats in bases.items():
-        g = _algebra_from_matrices(tuple(f"x{k}" for k in range(len(mats))), mats)
-        out.append((name, Representation(g, mats[0].rows, tuple(mats), "defining")))
-    return out
+            [_matrix(2 * l, {(i, j): 1, (l + j, l + i): -1}) for i in range(l) for j in range(l)]
+            + [_matrix(2 * l, {(i, l + j): 1, (j, l + i): 1}) for i, j in pairs]
+            + [_matrix(2 * l, {(l + i, j): 1, (l + j, i): 1}) for i, j in pairs])
+    return _defining(bases)
+
+
+def compact_orthogonal() -> list[tuple[str, Representation]]:
+    """Compact so(3), so(4), so(5) and so(6), the antisymmetric n x n matrices on the basis
+    E_ij - E_ji for i < j, each built by catalog._algebra_from_matrices, as the defining
+    representation of that algebra.  Its Killing form is negative definite, so ad(x) is
+    semisimple with imaginary eigenvalues, nilpotent only at x = 0 (Knapp, *Lie Groups
+    Beyond an Introduction*, Ch. IV): no nonzero element is nilpotent."""
+    return _defining({f"so({n})": [_matrix(n, {(i, j): 1, (j, i): -1})
+                                   for i in range(n) for j in range(i + 1, n)]
+                      for n in (3, 4, 5, 6)})
 
 
 def heisenberg_algebra(n: int) -> LieAlgebra:
@@ -465,11 +492,6 @@ class FractionMatrix:
 
     def trace(self) -> Fraction:
         return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
-
-
-def fraction_trace_product(a: FractionMatrix, b: FractionMatrix) -> Fraction:
-    return sum((a.entries[i][k] * b.entries[k][i]
-                for i in range(a.rows) for k in range(a.cols)), _ZERO)
 
 
 def fraction_kron(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:

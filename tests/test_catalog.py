@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from fractions import Fraction
@@ -20,8 +21,10 @@ from lienil.catalog import (
 from lienil.cli import render_algebra, run
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace
-from lienil.reps import adjoint_rep, one_dim_rep, trivial_rep, validate_rep
+from lienil.reps import Representation, adjoint_rep, one_dim_rep, trivial_rep, validate_rep
 from lienil.semisimple import is_semisimple, radical
+
+from support import outcome
 
 F = Fraction
 
@@ -90,6 +93,21 @@ def test_catalog_names_cover_standard_entries():
 
 def test_builtin_is_cached():
     assert builtin("sl2") is builtin("sl2")
+
+
+def test_every_spelling_builds_and_verifies_one_entry(monkeypatch):
+    """Five spellings of abelian(3) build and verify it once, into one cached entry."""
+    built = functools.lru_cache(maxsize=None)(catalog._built.__wrapped__)
+    monkeypatch.setattr(catalog, "_built", built)  # a cache that starts empty
+    verified = []
+    verify = catalog._verified
+    monkeypatch.setattr(catalog, "_verified",
+                        lambda entry: verified.append(entry.name) or verify(entry))
+    spellings = ["abelian(3)", "abelian(03)", "abelian(003)", "abelian(0003)", "abelian(00003)"]
+    entries = [builtin(name) for name in spellings]
+    assert all(entry is entries[0] for entry in entries)
+    assert verified == ["abelian(3)"]
+    assert built.cache_info().currsize == 1
 
 
 # --- pinned fixtures ------------------------------------------------------------------
@@ -331,6 +349,16 @@ def test_semidirect_rejects_foreign_representation():
     other = adjoint_rep(builtin("so3").algebra)
     with pytest.raises(ValueError):
         semidirect(s, other)
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: semidirect(builtin("sl2").algebra, Representation(
+        builtin("sl2").algebra, 1, (Matrix.identity(1), Matrix.zero(1, 1), Matrix.zero(1, 1)),
+        "broken")), (ValueError, "representation fails the homomorphism law"),
+        id="semidirect-homomorphism-law"),
+])
+def test_every_guard_answers_as_documented(call, expected):
+    assert outcome(call) == expected
 
 
 def test_a_semidirect_extension_checks_jacobi_once(monkeypatch):

@@ -27,7 +27,7 @@ from lienil.cli import (
     run,
 )
 
-from support import fraction_bracket, fraction_rref, heisenberg_algebra
+from support import fraction_bracket, fraction_rref, heisenberg_algebra, outcome
 
 F = Fraction
 
@@ -107,6 +107,14 @@ def test_parse_error_on_bad_basis_count():
 def test_parse_error_on_missing_dim():
     with pytest.raises(ParseError):
         parse_algebra("basis a b\n[a,b] = b\n")
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: parse_algebra("dim 1\nbasis a\nbasis a\n"),
+                 (ParseError, "line 3: duplicate basis line"), id="duplicate-basis-line"),
+])
+def test_every_guard_answers_as_documented(call, expected):
+    assert outcome(call) == expected
 
 
 @pytest.mark.parametrize("line", ["basisfoo a b", "basis_x a b"])

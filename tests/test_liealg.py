@@ -26,6 +26,7 @@ from support import (
     fraction_null_space,
     fraction_rref,
     heisenberg_algebra,
+    outcome,
     partly_central,
     seeded_elements,
     with_rational_basis_changes,
@@ -521,3 +522,30 @@ def test_is_derivation_matches_pairwise_fraction_check():
     assert answers.count(True) >= 50 and answers.count(False) >= 20
     with pytest.raises(ValueError, match="wrong shape"):
         sl2().is_derivation(Matrix.zero(3, 2))
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: LieAlgebra(-1, (), {}), (ValueError, "dimension must be nonnegative"),
+                 id="negative-dim"),
+    pytest.param(lambda: LieAlgebra(2, ("a",), {}), (ValueError, "1 basis names for dimension 2"),
+                 id="names-count"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 2): {0: 1}}),
+                 (ValueError, "structure table index (0, 2) out of range for dim 2"),
+                 id="pair-index"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {2: 1}}),
+                 (ValueError, "structure table target index 2 out of range"), id="target-index"),
+    pytest.param(lambda: sl2().element((1, 0)),
+                 (ValueError, "element has 2 coordinates, expected 3"), id="element-length"),
+    pytest.param(lambda: sl2().basis_element(3), (IndexError, "basis index 3 out of range"),
+                 id="basis-index"),
+    pytest.param(lambda: sl2().index_of("q"), (KeyError, "no basis element named 'q'"),
+                 id="basis-name"),
+    pytest.param(lambda: sl2().product_space(Subspace.full(3), Subspace.full(2)),
+                 (ValueError, "subspaces must live in the algebra"), id="product-space-ambient"),
+    pytest.param(lambda: sl2().is_ideal(Subspace.full(2)),
+                 (ValueError, "subspaces must live in the algebra"), id="ideal-ambient"),
+    pytest.param(lambda: sl2().change_of_basis(Matrix.identity(3), ("a", "b")),
+                 (ValueError, "2 basis names for dimension 3"), id="basis-change-names"),
+])
+def test_every_guard_answers_as_documented(call, expected):
+    assert outcome(call) == expected

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from lienil import linalg
 from lienil.catalog import builtin
+from lienil.liealg import LieAlgebra
 from lienil.linalg import (
     Matrix,
     Subspace,
     char_poly,
+    frac,
     generalized_eigenspace,
     invert,
     is_nilpotent,
@@ -24,15 +26,16 @@ from lienil.linalg import (
     nilpotency_exponent,
     rational_eigenvalues,
     rational_roots,
-    trace_product,
 )
+from lienil.oracle import nilpotent_in_all_reps
+from lienil.semisimple import shift_nilpotence_check
 
 from support import (
     FractionMatrix,
     fraction_invert,
     fraction_rref,
-    fraction_trace_product,
     matrix_power,
+    outcome,
 )
 
 F = Fraction
@@ -246,12 +249,6 @@ def test_rational_eigenvalues_of_diagonal():
     assert rational_eigenvalues(m) == [F(-3), F(1, 2)]
 
 
-def test_trace_product_agrees_with_full_product():
-    a = Matrix.from_rows([[1, 2], [0, F(1, 3)]])
-    b = Matrix.from_rows([[-1, 4], [2, 2]])
-    assert trace_product(a, b) == (a @ b).trace()
-
-
 def test_invert_round_trip():
     m = Matrix.from_rows([[1, 2], [3, 5]])
     inv = invert(m)
@@ -262,35 +259,11 @@ def test_invert_round_trip():
 
 # --- integer kernel against the Fraction Gauss-Jordan reference --------------
 
-def _fraction_rref_rows(rows, cols):
-    """The Fraction Gauss-Jordan the integer kernel replaced, kept as the reference."""
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def _primitive_fraction_rref_rows(rows, cols):
-    """The reference under the kernel's contract: zero rows dropped, each RREF row
-    cleared to primitive integers (times its denominator lcm; the pivot stays positive)."""
-    reduced, pivots = _fraction_rref_rows([[F(x) for x in row] for row in rows], cols)
-    return [[int(x * scale) for x in row] for row in reduced[:len(pivots)]
+    """``fraction_rref`` under the kernel's contract: each RREF row cleared to primitive
+    integers (times its denominator lcm; the pivot stays positive)."""
+    reduced, pivots = fraction_rref(rows, cols)
+    return [[int(x * scale) for x in row] for row in reduced
             for scale in [math.lcm(*(y.denominator for y in row))]], pivots
 
 
@@ -477,7 +450,7 @@ def _assert_twin(m, ref):
     assert m.scale > 0 and math.gcd(m.scale, *(x for row in m.ints for x in row)) == 1
 
 
-_SCALARS = (0, 1, -1, F(3, 7), 10**12, F(-10**12, 10**9), "2/6")
+_SCALARS = (0, 1, -1, F(3, 7), 10**12, F(-10**12, 10**9))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -501,8 +474,6 @@ def test_matrix_operations_match_fraction_reference(seed):
         for k in (0, 2):
             right, right_ref = _twin(rng, m.cols, k)
             _assert_twin(m @ right, ref @ right_ref)
-        across, across_ref = _twin(rng, m.cols, m.rows)
-        assert trace_product(m, across) == fraction_trace_product(ref, across_ref)
         assert _reduced(m.ints, m.cols) == fraction_rref(ref.entries, ref.cols)
         b = [_huge(rng) for _ in range(m.rows)]
         for rhs in (b, ref.apply(x)):
@@ -646,3 +617,60 @@ def test_char_poly_constant_term_vanishes_iff_singular(m):
     coeffs = char_poly(m)
     singular = kernel_image(m)[0].dim > 0
     assert (coeffs[-1] == 0) == singular
+
+
+# --- refusals: text is no rational, and every guard answers as it says -----------
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: frac("2/6"), "2/6", id="frac"),
+    pytest.param(lambda: Matrix.from_rows([[1, "1/2"]]), "1/2", id="Matrix.from_rows"),
+    pytest.param(lambda: Matrix.identity(2).scaled("3"), "3", id="Matrix.scaled"),
+    pytest.param(lambda: _sl2().element(["1", 0, 0]), "1", id="LieAlgebra.element"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {1: "1"}}), "1", id="table-value"),
+    pytest.param(lambda: rational_roots(["1", 0]), "1", id="rational_roots"),
+    pytest.param(lambda: shift_nilpotence_check(_sl2(), Matrix.zero(3, 3), "2", (1, 0, 0)), "2",
+                 id="shift_nilpotence_check"),
+    pytest.param(lambda: nilpotent_in_all_reps(_sl2(), ["1e10000000", 0, 0]), "1e10000000",
+                 id="nilpotent_in_all_reps"),
+])
+def test_text_is_refused_as_a_rational(call, text):
+    """Fraction would read text, and expand an exponent such as 1e10000000 into a
+    ten-million-digit integer; every entry point refuses it before any arithmetic."""
+    assert outcome(call) == (TypeError, f"not an exact rational: {text!r}")
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: Matrix(2, 1, ((1,),)), (ValueError, "row count does not match entries"),
+                 id="row-count"),
+    pytest.param(lambda: Matrix(2, 2, ((1, 2), (3,))), (ValueError, "ragged matrix rows"),
+                 id="ragged"),
+    pytest.param(lambda: Matrix.identity(2) + Matrix.identity(3),
+                 (ValueError, "matrix shapes differ"), id="sum-shapes"),
+    pytest.param(lambda: Matrix.identity(2) @ Matrix.zero(3, 3),
+                 (ValueError, "cannot multiply 2x2 by 3x3"), id="product-shapes"),
+    pytest.param(lambda: Matrix.identity(2).apply((1,)),
+                 (ValueError, "vector length 1 does not match 2 columns"), id="apply-length"),
+    pytest.param(lambda: Matrix.zero(2, 3).trace(), (ValueError, "trace of a non-square matrix"),
+                 id="trace-shape"),
+    pytest.param(lambda: Subspace.full(2).contains((1, 2, 3)),
+                 (ValueError, "vector length 3 does not match ambient dimension 2"),
+                 id="contains-length"),
+    pytest.param(lambda: Subspace.full(2).intersect(Subspace.full(3)),
+                 (ValueError, "subspaces live in different ambient dimensions"),
+                 id="intersect-ambient"),
+    pytest.param(lambda: invert(Matrix.zero(2, 3)),
+                 (ValueError, "only square matrices can be inverted"), id="invert-shape"),
+    pytest.param(lambda: nilpotency_exponent(Matrix.zero(2, 3)),
+                 (ValueError, "nilpotency is defined for square matrices only"),
+                 id="nilpotency-shape"),
+    pytest.param(lambda: generalized_eigenspace(Matrix.zero(2, 3), 1),
+                 (ValueError, "generalized eigenspaces need a square matrix"),
+                 id="eigenspace-shape"),
+    pytest.param(lambda: char_poly(Matrix.zero(2, 3)),
+                 (ValueError, "characteristic polynomial of a non-square matrix"),
+                 id="char-poly-shape"),
+    pytest.param(lambda: rational_roots([0, 0, 1, -2]), [2], id="roots-leading-zeros"),
+    pytest.param(lambda: rational_roots([0, 7]), [], id="roots-of-a-constant"),
+])
+def test_every_guard_answers_as_documented(call, expected):
+    assert outcome(call) == expected

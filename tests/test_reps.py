@@ -21,7 +21,7 @@ from lienil.reps import (
     validate_rep,
     weight_space,
 )
-from lienil.semisimple import analyze, semisimple_quotient
+from lienil.semisimple import analyze
 
 from support import (
     FractionMatrix,
@@ -35,6 +35,7 @@ from support import (
     fraction_sum,
     fraction_tensor,
     heisenberg_algebra,
+    outcome,
     seeded_elements,
 )
 
@@ -115,7 +116,7 @@ def test_pullback_along_center_quotient():
 
 def test_pullback_kills_the_radical():
     g = builtin("gl2").algebra
-    q = semisimple_quotient(g)
+    q = analyze(g).quotient
     rep = pullback(adjoint_rep(q.target), q)
     assert validate_rep(rep) == []
     assert rep.action((1, 0, 0, 1)).is_zero()
@@ -334,3 +335,35 @@ def test_weight_spaces_are_action_invariant_in_radical():
             action = rep.action(g.basis_element(i))
             for v in space.basis:
                 assert space.contains(action.apply(v))
+
+
+def _heisenberg():
+    return builtin("heisenberg").algebra
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: Weight(Subspace.full(2), (1,)),
+                 (ValueError, "one value per subalgebra basis vector is required"),
+                 id="weight-values"),
+    pytest.param(lambda: pullback(adjoint_rep(sl2()),
+                                  _heisenberg().quotient(_heisenberg().center())),
+                 (ValueError, "representation is not of the quotient target"),
+                 id="pullback-target"),
+    pytest.param(lambda: one_dim_rep(_heisenberg(), (1, 0)),
+                 (ValueError, "functional has 2 coordinates, expected 3"), id="character-length"),
+    pytest.param(lambda: weight_space(adjoint_rep(_heisenberg()), Subspace.zero(2),
+                                      Weight(Subspace.zero(2), ())),
+                 (ValueError, "subalgebra must live in the representation's algebra"),
+                 id="weight-space-ambient"),
+    pytest.param(lambda: rational_weights(adjoint_rep(_heisenberg()), Subspace.zero(2)),
+                 (ValueError, "subspace must live in the algebra"), id="weights-ambient"),
+    pytest.param(lambda: rational_weights(adjoint_rep(sl2()),
+                                          Subspace.from_vectors(3, [(1, 0, 0), (0, 0, 1)])),
+                 (ValueError, "subspace is not closed under the bracket"), id="weights-open"),
+    pytest.param(lambda: rational_weights(trivial_rep(_heisenberg(), 0), Subspace.zero(3)), [],
+                 id="weights-of-the-zero-module"),
+    pytest.param(lambda: rational_weights(adjoint_rep(_heisenberg()), Subspace.zero(3)),
+                 [Weight(Subspace.zero(3), ())], id="weights-on-the-zero-subalgebra"),
+])
+def test_every_guard_answers_as_documented(call, expected):
+    assert outcome(call) == expected

@@ -26,7 +26,6 @@ from lienil.semisimple import (
     killing_matrix,
     killing_orth,
     radical,
-    semisimple_quotient,
     shift_nilpotence_check,
 )
 
@@ -41,6 +40,7 @@ from support import (
     fraction_rref,
     fraction_solve,
     heisenberg_algebra,
+    outcome,
     partly_central,
     seeded_elements,
     seeded_rational_bases,
@@ -256,7 +256,7 @@ def test_is_semisimple_examples():
 def test_quotient_by_radical_is_semisimple():
     for name in ("gl2", "heisenberg", "sl2", "upper_triangular(3)"):
         g = builtin(name).algebra
-        q = semisimple_quotient(g)
+        q = analyze(g).quotient
         assert q.target.dim == g.dim - radical(g).dim
         if q.target.dim:
             assert is_semisimple(q.target)
@@ -264,12 +264,12 @@ def test_quotient_by_radical_is_semisimple():
 
 
 def test_semisimple_quotient_of_solvable_is_trivial():
-    q = semisimple_quotient(builtin("upper_triangular(2)").algebra)
+    q = analyze(builtin("upper_triangular(2)").algebra).quotient
     assert q.target.dim == 0
 
 
 def test_semisimple_quotient_of_gl2_matches_sl2():
-    q = semisimple_quotient(builtin("gl2").algebra)
+    q = analyze(builtin("gl2").algebra).quotient
     assert q.target.dim == 3
     assert not q.target.is_solvable()
 
@@ -527,3 +527,11 @@ def test_a_zero_or_full_radical_builds_no_new_algebra():
         q = analyze(g).quotient
         assert q.ideal.is_full() and q.target.dim == 0, name
         assert (q.projection.rows, q.projection.cols) == (0, g.dim), name
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: killing_orth(builtin("sl2").algebra, Subspace.full(2)),
+                 (ValueError, "subspace must live in the algebra"), id="orth-ambient"),
+])
+def test_every_guard_answers_as_documented(call, expected):
+    assert outcome(call) == expected
