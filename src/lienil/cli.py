@@ -328,13 +328,7 @@ def _oracle(algebra: LieAlgebra, element: Vector, args) -> tuple[dict, bool]:
     from .oracle import _witness, nilpotent_in_all_reps
 
     verdict = nilpotent_in_all_reps(algebra, element)
-    fields = {
-        "answer": verdict.answer,
-        "in_derived": verdict.in_derived,
-        "image_nilpotent": verdict.image_nilpotent,
-        "radical_dim": verdict.radical_dim,
-        "derived_dim": verdict.derived_dim,
-    }
+    fields = verdict._asdict()
     if args.witness and not verdict.answer:
         witness, _ = _witness(algebra, element, verdict)
         fields.update(_witness_fields(witness, False))
@@ -351,9 +345,7 @@ def _crosscheck(algebra: LieAlgebra, element: Vector, args) -> tuple[dict, bool]
         "answer": report.verdict.answer,
         "consistent": report.consistent,
         "corpus_size": len(report.outcomes),
-        "outcomes": [
-            {"label": r.label, "dim": r.dim, "nilpotent": r.nilpotent}
-            for r in report.outcomes],
+        "outcomes": [r._asdict() for r in report.outcomes],
     }
     if report.witness is not None:
         fields.update(_witness_fields(report.witness, report.witness_acts_nilpotently))

@@ -75,10 +75,10 @@ class LieAlgebra(_Frozen):
                 raise ValueError(f"structure table index ({i}, {j}) out of range for dim {dim}")
             if i >= j:
                 raise ValueError(f"structure table keys must satisfy i < j, got ({i}, {j})")
-            cleaned[i, j] = {k: frac(c) for k, c in expansion.items() if frac(c) != 0}
-            for k in cleaned[i, j]:
-                if not 0 <= k < dim:
-                    raise ValueError(f"structure table target index {k} out of range")
+            for k in expansion:  # every target is checked, a zero coefficient's too
+                if not (isinstance(k, int) and 0 <= k < dim):
+                    raise ValueError(f"structure table target index {k!r} out of range")
+            cleaned[i, j] = {k: c for k, c in zip(expansion, map(frac, expansion.values())) if c}
         scale = math.lcm(*(c.denominator for e in cleaned.values() for c in e.values()))
         self._store(names, {key: {k: c.numerator * (scale // c.denominator) for k, c in e.items()}
                             for key, e in cleaned.items()}, scale)
@@ -277,15 +277,8 @@ class LieAlgebra(_Frozen):
         return null_space(rows.values(), self.dim)
 
     def is_ideal(self, h: Subspace) -> bool:
-        """[e_i, r] in h for each basis element e_i and row r of h, reduced one bracket at a
-        time against h's rows until one is left over; a full h is an ideal at once."""
-        if h.ambient_dim != self.dim:
-            raise ValueError("subspaces must live in the algebra")
-        if h.is_full():
-            return True
-        rows = list(map(_terms, h.rows))
-        return not any(any(h._eliminate(self._int_bracket([(i, 1)], r))[0])
-                       for i in range(self.dim) if self._constants[i] for r in rows)
+        """Whether [g, h] lies in h: ``product_space`` of g and h, each row reduced against h's."""
+        return h.contains_subspace(self.product_space(self.full_space(), h))
 
     # -- derivations --------------------------------------------------------
 

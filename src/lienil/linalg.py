@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Rationals enter as ``int`` or ``fractions.Fraction`` only (``frac`` refuses text) and
-leave as Fractions; this module alone turns integers into Fractions.  A ``Matrix``
+leave as Fractions; integers become Fractions in this module's ``frac`` and views, in
+``LieAlgebra.table`` and in the catalog's tables built from matrices.  A ``Matrix``
 stores integer rows over one positive scale, in lowest terms, and every matrix operation
 (sums, products, traces) works on those integers; its ``entries`` are a view.  A
 ``Subspace`` stores only its reduced row-echelon rows, each cleared to primitive

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -35,7 +34,6 @@ from .linalg import Matrix, Vector, _cleared, is_nilpotent, nilpotency_exponent
 from .reps import Representation, adjoint_rep, one_dim_rep
 from .semisimple import ConsistencyError, analyze, is_nilpotent_element_image
 
-_ZERO = Fraction(0)
 _DUAL, _SUM, _TENSOR = range(3)  # a corpus step's kind, indexing _KINDS
 _KINDS = ("dual", "sum", "tensor")
 _MAX_PAIR_VISITS = 250_000  # operand pairs one corpus closure may visit, over all its levels
@@ -125,7 +123,7 @@ def _witness(algebra: LieAlgebra, av: Vector, verdict: Verdict) -> tuple[Witness
     structure = analyze(algebra)
     if not verdict.in_derived:
         for xi in structure.functionals:
-            if sum((c * x for c, x in zip(xi, av)), _ZERO) != 0:
+            if sum(c * x for c, x in zip(xi, av)) != 0:
                 rep, case_tag = one_dim_rep(algebra, xi), "derived_character"
                 break
         else:  # pragma: no cover - contradicts in_derived False

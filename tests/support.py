@@ -67,14 +67,19 @@ def with_rational_basis_changes(g: LieAlgebra, count: int = 3, seed: int = 71) -
     return [g] + [g.change_of_basis(p) for p in seeded_rational_bases(g.dim, count, seed)]
 
 
-def sl2_plus_sl2() -> LieAlgebra:
-    """sl2 (+) sl2 on the basis e.0 h.0 f.0 e.1 h.1 f.1: sl2's table, then its copy
-    shifted by 3."""
-    one = builtin("sl2").algebra
-    names = [f"{name}.{copy}" for copy in (0, 1) for name in one.basis_names]
-    return LieAlgebra(2 * one.dim, names, {
+def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
+    """g (+) h on g's basis, each name + ".0", then h's, each name + ".1": g's table, then
+    h's shifted by dim g."""
+    names = [*(f"{name}.0" for name in g.basis_names), *(f"{name}.1" for name in h.basis_names)]
+    return LieAlgebra(g.dim + h.dim, names, {
         (i + shift, j + shift): {k + shift: c for k, c in value.items()}
-        for shift in (0, one.dim) for (i, j), value in one.table.items()})
+        for shift, summand in ((0, g), (g.dim, h)) for (i, j), value in summand.table.items()})
+
+
+def sl2_plus_sl2() -> LieAlgebra:
+    """sl2 (+) sl2 on the basis e.0 h.0 f.0 e.1 h.1 f.1."""
+    sl2 = builtin("sl2").algebra
+    return direct_sum(sl2, sl2)
 
 
 def _matrix(n: int, terms: dict[tuple[int, int], int]) -> Matrix:

@@ -534,6 +534,15 @@ def test_is_derivation_matches_pairwise_fraction_check():
                  id="pair-index"),
     pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {2: 1}}),
                  (ValueError, "structure table target index 2 out of range"), id="target-index"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {7: 0}}),
+                 (ValueError, "structure table target index 7 out of range"),
+                 id="zero-coefficient-target-index"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {-1: 0}}),
+                 (ValueError, "structure table target index -1 out of range"),
+                 id="zero-coefficient-negative-target"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {"x": 0}}),
+                 (ValueError, "structure table target index 'x' out of range"),
+                 id="zero-coefficient-text-target"),
     pytest.param(lambda: sl2().element((1, 0)),
                  (ValueError, "element has 2 coordinates, expected 3"), id="element-length"),
     pytest.param(lambda: sl2().basis_element(3), (IndexError, "basis index 3 out of range"),

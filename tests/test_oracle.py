@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import operator
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +34,7 @@ from support import (
     corpus_members,
     corpus_representations,
     criterion_2_cases,
+    direct_sum,
     fraction_action,
     fraction_corpus_outcomes,
     fraction_is_nilpotent,
@@ -408,6 +411,50 @@ def test_compact_orthogonal_verdicts_follow_the_construction():
                 if outside:
                     assert fraction_rep_violations(algebra, mats) == [], (name, a)
     assert (len(verdicts), sum(verdicts)) == (166, 36)
+
+
+def _summands_with_their_truth():
+    """(name, algebra, is_positive) for summands whose positives follow from their
+    construction: compact so(3) and so(4), only 0; split so(5) and sp(4), sl2 (on
+    sl2_irrep(1)) and gl2, a nilpotent defining matrix; heisenberg, x and y both 0."""
+    def nilpotent_matrix(rep):
+        mats = fraction_matrices(rep)
+        return lambda a: fraction_is_nilpotent(fraction_action(mats, a).entries)
+
+    split = dict(split_classical())
+    gl2 = builtin("gl2").algebra
+    units = tuple(Matrix.from_rows([[int((r, c) == (i, j)) for c in range(2)] for r in range(2)])
+                  for i in range(2) for j in range(2))
+    matrix_summands = [("so(5)", split["so(5)"]), ("sp(4)", split["sp(4)"]),
+                       ("sl2", sl2_irrep(1)), ("gl2", Representation(gl2, 2, units, "defining"))]
+    return ([(name, rep.algebra, lambda a: not any(a)) for name, rep in compact_orthogonal()[:2]]
+            + [(name, rep.algebra, nilpotent_matrix(rep)) for name, rep in matrix_summands]
+            + [("heisenberg", builtin("heisenberg").algebra, lambda a: not a[0] and not a[1])])
+
+
+def test_direct_sum_verdicts_follow_the_summands():
+    """(a, b) in g (+) h acts nilpotently in every representation iff a and b both do:
+    pull back along the projections for one direction; for the other, (a, 0) and (0, b)
+    commute, and a sum of commuting nilpotent operators is nilpotent.  Over every pair of
+    summands (each with itself too), at 32 seeded (a, b) whose parts are 0, a basis vector
+    or a seeded element, each verdict equals that rule on the summands' own truth, then
+    in_derived_and_ad_nilpotent."""
+    summands = _summands_with_their_truth()
+    rng = random.Random(73)
+    verdicts = []
+    for (g_name, g, g_positive), (h_name, h, h_positive) in combinations_with_replacement(
+            summands, 2):
+        algebra = direct_sum(g, h)
+        parts = [[(0,) * s.dim, *map(s.basis_element, range(s.dim)), *seeded_elements(
+            s.dim, 2, seed=79)] for s in (g, h)]
+        pairs = [(a, b) for a in parts[0] for b in parts[1] if any(a) or any(b)]
+        for a, b in rng.sample(pairs, min(len(pairs), 32)):
+            element = (*a, *b)
+            answer = nilpotent_in_all_reps(algebra, element).answer
+            assert answer == (g_positive(a) and h_positive(b)), (g_name, h_name, element)
+            assert answer == in_derived_and_ad_nilpotent(algebra, element), (g_name, h_name)
+            verdicts.append(answer)
+    assert (len(verdicts), sum(verdicts)) == (896, 160)
 
 
 def test_corpus_members_materialize_and_validate():
