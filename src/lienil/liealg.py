@@ -23,15 +23,14 @@ from .linalg import (
     Vector,
     _Frozen,
     _cleared,
-    _exact,
     _fractions,
+    _read,
     as_vector,
     frac,
     invert,
     null_space,
 )
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 def _terms(ints: Sequence[int]) -> list[tuple[int, int]]:
     """The nonzero (index, value) terms of an integer vector."""
@@ -70,9 +69,10 @@ class LieAlgebra(_Frozen):
         if len(names) != dim:
             raise ValueError(f"{len(names)} basis names for dimension {dim}")
         cleaned = {}
-        for (i, j), expansion in table.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"structure table index ({i}, {j}) out of range for dim {dim}")
+        for key, expansion in table.items():
+            i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j)):
+                raise ValueError(f"structure table index {key!r} out of range for dim {dim}")
             if i >= j:
                 raise ValueError(f"structure table keys must satisfy i < j, got ({i}, {j})")
             for k in expansion:  # every target is checked, a zero coefficient's too
@@ -119,17 +119,12 @@ class LieAlgebra(_Frozen):
         return as_vector(self._coordinates(coords))
 
     def _coordinates(self, coords: Iterable) -> list[int | Fraction]:
-        """The coordinates, their number checked; ints and Fractions are kept as they are, so
-        clearing integer coordinates makes no Fraction."""
-        vec = [_exact(c) for c in coords]
-        if len(vec) != self.dim:
-            raise ValueError(f"element has {len(vec)} coordinates, expected {self.dim}")
-        return vec
+        return _read(coords, self.dim, "element")
 
     def basis_element(self, i: int) -> Vector:
         if not 0 <= i < self.dim:
             raise IndexError(f"basis index {i} out of range")
-        return tuple(_ONE if k == i else _ZERO for k in range(self.dim))
+        return _fractions([int(k == i) for k in range(self.dim)], 1)
 
     def index_of(self, name: str) -> int:
         try:
@@ -310,11 +305,12 @@ class LieAlgebra(_Frozen):
             tuple(int(k == j) for j in complement) for k in range(self.dim)))
         return QuotientMap(self, target, ideal, projection, section)
 
-    def change_of_basis(self, new_basis,
+    def change_of_basis(self, new_basis: Matrix,
                         names: Sequence[str] | None = None) -> "LieAlgebra":
-        """The same algebra written on a new basis (a Matrix's columns, or vectors)."""
-        p = new_basis if isinstance(new_basis, Matrix) else Matrix.from_columns(
-            [self.element(v) for v in new_basis])
+        """The same algebra written on a new basis: the columns of a Matrix."""
+        if not isinstance(new_basis, Matrix):
+            raise TypeError("new basis must be a Matrix")
+        p = new_basis
         if p.rows != self.dim or p.cols != self.dim:
             raise ValueError(f"{p.cols} vectors of length {p.rows} for dimension {self.dim}")
         p_inv = invert(p)
@@ -331,8 +327,7 @@ class LieAlgebra(_Frozen):
         return LieAlgebra._from_ints(names, products, p_inv.scale * self._scale * p.scale ** 2)
 
     def format_element(self, v: Sequence) -> str:
-        vec = self.element(v)
-        parts = [f"{c}*{name}" for c, name in zip(vec, self.basis_names) if c]
+        parts = [f"{c}*{name}" for c, name in zip(self.element(v), self.basis_names) if c]
         return " + ".join(parts) if parts else "0"
 
 
@@ -351,4 +346,4 @@ class QuotientMap(NamedTuple):
     section: Matrix
 
     def project(self, v: Sequence) -> Vector:
-        return self.projection.apply(self.source.element(v))
+        return self.projection.apply(v)

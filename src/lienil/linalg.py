@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Rationals enter as ``int`` or ``fractions.Fraction`` only (``frac`` refuses text) and
-leave as Fractions; integers become Fractions in this module's ``frac`` and views, in
-``LieAlgebra.table`` and in the catalog's tables built from matrices.  A ``Matrix``
+Rationals enter as ``int`` or ``fractions.Fraction`` only (text is a TypeError), a vector
+through one reader, ``_read``, that checks its count.  Fractions are made by ``frac``, the
+views, ``char_poly``, ``_sturm``, ``LieAlgebra.table`` and the catalog.  A ``Matrix``
 stores integer rows over one positive scale, in lowest terms, and every matrix operation
 (sums, products, traces) works on those integers; its ``entries`` are a view.  A
 ``Subspace`` stores only its reduced row-echelon rows, each cleared to primitive
@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
@@ -47,6 +46,14 @@ def as_vector(coords: Iterable) -> Vector:
 def _exact(value) -> int | Fraction:
     """An int or a Fraction as it is; ``frac`` refuses anything else."""
     return value if isinstance(value, (int, Fraction)) else frac(value)
+
+
+def _read(coords: Iterable, n: int, what: str) -> list[int | Fraction]:
+    """The coordinates as ``_exact`` keeps them (ints stay ints); a ValueError unless n of them."""
+    vec = [_exact(c) for c in coords]
+    if len(vec) != n:
+        raise ValueError(f"{what} has {len(vec)} coordinates, expected {n}")
+    return vec
 
 
 class _Frozen:
@@ -111,10 +118,6 @@ class Matrix(_Frozen):
             tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows), scale)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
-        return cls.from_rows(columns).transpose()
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, ((0,) * cols,) * rows)
 
@@ -165,16 +168,9 @@ class Matrix(_Frozen):
             self.ints, other.ints, other.cols))), self.scale * other.scale)
 
     def apply(self, v: Sequence) -> Vector:
-        vec = [_exact(x) for x in v]
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        xs, x_scale = _cleared(vec)
+        xs, x_scale = _cleared(_read(v, self.cols, "vector"))
         return _fractions([sum(a * x for a, x in zip(row, xs) if a) for row in self.ints],
                           self.scale * x_scale)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(zip(*self.ints)) if self.rows else
-                      ((),) * self.cols, self.scale)
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -182,7 +178,7 @@ class Matrix(_Frozen):
         return Fraction(sum(self.ints[i][i] for i in range(self.rows)), self.scale)
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _cleared(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """The values times the lcm s of their denominators, as integers, and s."""
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
@@ -268,8 +264,9 @@ class Subspace(_Frozen):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        zero = cls.zero(ambient_dim)  # a list, so every vector is checked, even past full rank
-        return cls._span(ambient_dim, [zero._as_ints(v)[0] for v in vectors])
+        # A list, so every vector is checked, even past full rank.
+        return cls._span(ambient_dim, [_cleared(_read(v, ambient_dim, "vector"))[0]
+                                       for v in vectors])
 
     @classmethod
     def _span(cls, ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -311,16 +308,8 @@ class Subspace(_Frozen):
                 scale *= a
         return ints, scale
 
-    def _as_ints(self, v: Sequence) -> tuple[list[int], int]:
-        """v cleared to integers and their scale, once its length is checked."""
-        vec = as_vector(v)
-        if len(vec) != self.ambient_dim:
-            raise ValueError(
-                f"vector length {len(vec)} does not match ambient dimension {self.ambient_dim}")
-        return _cleared(vec)
-
     def contains(self, v: Sequence) -> bool:
-        return not any(self._eliminate(*self._as_ints(v))[0])
+        return not any(self._eliminate(*_cleared(_read(v, self.ambient_dim, "vector")))[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
@@ -459,7 +448,7 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [_ONE]
+    coeffs = [Fraction(1)]
     aux = Matrix.identity(n)
     for k in range(1, n + 1):
         am = m @ aux

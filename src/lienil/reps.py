@@ -27,7 +27,7 @@ from .linalg import (
     Subspace,
     _Frozen,
     _cleared,
-    as_vector,
+    _read,
     is_nilpotent,
     null_space,
     rational_eigenvalues,
@@ -108,9 +108,7 @@ def pullback(rep: Representation, q: QuotientMap) -> Representation:
 
 def one_dim_rep(algebra: LieAlgebra, xi: Sequence) -> Representation:
     """The character x -> (xi(x)) for a functional vanishing on [L, L]."""
-    values = as_vector(xi)
-    if len(values) != algebra.dim:
-        raise ValueError(f"functional has {len(values)} coordinates, expected {algebra.dim}")
+    values = _read(xi, algebra.dim, "functional")
     ints = _cleared(values)[0]  # a positive multiple of xi: vanishing is homogeneous
     if any(sum(map(operator.mul, ints, row)) for row in algebra.derived_subalgebra().rows):
         raise ValueError("functional does not vanish on the derived subalgebra")

@@ -55,7 +55,7 @@ def seeded_rational_bases(dim: int, count: int, seed: int) -> list[Matrix]:
     out: list[Matrix] = []
     attempt = 0
     while len(out) < count:
-        p = Matrix.from_columns(seeded_elements(dim, dim, seed=seed + attempt))
+        p = Matrix.from_rows(list(zip(*seeded_elements(dim, dim, seed=seed + attempt))))
         attempt += 1
         if kernel_image(p)[0].is_zero():
             out.append(p)
@@ -395,7 +395,7 @@ def fraction_null_space(rows, cols: int) -> list[Vector]:
 
 def fraction_change_of_basis(g: LieAlgebra, columns, names: Sequence[str]) -> LieAlgebra:
     """g on the basis of these columns, each P^-1 [P e_i, P e_j] applied in Fractions."""
-    p_inv = invert(Matrix.from_columns(columns))
+    p_inv = invert(Matrix.from_rows(list(zip(*columns))))
     n = len(names)
     return LieAlgebra(n, names, {
         (i, j): dict(enumerate(p_inv.apply(g.bracket(columns[i], columns[j]))))
@@ -457,12 +457,6 @@ class FractionMatrix:
     def identity(cls, n: int) -> "FractionMatrix":
         return cls(n, n, tuple(
             tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "FractionMatrix":
-        cols = [as_vector(c) for c in columns]
-        n_rows = len(cols[0]) if cols else 0
-        return cls(n_rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n_rows)))
 
     def __add__(self, other: "FractionMatrix") -> "FractionMatrix":
         return FractionMatrix(self.rows, self.cols, tuple(

@@ -95,7 +95,8 @@ def test_sparse_jacobi_matches_dense_expansion():
     algebras += [partly_central(builtin(name).algebra, 2, seed) for seed, name in enumerate(
         ("gl2", "borel2", "upper_triangular(3)", "strictly_upper(4)"))]
     broken = [_broken_table(dim, seed) for dim, seed in ((3, 1), (4, 2), (5, 3), (6, 4))]
-    broken.append(broken[-1].change_of_basis(seeded_elements(6, 6, seed=5)))
+    columns = seeded_elements(6, 6, seed=5)
+    broken.append(broken[-1].change_of_basis(Matrix.from_rows(list(zip(*columns)))))
     broken += [partly_central(_broken_table(dim, seed), 2, seed) for dim, seed in ((4, 6), (5, 7))]
     for g in algebras + broken:
         assert g.jacobi_violations() == fraction_jacobi_violations(g)
@@ -385,7 +386,8 @@ def test_change_of_basis_identity():
 
 def test_change_of_basis_permutation():
     g = sl2()
-    moved = g.change_of_basis([(0, 0, 1), (0, 1, 0), (1, 0, 0)], names=("f", "h", "e"))
+    moved = g.change_of_basis(Matrix.from_rows(list(zip(*[(0, 0, 1), (0, 1, 0), (1, 0, 0)]))),
+                              names=("f", "h", "e"))
     assert moved.table == {
         (0, 1): {0: F(2)},
         (0, 2): {1: F(-1)},
@@ -396,18 +398,18 @@ def test_change_of_basis_permutation():
 
 def test_change_of_basis_scaling():
     g = heisenberg()
-    moved = g.change_of_basis([(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    moved = g.change_of_basis(Matrix.from_rows(list(zip(*[(2, 0, 0), (0, 1, 0), (0, 0, 1)]))))
     assert moved.table == {(0, 1): {2: F(2)}}
 
 
 def test_change_of_basis_rejects_singular():
     with pytest.raises(ValueError):
-        sl2().change_of_basis([(1, 0, 0), (2, 0, 0), (0, 0, 1)])
+        sl2().change_of_basis(Matrix.from_rows(list(zip(*[(1, 0, 0), (2, 0, 0), (0, 0, 1)]))))
 
 
 @pytest.mark.parametrize("basis", [
     Matrix.identity(2), Matrix.identity(4), Matrix.zero(3, 2), Matrix.zero(2, 3),
-    [(1, 0, 0), (0, 1, 0)], []])
+    Matrix.from_rows(list(zip(*[(1, 0, 0), (0, 1, 0)]))), Matrix.zero(0, 0)])
 def test_change_of_basis_rejects_the_wrong_shape(basis):
     with pytest.raises(ValueError, match="for dimension 3"):
         sl2().change_of_basis(basis)
@@ -457,15 +459,15 @@ def test_change_of_basis_matches_fraction_reference(entry):
     identity = [g.basis_element(i) for i in range(g.dim)]
     cases = [identity] + [seeded_elements(g.dim, g.dim, seed) for seed in (31, 32, 33)]
     for columns in cases:
-        if invert(Matrix.from_columns(columns)) is None:
+        p = Matrix.from_rows(list(zip(*columns)))
+        if invert(p) is None:
             continue
-        for moved in (g.change_of_basis(columns, names),
-                      g.change_of_basis(Matrix.from_columns(columns), names)):
-            reference = fraction_change_of_basis(g, columns, names)
-            assert moved == reference
-            assert hash(moved) == hash(reference)
-            assert moved._table_key == reference._table_key
-            assert moved.table == reference.table
+        moved = g.change_of_basis(p, names)
+        reference = fraction_change_of_basis(g, columns, names)
+        assert moved == reference
+        assert hash(moved) == hash(reference)
+        assert moved._table_key == reference._table_key
+        assert moved.table == reference.table
 
 
 @pytest.mark.parametrize("entry", standard_entries() + [
@@ -532,6 +534,17 @@ def test_is_derivation_matches_pairwise_fraction_check():
     pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 2): {0: 1}}),
                  (ValueError, "structure table index (0, 2) out of range for dim 2"),
                  id="pair-index"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {("a", 1): {0: 1}}),
+                 (ValueError, "structure table index ('a', 1) out of range for dim 2"),
+                 id="text-pair-index"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1.0): {0: 1}}),
+                 (ValueError, "structure table index (0, 1.0) out of range for dim 2"),
+                 id="float-pair-index"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {0: {0: 1}}),
+                 (ValueError, "structure table index 0 out of range for dim 2"), id="unpaired-key"),
+    pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1, 2): {0: 1}}),
+                 (ValueError, "structure table index (0, 1, 2) out of range for dim 2"),
+                 id="triple-key"),
     pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {2: 1}}),
                  (ValueError, "structure table target index 2 out of range"), id="target-index"),
     pytest.param(lambda: LieAlgebra(2, ("a", "b"), {(0, 1): {7: 0}}),
@@ -555,6 +568,8 @@ def test_is_derivation_matches_pairwise_fraction_check():
                  (ValueError, "subspaces must live in the algebra"), id="ideal-ambient"),
     pytest.param(lambda: sl2().change_of_basis(Matrix.identity(3), ("a", "b")),
                  (ValueError, "2 basis names for dimension 3"), id="basis-change-names"),
+    pytest.param(lambda: sl2().change_of_basis([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                 (TypeError, "new basis must be a Matrix"), id="basis-change-list"),
 ])
 def test_every_guard_answers_as_documented(call, expected):
     assert outcome(call) == expected

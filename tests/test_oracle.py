@@ -414,9 +414,11 @@ def test_compact_orthogonal_verdicts_follow_the_construction():
 
 
 def _summands_with_their_truth():
-    """(name, algebra, is_positive) for summands whose positives follow from their
-    construction: compact so(3) and so(4), only 0; split so(5) and sp(4), sl2 (on
-    sl2_irrep(1)) and gl2, a nilpotent defining matrix; heisenberg, x and y both 0."""
+    """(name, algebra, is_positive, is_outside_derived) for summands whose positives and
+    derived algebras follow from their construction: compact so(3) and so(4), only 0; split
+    so(5) and sp(4), sl2 (on sl2_irrep(1)) and gl2, a nilpotent defining matrix; heisenberg,
+    x and y both 0.  Each is perfect but gl2, whose [g, g] is the trace-free part, and
+    heisenberg, whose [g, g] is z's line."""
     def nilpotent_matrix(rep):
         mats = fraction_matrices(rep)
         return lambda a: fraction_is_nilpotent(fraction_action(mats, a).entries)
@@ -427,9 +429,11 @@ def _summands_with_their_truth():
                   for i in range(2) for j in range(2))
     matrix_summands = [("so(5)", split["so(5)"]), ("sp(4)", split["sp(4)"]),
                        ("sl2", sl2_irrep(1)), ("gl2", Representation(gl2, 2, units, "defining"))]
-    return ([(name, rep.algebra, lambda a: not any(a)) for name, rep in compact_orthogonal()[:2]]
-            + [(name, rep.algebra, nilpotent_matrix(rep)) for name, rep in matrix_summands]
-            + [("heisenberg", builtin("heisenberg").algebra, lambda a: not a[0] and not a[1])])
+    outside = {"gl2": lambda a: a[0] + a[3] != 0, "heisenberg": lambda a: any(a[:2])}
+    truths = ([(name, rep.algebra, lambda a: not any(a)) for name, rep in compact_orthogonal()[:2]]
+              + [(name, rep.algebra, nilpotent_matrix(rep)) for name, rep in matrix_summands]
+              + [("heisenberg", builtin("heisenberg").algebra, lambda a: not a[0] and not a[1])])
+    return [(*truth, outside.get(truth[0], lambda a: False)) for truth in truths]
 
 
 def test_direct_sum_verdicts_follow_the_summands():
@@ -438,12 +442,16 @@ def test_direct_sum_verdicts_follow_the_summands():
     commute, and a sum of commuting nilpotent operators is nilpotent.  Over every pair of
     summands (each with itself too), at 32 seeded (a, b) whose parts are 0, a basis vector
     or a seeded element, each verdict equals that rule on the summands' own truth, then
-    in_derived_and_ad_nilpotent."""
+    in_derived_and_ad_nilpotent.  [g (+) h, g (+) h] is [g, g] (+) [h, h], so each
+    negative's witness is a character exactly when a or b lies outside its summand's
+    derived algebra, and the element acts on it non-nilpotently, by Fraction arithmetic of
+    this suite's own; a character also keeps the homomorphism law.  Every other negative's
+    witness is checked."""
     summands = _summands_with_their_truth()
     rng = random.Random(73)
-    verdicts = []
-    for (g_name, g, g_positive), (h_name, h, h_positive) in combinations_with_replacement(
-            summands, 2):
+    verdicts, negatives = [], []
+    for (g_name, g, g_positive, g_outside), (h_name, h, h_positive, h_outside) in (
+            combinations_with_replacement(summands, 2)):
         algebra = direct_sum(g, h)
         parts = [[(0,) * s.dim, *map(s.basis_element, range(s.dim)), *seeded_elements(
             s.dim, 2, seed=79)] for s in (g, h)]
@@ -454,7 +462,22 @@ def test_direct_sum_verdicts_follow_the_summands():
             assert answer == (g_positive(a) and h_positive(b)), (g_name, h_name, element)
             assert answer == in_derived_and_ad_nilpotent(algebra, element), (g_name, h_name)
             verdicts.append(answer)
+            if not answer:
+                negatives.append((algebra, element, g_outside(a) or h_outside(b)))
     assert (len(verdicts), sum(verdicts)) == (896, 160)
+    tags, matrices, characters = [], {}, set()  # each witness rep read in Fractions once
+    for algebra, element, outside in negatives[::2]:  # every other one, to stay under 3 s
+        witness = find_witness(algebra, element)
+        tags.append(witness.case_tag)
+        assert witness.case_tag == ("derived_character" if outside else "adjoint_pullback")
+        if witness.rep not in matrices:
+            matrices[witness.rep] = fraction_matrices(witness.rep)
+        action = fraction_action(matrices[witness.rep], element)
+        assert not fraction_is_nilpotent(action.entries), element
+        if outside:
+            characters.add(witness.rep)
+    assert all(fraction_rep_violations(rep.algebra, matrices[rep]) == [] for rep in characters)
+    assert (len(tags), tags.count("derived_character"), len(characters)) == (368, 142, 24)
 
 
 def test_corpus_members_materialize_and_validate():
