@@ -2,13 +2,14 @@
 
 Each entry records the radical, derived subalgebra and semisimplicity the
 fixture is *supposed* to have (semisimple exactly when the declared radical is
-zero); construction recomputes all three and refuses to hand out an entry on
-any mismatch, so a test that consumes the catalog can rely on the declared
-data being literally what the library computes.  Each kind of fixture has one
-builder, and all of them start from integers: a bracket-table algebra is a row
-of ``_TABLES`` (basis names, the brackets [e_i, e_j] for i < j, and the basis
-indices spanning the declared radical and derived subalgebra); sl3, gl2 and the
-triangular families (one function builds both) are matrix algebras; and
+zero); construction recomputes the radical, which settles semisimplicity, and the derived
+subalgebra, and refuses to hand out an entry on any mismatch, so a test that consumes the
+catalog can rely on the declared data being literally what the library computes.  Each
+kind of fixture has one builder: a plain algebra is a row of ``_MATRIX_ENTRIES`` (matrix
+size, basis names, each basis matrix by its nonzero entries, and the integer rows spanning
+the declared radical and derived subalgebra), whose structure constants
+``_algebra_from_matrices`` derives, so none is typed by hand; the triangular families (one
+function builds both) are spans of matrix units, built the same way; and
 ``abelian(n)`` has no brackets.  A family member of more than ``_MAX_FAMILY_DIM``
 dimensions is refused before any of it is built; any other entry is built, verified and
 cached once, under every spelling of its name.  Only the sl2 entry carries
@@ -21,12 +22,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .liealg import LieAlgebra
 from .linalg import Matrix, Subspace
 from .reps import Representation, validate_rep
-from .semisimple import ConsistencyError, is_semisimple, radical
+from .semisimple import ConsistencyError, radical
 
 # Above this a family member is refused: upper_triangular(10), 55 dimensions, takes about
 # 1.6 s to build, verify and render, and upper_triangular(11), 66 dimensions, about 2.8 s.
@@ -47,8 +48,6 @@ def _verified(entry: CatalogEntry) -> CatalogEntry:
         raise ConsistencyError(f"catalog entry {entry.name}: radical mismatch")
     if entry.algebra.derived_subalgebra() != entry.known_derived:
         raise ConsistencyError(f"catalog entry {entry.name}: derived subalgebra mismatch")
-    if is_semisimple(entry.algebra) != entry.known_semisimple:
-        raise ConsistencyError(f"catalog entry {entry.name}: semisimplicity mismatch")
     for rep in entry.irreducibles:
         if rep.algebra != entry.algebra or validate_rep(rep):
             raise ConsistencyError(f"catalog entry {entry.name}: broken attached representation")
@@ -60,9 +59,9 @@ def _units(dim: int, indices: Iterable[int]) -> list[list[int]]:
     return [[int(k == i) for k in range(dim)] for i in indices]
 
 
-def _int_matrix(n: int, entry: Callable[[int, int], int]) -> Matrix:
-    """The n x n integer matrix with entry(r, c) in row r, column c."""
-    return Matrix(n, n, tuple(tuple(entry(r, c) for c in range(n)) for r in range(n)))
+def _matrix(n: int, terms: dict[tuple[int, int], int]) -> Matrix:
+    """The n x n integer matrix whose (r, c) entry is terms[r, c], and 0 off the terms."""
+    return Matrix(n, n, tuple(tuple(terms.get((r, c), 0) for c in range(n)) for r in range(n)))
 
 
 def _entry(name: str, algebra: LieAlgebra, radical_rows: list[list[int]],
@@ -75,29 +74,38 @@ def _entry(name: str, algebra: LieAlgebra, radical_rows: list[list[int]],
                         known_radical.is_zero(), irreducibles)
 
 
-_TABLES = {  # name: (basis names, [e_i, e_j] for i < j, radical indices, derived indices)
-    "sl2": ("e h f", {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}, (), (0, 1, 2)),
-    "so3": ("x y z", {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, (), (0, 1, 2)),
-    "heisenberg": ("x y z", {(0, 1): {2: 1}}, (0, 1, 2), (2,)),
-    "nonabelian2": ("a b", {(0, 1): {1: 1}}, (0, 1), (1,)),
-    "borel2": ("h e", {(0, 1): {1: 2}}, (0, 1), (1,)),
+_MATRIX_ENTRIES = {  # name: (matrix size, basis names, each basis matrix by its nonzero
+    # (row, column) entries, the integer rows spanning the declared radical and derived algebra)
+    "sl2": (2, "e h f", [{(0, 1): 1}, {(0, 0): 1, (1, 1): -1}, {(1, 0): 1}],
+            [], _units(3, range(3))),
+    "so3": (3, "x y z", [{(2, 1): 1, (1, 2): -1}, {(0, 2): 1, (2, 0): -1}, {(1, 0): 1, (0, 1): -1}],
+            [], _units(3, range(3))),
+    "heisenberg": (3, "x y z", [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): 1}],
+                   _units(3, range(3)), [[0, 0, 1]]),
+    "nonabelian2": (2, "a b", [{(0, 0): 1}, {(0, 1): 1}], _units(2, range(2)), [[0, 1]]),
+    "borel2": (2, "h e", [{(0, 0): 1, (1, 1): -1}, {(0, 1): 1}], _units(2, range(2)), [[0, 1]]),
+    "sl3": (3, "E12 E13 E23 H1 H2 E21 E31 E32", [
+        {(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}, {(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1},
+        {(1, 0): 1}, {(2, 0): 1}, {(2, 1): 1}], [], _units(8, range(8))),
+    "gl2": (2, "E11 E12 E21 E22", [{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}],
+            [[1, 0, 0, 1]], [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]),
 }
 
 
-def _table_entry(name: str) -> CatalogEntry:
-    names, table, radical_indices, derived_indices = _TABLES[name]
-    algebra = LieAlgebra(len(names.split()), names.split(), table)
+def _matrix_entry(name: str) -> CatalogEntry:
+    """The entry of a row of ``_MATRIX_ENTRIES``; the sl2 entry carries its irreducibles."""
+    n, names, terms, radical_rows, derived_rows = _MATRIX_ENTRIES[name]
+    algebra = _algebra_from_matrices(names.split(), [_matrix(n, t) for t in terms])
     irreducibles = tuple(_sl2_irrep(algebra, m) for m in range(5)) if name == "sl2" else ()
-    return _entry(name, algebra, _units(algebra.dim, radical_indices),
-                  _units(algebra.dim, derived_indices), irreducibles)
+    return _entry(name, algebra, radical_rows, derived_rows, irreducibles)
 
 
 def _sl2_irrep(sl2: LieAlgebra, m: int) -> Representation:
-    """sl2_irrep(m) on this copy of the sl2 table."""
+    """sl2_irrep(m) on this copy of the sl2 algebra."""
     n = m + 1
-    mats = (_int_matrix(n, lambda r, c: (m - r) * (c == r + 1)),
-            _int_matrix(n, lambda r, c: (m - 2 * r) * (c == r)),
-            _int_matrix(n, lambda r, c: (c + 1) * (r == c + 1)))
+    mats = (_matrix(n, {(r, r + 1): m - r for r in range(m)}),
+            _matrix(n, {(r, r): m - 2 * r for r in range(n)}),
+            _matrix(n, {(c + 1, c): c + 1 for c in range(m)}))
     return Representation(sl2, n, mats, f"sl2_irrep({m})")
 
 
@@ -110,10 +118,6 @@ def sl2_irrep(m: int) -> Representation:
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
     return _sl2_irrep(builtin("sl2").algebra, m)
-
-
-def _matrix_unit(n: int, i: int, j: int) -> Matrix:
-    return _int_matrix(n, lambda r, c: int((r, c) == (i, j)))
 
 
 def _algebra_from_matrices(names, mats: list[Matrix]) -> LieAlgebra:
@@ -134,27 +138,12 @@ def _algebra_from_matrices(names, mats: list[Matrix]) -> LieAlgebra:
     return LieAlgebra(dim, names, table)
 
 
-def _sl3() -> CatalogEntry:
-    unit = [[_matrix_unit(3, i, j) for j in range(3)] for i in range(3)]
-    names = ("E12", "E13", "E23", "H1", "H2", "E21", "E31", "E32")
-    algebra = _algebra_from_matrices(names, [
-        unit[0][1], unit[0][2], unit[1][2], unit[0][0] - unit[1][1], unit[1][1] - unit[2][2],
-        unit[1][0], unit[2][0], unit[2][1]])
-    return _entry("sl3", algebra, [], _units(8, range(8)))
-
-
-def _gl2() -> CatalogEntry:
-    units = [_matrix_unit(2, i, j) for i in range(2) for j in range(2)]
-    algebra = _algebra_from_matrices(("E11", "E12", "E21", "E22"), units)
-    return _entry("gl2", algebra, [[1, 0, 0, 1]], [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
-
-
 def _triangular(strict: bool, n: int) -> CatalogEntry:
     """upper_triangular(n), or strictly_upper(n) when strict: the matrix units E_ij with
     j - i >= strict, all in the radical; those with j - i > strict span the derived subalgebra."""
     pairs = [(i, j) for i in range(n) for j in range(i + strict, n)]
     names = tuple(f"E{i + 1}_{j + 1}" if n > 9 else f"E{i + 1}{j + 1}" for i, j in pairs)
-    algebra = _algebra_from_matrices(names, [_matrix_unit(n, i, j) for i, j in pairs])
+    algebra = _algebra_from_matrices(names, [_matrix(n, {(i, j): 1}) for i, j in pairs])
     derived = [k for k, (i, j) in enumerate(pairs) if j - i > strict]
     name = f"{'strictly_upper' if strict else 'upper_triangular'}({n})"
     return _entry(name, algebra, _units(len(pairs), range(len(pairs))),
@@ -165,8 +154,6 @@ def _abelian(n: int) -> CatalogEntry:
     algebra = LieAlgebra(n, tuple(f"x{i + 1}" for i in range(n)), {})
     return _entry(f"abelian({n})", algebra, _units(n, range(n)), [])
 
-
-_PLAIN = {"sl3": _sl3, "gl2": _gl2, **{name: partial(_table_entry, name) for name in _TABLES}}
 
 _FAMILIES = {  # name: (what n is, the dimension of member n, its builder)
     "abelian": ("dimension", lambda n: n, _abelian),
@@ -181,7 +168,7 @@ def builtin(name: str) -> CatalogEntry:
     """Catalog lookup by name; parametric names look like ``abelian(3)``, in ASCII digits,
     and a member of more than ``_MAX_FAMILY_DIM`` dimensions raises before it is built.
     Every spelling of a name (``abelian(003)``) reads its algebra's one cached entry."""
-    if name in _PLAIN:
+    if name in _MATRIX_ENTRIES:
         return _built(name, None)
     match = _NAME_RE.fullmatch(name)
     if match is None or match.group(1) not in _FAMILIES:
@@ -199,14 +186,14 @@ def builtin(name: str) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def _built(name: str, n: int | None) -> CatalogEntry:
     """The verified entry of a plain name, or of a family's member n: one per algebra."""
-    entry = _PLAIN[name]() if n is None else _FAMILIES[name][2](n)
+    entry = _matrix_entry(name) if n is None else _FAMILIES[name][2](n)
     entry.algebra.validate()  # a semidirect extension's Jacobi identity follows from its parts
     return _verified(entry)
 
 
 def catalog_names() -> list[str]:
     """Template names accepted by builtin, parametric ones shown with (n)."""
-    return sorted(_PLAIN) + sorted(f"{base}(n)" for base in _FAMILIES)
+    return sorted(_MATRIX_ENTRIES) + sorted(f"{base}(n)" for base in _FAMILIES)
 
 
 def standard_entries() -> list[CatalogEntry]:

@@ -44,8 +44,8 @@ def as_vector(coords: Iterable) -> Vector:
 
 
 def _exact(value) -> int | Fraction:
-    """An int or a Fraction as it is; ``frac`` refuses anything else."""
-    return value if isinstance(value, (int, Fraction)) else frac(value)
+    """An int or a Fraction as it is; anything else, a bool too, through ``frac``."""
+    return value if type(value) in (int, Fraction) else frac(value)
 
 
 def _read(coords: Iterable, n: int, what: str) -> list[int | Fraction]:

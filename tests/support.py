@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from lienil.catalog import _algebra_from_matrices, builtin, semidirect, sl2_irrep
+from lienil.catalog import _algebra_from_matrices, _matrix, builtin, semidirect, sl2_irrep
 from lienil.liealg import LieAlgebra
 from lienil.linalg import (
     Matrix, Subspace, Vector, as_vector, frac, invert, is_nilpotent, kernel_image)
@@ -82,11 +82,6 @@ def sl2_plus_sl2() -> LieAlgebra:
     return direct_sum(sl2, sl2)
 
 
-def _matrix(n: int, terms: dict[tuple[int, int], int]) -> Matrix:
-    """The n x n integer matrix whose (r, c) entry is terms[r, c], and 0 off the terms."""
-    return Matrix.from_rows([[terms.get((r, c), 0) for c in range(n)] for r in range(n)])
-
-
 def _defining(bases: dict[str, list[Matrix]]) -> list[tuple[str, Representation]]:
     """Each named basis of matrices as the defining representation of the algebra that
     catalog._algebra_from_matrices builds on it."""
@@ -125,6 +120,19 @@ def compact_orthogonal() -> list[tuple[str, Representation]]:
     return _defining({f"so({n})": [_matrix(n, {(i, j): 1, (j, i): -1})
                                    for i in range(n) for j in range(i + 1, n)]
                       for n in (3, 4, 5, 6)})
+
+
+def parabolic(blocks: Sequence[int]) -> Representation:
+    """The parabolic subalgebra of gl(n), n = sum(blocks), for these block sizes n_1, ...,
+    n_k, as the defining representation of the algebra catalog._algebra_from_matrices
+    builds on it: the span of the matrix units E_ij with block(i) <= block(j), in row-major
+    order.  A span of matrix units is closed under the commutator as it stands."""
+    n = sum(blocks)
+    block = [b for b, size in enumerate(blocks) for _ in range(size)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if block[i] <= block[j]]
+    mats = tuple(_matrix(n, {pair: 1}) for pair in pairs)
+    g = _algebra_from_matrices(tuple(f"E{i + 1}{j + 1}" for i, j in pairs), mats)
+    return Representation(g, n, mats, "defining")
 
 
 def heisenberg_algebra(n: int) -> LieAlgebra:

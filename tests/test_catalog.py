@@ -22,7 +22,7 @@ from lienil.cli import render_algebra, run
 from lienil.liealg import LieAlgebra
 from lienil.linalg import Matrix, Subspace
 from lienil.reps import Representation, adjoint_rep, one_dim_rep, trivial_rep, validate_rep
-from lienil.semisimple import is_semisimple, radical
+from lienil.semisimple import ConsistencyError, is_semisimple, radical
 
 from support import outcome
 
@@ -78,7 +78,7 @@ def test_the_largest_family_members_pass_the_size_check(monkeypatch, name):
     def started(*args):
         raise _Started
 
-    monkeypatch.setattr(catalog, "_matrix_unit", started)  # stop as building begins
+    monkeypatch.setattr(catalog, "_matrix", started)  # stop as building begins
     with pytest.raises(_Started):
         builtin(name)
     assert builtin("abelian(64)").algebra.dim == 64
@@ -185,6 +185,21 @@ def test_every_standard_entry_is_internally_consistent():
         for rep in entry.irreducibles:
             assert rep.algebra == g
             assert validate_rep(rep) == []
+
+
+@pytest.mark.parametrize("base, radical_rows, derived_rows, irreducibles, message", [
+    ("heisenberg", [], [[0, 0, 1]], (), "radical mismatch"),
+    ("heisenberg", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0]], (),
+     "derived subalgebra mismatch"),
+    ("so3", [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (sl2_irrep(1),),
+     "broken attached representation"),
+])
+def test_a_wrong_declaration_is_refused(base, radical_rows, derived_rows, irreducibles, message):
+    """A declared radical or derived subalgebra the algebra does not have, or a representation
+    of another algebra, is refused with the mismatch named."""
+    entry = catalog._entry("wrong", builtin(base).algebra, radical_rows, derived_rows, irreducibles)
+    with pytest.raises(ConsistencyError, match=f"^catalog entry wrong: {message}$"):
+        catalog._verified(entry)
 
 
 def test_sl2_shape():

@@ -18,7 +18,7 @@ import lienil.reps as reps
 from lienil.catalog import builtin, semidirect, sl2_irrep, standard_entries
 from lienil.cli import render_algebra, run
 from lienil.liealg import LieAlgebra
-from lienil.linalg import Matrix, invert, is_nilpotent
+from lienil.linalg import Matrix, Subspace, invert, is_nilpotent
 from lienil.oracle import (
     _corpus,
     _corpus_outcomes,
@@ -27,7 +27,7 @@ from lienil.oracle import (
     nilpotent_in_all_reps,
 )
 from lienil.reps import Representation, acts_nilpotently, trivial_rep, validate_rep
-from lienil.semisimple import analyze
+from lienil.semisimple import analyze, radical
 
 from support import (
     compact_orthogonal,
@@ -43,6 +43,7 @@ from support import (
     heisenberg_algebra,
     in_derived_and_ad_nilpotent,
     matrix_power,
+    parabolic,
     seeded_elements,
     seeded_invertible_matrices,
     seeded_rational_bases,
@@ -411,6 +412,59 @@ def test_compact_orthogonal_verdicts_follow_the_construction():
                 if outside:
                     assert fraction_rep_violations(algebra, mats) == [], (name, a)
     assert (len(verdicts), sum(verdicts)) == (166, 36)
+
+
+def test_parabolic_verdicts_follow_the_blocks():
+    """A parabolic p of gl(n) with blocks n_1, ..., n_k (k >= 2) has as radical the block
+    scalars plus the nilradical (the E_ij with block(i) < block(j)), which is not abelian,
+    and as [p, p] the sl(n_i) plus the nilradical.  An element acts nilpotently in every
+    representation exactly when its block upper triangular matrix is nilpotent: then each
+    diagonal block is nilpotent, so trace-free.  At basis vectors, 3 seeded elements, 3 with
+    their diagonal zeroed, and 3 conjugates P N P^-1 of a strictly upper triangular N by a
+    block-diagonal P, every verdict equals that, then in_derived_and_ad_nilpotent."""
+    verdicts = []
+    for blocks in [(2, 1), (1, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2), (3, 1), (1, 3),
+                   (2, 1, 2), (2, 2, 1), (3, 2)]:
+        rep = parabolic(blocks)
+        g, n, defining = rep.algebra, rep.dim_v, fraction_matrices(rep)
+        pairs = [next((r, c) for r in range(n) for c in range(n) if m.ints[r][c])
+                 for m in rep.matrices]
+        block = [b for b, size in enumerate(blocks) for _ in range(size)]
+
+        def row(terms):  # the coordinates of sum terms[i, j] E_ij
+            return [terms.get(pair, 0) for pair in pairs]
+
+        nilradical = [row({(i, j): 1}) for i, j in pairs if block[i] < block[j]]
+        scalars = [row({(i, i): 1 for i in range(n) if block[i] == b}) for b in range(len(blocks))]
+        levi = [row({(i, j): 1}) for i, j in pairs if i != j and block[i] == block[j]]
+        levi += [row({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)
+                 if block[i] == block[i + 1]]
+        rad = radical(g)
+        assert rad == Subspace.from_vectors(g.dim, nilradical + scalars), blocks
+        assert g.derived_subalgebra() == Subspace.from_vectors(g.dim, nilradical + levi), blocks
+        assert not g.product_space(rad, rad).is_zero(), blocks
+        elements = [g.basis_element(k) for k in range(g.dim)] + seeded_elements(g.dim, 3, seed=73)
+        elements += [tuple(0 if i == j else x for (i, j), x in zip(pairs, a))
+                     for a in seeded_elements(g.dim, 3, seed=79)]
+        starts = [sum(blocks[:b]) for b in range(len(blocks))]
+        for t in range(3):
+            pieces = [seeded_invertible_matrices(size, 1, seed=83 + 5 * t + b)[0].ints
+                      for b, size in enumerate(blocks)]
+            p = Matrix.from_rows([[pieces[block[r]][r - starts[block[r]]][c - starts[block[c]]]
+                                   if block[r] == block[c] else 0 for c in range(n)]
+                                  for r in range(n)])
+            upper = iter(seeded_elements(n * (n - 1) // 2, 1, seed=89 + t)[0])
+            x = (p @ Matrix.from_rows([[next(upper) if c > r else 0 for c in range(n)]
+                                       for r in range(n)]) @ invert(p)).entries
+            elements.append(tuple(x[i][j] for i, j in pairs))
+            assert not any(x[i][j] for i in range(n) for j in range(n) if block[i] > block[j])
+        for a in elements:
+            answer = nilpotent_in_all_reps(g, a).answer
+            assert answer == fraction_is_nilpotent(fraction_action(defining, a).entries), (
+                blocks, a)
+            assert answer == in_derived_and_ad_nilpotent(g, a), (blocks, a)
+            verdicts.append(answer)
+    assert (len(verdicts), sum(verdicts)) == (237, 129)
 
 
 def _summands_with_their_truth():

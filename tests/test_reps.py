@@ -193,6 +193,14 @@ def test_one_dim_rep_matrices_and_label_are_the_values():
         one_dim_rep(g, outside)
 
 
+def test_a_bool_value_is_read_as_its_integer():
+    """True is the value 1: in the label and in the representation."""
+    g = builtin("heisenberg").algebra
+    rep = one_dim_rep(g, [True, 0, 0])
+    assert rep.label == "character(1,0,0)"
+    assert rep == one_dim_rep(g, [1, 0, 0])
+
+
 def test_a_one_hot_character_makes_two_matrices(monkeypatch):
     """Every zero value of a character shares one zero matrix."""
     g = heisenberg_algebra(20)  # dim 41: [x_i, y_i] = z
